@@ -69,6 +69,13 @@ def span_from_shots(video: VideoRecord, i: int, j: int) -> SegmentSpan:
     return SegmentSpan(video.shots[i - 1].start_s, video.shots[j - 1].end_s)
 
 
+def shots_in_span(video: VideoRecord, span: SegmentSpan) -> list:
+    """The shots lying inside span (edges within 1e-6 s count), selected by
+    time so that gaps between annotated scenes are tolerated."""
+    return [s for s in video.shots
+            if s.start_s >= span.start_s - 1e-6 and s.end_s <= span.end_s + 1e-6]
+
+
 def shot_span_indices(video: VideoRecord, span: SegmentSpan, tol_s=1e-6) -> tuple[int, int]:
     """Inverse of span_from_shots: the shot range whose edges match the span.
 

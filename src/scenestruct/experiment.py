@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ExperimentConfig, write_resolved_config
 from .data.corpus_io import load_corpus
-from .data.labels import interior_boundaries, span_from_shots
+from .data.labels import interior_boundaries, shots_in_span, span_from_shots
 from .data.records import Corpus
 from .errors import ConfigError, DataError
 from .metrics import _f1_from_counts, evaluate, match_boundaries, match_scenes, tagging_map
@@ -141,18 +141,11 @@ def tagging_map_on_gt_scenes(model, videos) -> float:
     """
     scene_preds = []
     for video in videos:
-        if video.scenes is None:
-            continue
-        for scene in video.scenes:
-            shots = [
-                s for s in video.shots
-                if s.start_s >= scene.span.start_s - 1e-6 and s.end_s <= scene.span.end_s + 1e-6
-            ]
-            if not shots:
-                continue
-            probs, _cache = model._forward_scenes([shots], train=False, rng=None)
-            scores = {k + 1: float(v) for k, v in enumerate(probs[0])}
-            scene_preds.append((scene.tags, scores))
+        for scene in video.scenes or ():
+            shots = shots_in_span(video, scene.span)
+            if shots:
+                probs = model.forward_scenes([shots])[0]
+                scene_preds.append((scene.tags, {k + 1: float(v) for k, v in enumerate(probs)}))
     return tagging_map(scene_preds, model.num_tags)
 
 

@@ -140,9 +140,6 @@ class ShotFuser:
         fused, drop_mask = dropout(fused, self.dropout_rate, train, rng)
         return fused, (enc_cache, drop_mask)
 
-    def forward_video(self, video, *, train=False, rng=None):
-        return self.forward_shots(video.shots, train=train, rng=rng)
-
     def backward(self, cache, grad_fused) -> None:
         """Accumulate trainable-encoder gradients; raw features are leaves."""
         enc_cache, drop_mask = cache

@@ -11,67 +11,37 @@ import numpy as np
 
 from ..data.labels import boundary_labels
 from ..errors import ConfigError
-from ..fusion import ShotFuser
-from ..nn.batching import SequenceBatch
 from ..nn.layers import Dense, sigmoid
 from ..nn.losses import bce_loss
-from ..nn.lstm import BiLstm
-from .common import TrainingHyper, fit
+from .common import SequenceNet, TrainingHyper, fit
 
 
-class BoundaryNet:
+class BoundaryNet(SequenceNet):
     kind = "boundary"
+    config_keys = ("positive_weight",)
 
-    def __init__(self, mask, dims, *, hidden_dim=128, encoders=None,
-                 dropout_rate=0.5, dtype=np.float32, seed=0, positive_weight=1.0):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self.hidden_dim = hidden_dim
+    def __init__(self, mask, dims, *, positive_weight=1.0, **kwargs):
+        super().__init__(mask, dims, **kwargs)
         self.positive_weight = positive_weight
-        self.fuser = ShotFuser(mask, dims, encoders=encoders,
-                               dropout_rate=dropout_rate, dtype=dtype, rng=rng)
-        self.lstm = BiLstm(self.fuser.fused_dim, hidden_dim, rng=rng, dtype=dtype)
-        self.head = Dense(4 * hidden_dim, 1, init="zero", dtype=dtype)
+        self.head = Dense(4 * self.hidden_dim, 1, init="zero", dtype=self.lstm.dtype)
 
-    def parameters(self) -> dict:
-        out = {f"fuser.{k}": v for k, v in self.fuser.params.items()}
-        out.update({f"lstm.{k}": v for k, v in self.lstm.params.items()})
-        out.update({f"head.{k}": v for k, v in self.head.params().items()})
-        return out
-
-    def gradients(self) -> dict:
-        out = {f"fuser.{k}": v for k, v in self.fuser.grads.items()}
-        out.update({f"lstm.{k}": v for k, v in self.lstm.grads.items()})
-        out.update({f"head.{k}": v for k, v in self.head.grads().items()})
-        return out
-
-    def zero_grads(self) -> None:
-        self.fuser.zero_grads()
-        self.lstm.zero_grads()
-        self.head.zero_grads()
-
-    def _forward_batch(self, videos, *, train, rng):
-        fused = []
-        fuse_caches = []
-        for video in videos:
-            f, cache = self.fuser.forward_video(video, train=train, rng=rng)
-            fused.append(f)
-            fuse_caches.append(cache)
-        batch = SequenceBatch.from_sequences(fused)
-        hidden, lstm_cache = self.lstm.forward(batch)
-        if hidden.shape[1] < 2:
-            return None, (batch, fuse_caches, lstm_cache, hidden)
+    def _head_forward(self, hidden):
         pair = np.concatenate([hidden[:, :-1], hidden[:, 1:]], axis=2)
         b_sz, tm1, dim = pair.shape
         logits = (pair.reshape(b_sz * tm1, dim) @ self.head.W + self.head.b).reshape(b_sz, tm1)
-        probs = sigmoid(logits)
-        return probs, (batch, fuse_caches, lstm_cache, hidden, pair)
+        return sigmoid(logits), pair
+
+    def forward_videos(self, videos, *, train=False, rng=None) -> list[np.ndarray]:
+        """Boundary scores of each video, encoded together as one batch."""
+        hidden, _lengths, _cache = self._encode([v.shots for v in videos], train=train, rng=rng)
+        probs, _pair = self._head_forward(hidden)
+        return [probs[row, : video.num_shots - 1] for row, video in enumerate(videos)]
 
     def forward_video(self, video, *, train=False, rng=None) -> np.ndarray:
         """Boundary scores b_1..b_{M-1}; empty for single-shot videos."""
         if video.num_shots < 2:
             return np.zeros(0, dtype=self.lstm.dtype)
-        probs, _cache = self._forward_batch([video], train=train, rng=rng)
-        return probs[0]
+        return self.forward_videos([video], train=train, rng=rng)[0]
 
     def batch_loss_and_grads(self, items, rng, *, train=True, backward=None):
         """items: (video, labels) pairs. Returns (loss, count) or None.
@@ -81,11 +51,9 @@ class BoundaryNet:
         """
         if backward is None:
             backward = train
-        videos = [video for video, _labels in items]
-        probs, cache = self._forward_batch(videos, train=train, rng=rng)
-        if probs is None:
-            return None
-        batch, fuse_caches, lstm_cache, hidden, pair = cache
+        hidden, _lengths, cache = self._encode([v.shots for v, _labels in items],
+                                               train=train, rng=rng)
+        probs, pair = self._head_forward(hidden)
         b_sz, tm1 = probs.shape
         dtype = self.lstm.dtype
         targets = np.zeros((b_sz, tm1), dtype=dtype)
@@ -105,21 +73,8 @@ class BoundaryNet:
             d_hidden = np.zeros_like(hidden)
             d_hidden[:, :-1] += d_pair[:, :, :hd2]
             d_hidden[:, 1:] += d_pair[:, :, hd2:]
-            d_input = self.lstm.backward(lstm_cache, d_hidden)
-            for row, video in enumerate(videos):
-                self.fuser.backward(fuse_caches[row], d_input[row, : video.num_shots])
+            self._backprop(cache, d_hidden)
         return loss, int(valid.sum())
-
-    def config_dict(self) -> dict:
-        return {
-            "mask": self.fuser.mask.as_dict(),
-            "encoders": self.fuser.encoder_specs_dict(),
-            "dims": {m: self.fuser.dims[m] for m in self.fuser.mask.modalities},
-            "hidden_dim": self.hidden_dim,
-            "dropout_rate": self.fuser.dropout_rate,
-            "positive_weight": self.positive_weight,
-            "dtype": self.lstm.dtype.name,
-        }
 
 
 def boundaries_to_scenes(scores, threshold_b) -> list[tuple[int, int]]:
@@ -148,27 +103,8 @@ def train_boundary(train_videos, val_videos, mask, dims, hyper: TrainingHyper,
     if not labeled:
         raise ConfigError("boundary training requires videos with scene annotations")
     items = [(v, boundary_labels(v)) for v in labeled]
-    model = BoundaryNet(
-        mask,
-        dims,
-        hidden_dim=hyper.hidden_dim,
-        encoders=encoders,
-        dropout_rate=hyper.dropout,
-        seed=hyper.seed,
-        positive_weight=hyper.positive_weight,
-    )
-
+    model = BoundaryNet(mask, dims, hidden_dim=hyper.hidden_dim, encoders=encoders,
+                        dropout_rate=hyper.dropout, seed=hyper.seed,
+                        positive_weight=hyper.positive_weight)
     val_items = [(v, boundary_labels(v)) for v in val_videos if v.scenes is not None]
-
-    def val_loss():
-        out = model.batch_loss_and_grads(val_items, None, train=False)
-        return out[0] if out else float("inf")
-
-    trace = fit(
-        model,
-        items,
-        lambda batch, rng: model.batch_loss_and_grads(batch, rng, train=True),
-        hyper=hyper,
-        val_loss_fn=val_loss if val_items else None,
-    )
-    return model, trace
+    return model, fit(model, items, hyper=hyper, val_items=val_items)

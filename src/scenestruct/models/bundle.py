@@ -5,14 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from ..errors import CheckpointError
-from ..fusion import EncoderSpec, ModalityMask
 from ..nn.checkpoint import load_checkpoint, save_checkpoint
 from .boundary import BoundaryNet
 from .segment import SegmentNet
 from .tag import TagNet
+
+NETS_BY_KIND = {cls.kind: cls for cls in (BoundaryNet, SegmentNet, TagNet)}
 
 CHECKPOINT_FILES = {
     ("boundary", None): "boundary.json",
@@ -41,37 +40,13 @@ def save_model(model, path) -> None:
     save_checkpoint(path, model.kind, model.config_dict(), model.parameters())
 
 
-def _build_from_config(kind: str, config: dict):
-    mask = ModalityMask.from_names(
-        config["mask"]["modalities"], include_length=config["mask"]["include_length"]
-    )
-    encoders = {
-        mod: EncoderSpec(trainable=spec["trainable"], dim=spec["dim"])
-        for mod, spec in config.get("encoders", {}).items()
-    }
-    common = dict(
-        hidden_dim=config["hidden_dim"],
-        encoders=encoders,
-        dropout_rate=config["dropout_rate"],
-        dtype=np.dtype(config.get("dtype", "float32")),
-    )
-    dims = config["dims"]
-    if kind == "boundary":
-        return BoundaryNet(mask, dims, positive_weight=config.get("positive_weight", 1.0), **common)
-    if kind == "segment":
-        return SegmentNet(
-            mask, dims, head_mode=config["head_mode"], num_tags=config.get("num_tags"), **common
-        )
-    if kind == "tag":
-        return TagNet(mask, dims, config["num_tags"], **common)
-    raise CheckpointError(f"unknown model kind {kind!r}")
-
-
 def load_model(path, expected_kind=None):
     kind, config, params = load_checkpoint(path)
     if expected_kind is not None and kind != expected_kind:
         raise CheckpointError(f"checkpoint {path} holds a {kind!r} model, expected {expected_kind!r}")
-    model = _build_from_config(kind, config)
+    if kind not in NETS_BY_KIND:
+        raise CheckpointError(f"checkpoint {path} holds unknown model kind {kind!r}")
+    model = NETS_BY_KIND[kind].from_config(config)
     own = model.parameters()
     if set(own) != set(params):
         raise CheckpointError(f"checkpoint {path} parameter names do not match the model")

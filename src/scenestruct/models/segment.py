@@ -15,13 +15,10 @@ import numpy as np
 
 from ..data.labels import shot_span_indices, span_from_shots
 from ..errors import ConfigError, DataError
-from ..fusion import ShotFuser
 from ..metrics import tiou
-from ..nn.batching import SequenceBatch
 from ..nn.layers import Dense, sigmoid
 from ..nn.losses import bce_loss
-from ..nn.lstm import BiLstm
-from .common import TrainingHyper, fit
+from .common import SequenceNet, TrainingHyper, fit
 
 log = logging.getLogger(__name__)
 
@@ -80,41 +77,20 @@ def proposal_tag_targets(proposals, video, num_tags, gt_scenes=None) -> np.ndarr
     return out
 
 
-class SegmentNet:
+class SegmentNet(SequenceNet):
     kind = "segment"
+    config_keys = ("head_mode", "num_tags")
 
-    def __init__(self, mask, dims, *, hidden_dim=128, num_tags=None, head_mode="scalar",
-                 encoders=None, dropout_rate=0.5, dtype=np.float32, seed=0):
+    def __init__(self, mask, dims, *, num_tags=None, head_mode="scalar", **kwargs):
         if head_mode not in HEAD_MODES:
             raise ConfigError(f"head_mode must be one of {HEAD_MODES}, got {head_mode!r}")
         if head_mode == "per_tag" and not num_tags:
             raise ConfigError("per_tag head requires num_tags")
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self.hidden_dim = hidden_dim
+        super().__init__(mask, dims, **kwargs)
         self.head_mode = head_mode
         self.num_tags = num_tags
-        self.fuser = ShotFuser(mask, dims, encoders=encoders,
-                               dropout_rate=dropout_rate, dtype=dtype, rng=rng)
-        self.lstm = BiLstm(self.fuser.fused_dim, hidden_dim, rng=rng, dtype=dtype)
         out_dim = 1 if head_mode == "scalar" else num_tags
-        self.head = Dense(6 * hidden_dim, out_dim, init="zero", dtype=dtype)
-
-    def parameters(self) -> dict:
-        out = {f"fuser.{k}": v for k, v in self.fuser.params.items()}
-        out.update({f"lstm.{k}": v for k, v in self.lstm.params.items()})
-        out.update({f"head.{k}": v for k, v in self.head.params().items()})
-        return out
-
-    def gradients(self) -> dict:
-        out = {f"fuser.{k}": v for k, v in self.fuser.grads.items()}
-        out.update({f"lstm.{k}": v for k, v in self.lstm.grads.items()})
-        out.update({f"head.{k}": v for k, v in self.head.grads().items()})
-        return out
-
-    def zero_grads(self) -> None:
-        self.fuser.zero_grads()
-        self.lstm.zero_grads()
-        self.head.zero_grads()
+        self.head = Dense(6 * self.hidden_dim, out_dim, init="zero", dtype=self.lstm.dtype)
 
     @staticmethod
     def _summaries(hidden_1video, i_idx, j_idx):
@@ -158,8 +134,7 @@ class SegmentNet:
         if not proposals:
             shape = (0,) if self.head_mode == "scalar" else (0, self.num_tags)
             return np.zeros(shape, dtype=self.lstm.dtype)
-        fused, _ = self.fuser.forward_video(video, train=train, rng=rng)
-        hidden, _ = self.lstm.forward(SequenceBatch.from_sequences([fused]))
+        hidden, _lengths, _cache = self._encode([video.shots], train=train, rng=rng)
         i_idx = np.array([i for i, _ in proposals])
         j_idx = np.array([j for _, j in proposals])
         scores = self._head_forward(self._summaries(hidden[0], i_idx, j_idx))
@@ -184,33 +159,20 @@ class SegmentNet:
         """
         if backward is None:
             backward = train
-        videos = [video for video, _i, _j, _t in items]
-        fused = []
-        fuse_caches = []
-        for video in videos:
-            f, cache = self.fuser.forward_video(video, train=train, rng=rng)
-            fused.append(f)
-            fuse_caches.append(cache)
-        batch = SequenceBatch.from_sequences(fused)
-        hidden, lstm_cache = self.lstm.forward(batch)
-        summaries = []
-        for row, (video, i_idx, j_idx, _targets) in enumerate(items):
-            summaries.append(self._summaries(hidden[row, : video.num_shots], i_idx, j_idx))
+        hidden, _lengths, cache = self._encode([video.shots for video, *_rest in items],
+                                               train=train, rng=rng)
+        summaries = [self._summaries(hidden[row, : video.num_shots], i_idx, j_idx)
+                     for row, (video, i_idx, j_idx, _targets) in enumerate(items)]
         counts = [s.shape[0] for s in summaries]
         if sum(counts) == 0:
             return None
         stacked = np.concatenate(summaries, axis=0)
         probs = self._head_forward(stacked)
-        dtype = self.lstm.dtype
-        if self.head_mode == "scalar":
-            targets = np.concatenate([t for *_rest, t in items]).astype(dtype).reshape(-1, 1)
-        else:
-            targets = np.concatenate([t for *_rest, t in items], axis=0).astype(dtype)
+        targets = np.concatenate([t for *_rest, t in items]).astype(self.lstm.dtype)
+        targets = targets.reshape(probs.shape)
         loss, d_logits = bce_loss(probs, targets)
         if backward:
-            self.head.gW += stacked.T @ d_logits
-            self.head.gb += d_logits.sum(axis=0)
-            d_summary = d_logits @ self.head.W.T
+            d_summary = self.head.backward(stacked, d_logits)
             d_hidden = np.zeros_like(hidden)
             offset = 0
             for row, (video, i_idx, j_idx, _t) in enumerate(items):
@@ -220,22 +182,8 @@ class SegmentNet:
                     d_summary[offset : offset + n], hidden[row, :m], i_idx, j_idx
                 )
                 offset += n
-            d_input = self.lstm.backward(lstm_cache, d_hidden)
-            for row, video in enumerate(videos):
-                self.fuser.backward(fuse_caches[row], d_input[row, : video.num_shots])
+            self._backprop(cache, d_hidden)
         return loss, int(targets.size)
-
-    def config_dict(self) -> dict:
-        return {
-            "mask": self.fuser.mask.as_dict(),
-            "encoders": self.fuser.encoder_specs_dict(),
-            "dims": {m: self.fuser.dims[m] for m in self.fuser.mask.modalities},
-            "hidden_dim": self.hidden_dim,
-            "dropout_rate": self.fuser.dropout_rate,
-            "head_mode": self.head_mode,
-            "num_tags": self.num_tags,
-            "dtype": self.lstm.dtype.name,
-        }
 
 
 def _prepare_items(videos, num_tags, head_mode, max_duration_shots):
@@ -262,27 +210,8 @@ def train_segment(train_videos, val_videos, mask, dims, hyper: TrainingHyper,
     items = _prepare_items(train_videos, num_tags, head_mode, hyper.max_duration_shots)
     if not items:
         raise ConfigError("segment training requires videos with scene annotations")
-    model = SegmentNet(
-        mask,
-        dims,
-        hidden_dim=hyper.hidden_dim,
-        num_tags=num_tags,
-        head_mode=head_mode,
-        encoders=encoders,
-        dropout_rate=hyper.dropout,
-        seed=hyper.seed,
-    )
+    model = SegmentNet(mask, dims, hidden_dim=hyper.hidden_dim, num_tags=num_tags,
+                       head_mode=head_mode, encoders=encoders, dropout_rate=hyper.dropout,
+                       seed=hyper.seed)
     val_items = _prepare_items(val_videos, num_tags, head_mode, hyper.max_duration_shots)
-
-    def val_loss():
-        out = model.batch_loss_and_grads(val_items, None, train=False)
-        return out[0] if out else float("inf")
-
-    trace = fit(
-        model,
-        items,
-        lambda batch, rng: model.batch_loss_and_grads(batch, rng, train=True),
-        hyper=hyper,
-        val_loss_fn=val_loss if val_items else None,
-    )
-    return model, trace
+    return model, fit(model, items, hyper=hyper, val_items=val_items)

@@ -10,13 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..data.labels import shots_in_span
 from ..errors import ConfigError, DataError
-from ..fusion import ShotFuser
-from ..nn.batching import SequenceBatch
 from ..nn.layers import Dense, sigmoid
 from ..nn.losses import bce_loss
-from ..nn.lstm import BiLstm
-from .common import TrainingHyper, fit
+from .common import SequenceNet, TrainingHyper, fit
 
 
 def multihot(tags, num_tags) -> np.ndarray:
@@ -26,57 +24,27 @@ def multihot(tags, num_tags) -> np.ndarray:
     return out
 
 
-class TagNet:
+class TagNet(SequenceNet):
     kind = "tag"
+    config_keys = ("num_tags",)
 
-    def __init__(self, mask, dims, num_tags, *, hidden_dim=128, encoders=None,
-                 dropout_rate=0.5, dtype=np.float32, seed=0):
+    def __init__(self, mask, dims, num_tags, **kwargs):
         if num_tags < 1:
             raise ConfigError(f"num_tags must be >= 1, got {num_tags}")
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
-        self.hidden_dim = hidden_dim
+        super().__init__(mask, dims, **kwargs)
         self.num_tags = num_tags
-        self.fuser = ShotFuser(mask, dims, encoders=encoders,
-                               dropout_rate=dropout_rate, dtype=dtype, rng=rng)
-        self.lstm = BiLstm(self.fuser.fused_dim, hidden_dim, rng=rng, dtype=dtype)
-        self.head = Dense(2 * hidden_dim, num_tags, init="zero", dtype=dtype)
+        self.head = Dense(2 * self.hidden_dim, num_tags, init="zero", dtype=self.lstm.dtype)
 
-    def parameters(self) -> dict:
-        out = {f"fuser.{k}": v for k, v in self.fuser.params.items()}
-        out.update({f"lstm.{k}": v for k, v in self.lstm.params.items()})
-        out.update({f"head.{k}": v for k, v in self.head.params().items()})
-        return out
-
-    def gradients(self) -> dict:
-        out = {f"fuser.{k}": v for k, v in self.fuser.grads.items()}
-        out.update({f"lstm.{k}": v for k, v in self.lstm.grads.items()})
-        out.update({f"head.{k}": v for k, v in self.head.grads().items()})
-        return out
-
-    def zero_grads(self) -> None:
-        self.fuser.zero_grads()
-        self.lstm.zero_grads()
-        self.head.zero_grads()
-
-    def _forward_scenes(self, scene_shots, *, train, rng):
-        fused = []
-        fuse_caches = []
-        for shots in scene_shots:
-            if not shots:
-                raise DataError("cannot tag an empty scene")
-            f, cache = self.fuser.forward_shots(shots, train=train, rng=rng)
-            fused.append(f)
-            fuse_caches.append(cache)
-        batch = SequenceBatch.from_sequences(fused)
-        hidden, lstm_cache = self.lstm.forward(batch)
+    def _summary(self, hidden, lengths):
+        # forward direction at the last valid step; backward direction at step 0
         hd = self.hidden_dim
         rows = np.arange(hidden.shape[0])
-        # forward direction at the last valid step; backward direction at step 0
-        summary = np.concatenate(
-            [hidden[rows, batch.lengths - 1, :hd], hidden[:, 0, hd:]], axis=1
-        )
-        probs = sigmoid(summary @ self.head.W + self.head.b)
-        return probs, (batch, fuse_caches, lstm_cache, hidden, summary)
+        return np.concatenate([hidden[rows, lengths - 1, :hd], hidden[:, 0, hd:]], axis=1)
+
+    def forward_scenes(self, scene_shots, *, train=False, rng=None) -> np.ndarray:
+        """Tag scores (n_scenes, num_tags) for shot lists encoded as one batch."""
+        hidden, lengths, _cache = self._encode(scene_shots, train=train, rng=rng)
+        return sigmoid(self.head.forward(self._summary(hidden, lengths)))
 
     def forward_scene(self, video, i, j, *, train=False, rng=None) -> np.ndarray:
         """Tag scores (num_tags,) for the inclusive shot range [i, j]."""
@@ -84,8 +52,7 @@ class TagNet:
             raise DataError(
                 f"scene range ({i}, {j}) out of range for video {video.video_id!r}"
             )
-        probs, _cache = self._forward_scenes([video.shots[i - 1 : j]], train=train, rng=rng)
-        return probs[0]
+        return self.forward_scenes([video.shots[i - 1 : j]], train=train, rng=rng)[0]
 
     def batch_loss_and_grads(self, items, rng, *, train=True, backward=None):
         """items: (shots, target) pairs with target of shape (num_tags,).
@@ -95,48 +62,26 @@ class TagNet:
         """
         if backward is None:
             backward = train
-        probs, cache = self._forward_scenes([shots for shots, _t in items], train=train, rng=rng)
-        batch, fuse_caches, lstm_cache, hidden, summary = cache
+        hidden, lengths, cache = self._encode([shots for shots, _t in items], train=train, rng=rng)
+        summary = self._summary(hidden, lengths)
+        probs = sigmoid(self.head.forward(summary))
         targets = np.stack([t for _s, t in items]).astype(self.lstm.dtype)
         loss, d_logits = bce_loss(probs, targets)
         if backward:
             hd = self.hidden_dim
-            self.head.gW += summary.T @ d_logits
-            self.head.gb += d_logits.sum(axis=0)
-            d_summary = d_logits @ self.head.W.T
+            d_summary = self.head.backward(summary, d_logits)
             d_hidden = np.zeros_like(hidden)
-            rows = np.arange(hidden.shape[0])
-            d_hidden[rows, batch.lengths - 1, :hd] += d_summary[:, :hd]
+            d_hidden[np.arange(hidden.shape[0]), lengths - 1, :hd] += d_summary[:, :hd]
             d_hidden[:, 0, hd:] += d_summary[:, hd:]
-            d_input = self.lstm.backward(lstm_cache, d_hidden)
-            for row, (shots, _t) in enumerate(items):
-                self.fuser.backward(fuse_caches[row], d_input[row, : len(shots)])
+            self._backprop(cache, d_hidden)
         return loss, int(targets.size)
-
-    def config_dict(self) -> dict:
-        return {
-            "mask": self.fuser.mask.as_dict(),
-            "encoders": self.fuser.encoder_specs_dict(),
-            "dims": {m: self.fuser.dims[m] for m in self.fuser.mask.modalities},
-            "hidden_dim": self.hidden_dim,
-            "dropout_rate": self.fuser.dropout_rate,
-            "num_tags": self.num_tags,
-            "dtype": self.lstm.dtype.name,
-        }
 
 
 def _scene_items(videos, num_tags):
     items = []
     for video in videos:
-        if video.scenes is None:
-            continue
-        for scene in video.scenes:
-            # select by time so annotation gaps are tolerated
-            shots = [
-                s
-                for s in video.shots
-                if s.start_s >= scene.span.start_s - 1e-6 and s.end_s <= scene.span.end_s + 1e-6
-            ]
+        for scene in video.scenes or ():
+            shots = shots_in_span(video, scene.span)
             if shots:
                 items.append((shots, multihot(scene.tags, num_tags)))
     return items
@@ -148,26 +93,6 @@ def train_tag(train_videos, val_videos, mask, dims, num_tags, hyper: TrainingHyp
     items = _scene_items(train_videos, num_tags)
     if not items:
         raise ConfigError("tag training requires videos with scene annotations")
-    model = TagNet(
-        mask,
-        dims,
-        num_tags,
-        hidden_dim=hyper.hidden_dim,
-        encoders=encoders,
-        dropout_rate=hyper.dropout,
-        seed=hyper.seed,
-    )
-    val_items = _scene_items(val_videos, num_tags)
-
-    def val_loss():
-        out = model.batch_loss_and_grads(val_items, None, train=False)
-        return out[0] if out else float("inf")
-
-    trace = fit(
-        model,
-        items,
-        lambda batch, rng: model.batch_loss_and_grads(batch, rng, train=True),
-        hyper=hyper,
-        val_loss_fn=val_loss if val_items else None,
-    )
-    return model, trace
+    model = TagNet(mask, dims, num_tags, hidden_dim=hyper.hidden_dim, encoders=encoders,
+                   dropout_rate=hyper.dropout, seed=hyper.seed)
+    return model, fit(model, items, hyper=hyper, val_items=_scene_items(val_videos, num_tags))

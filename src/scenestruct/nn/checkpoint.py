@@ -40,15 +40,28 @@ def load_checkpoint(path):
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != FORMAT_TAG:
+    if not isinstance(doc, dict):
+        raise CheckpointError(
+            f"checkpoint {path} must hold a JSON object, not {type(doc).__name__}"
+        )
+    if doc.get("format") != FORMAT_TAG:
         raise CheckpointError(
             f"checkpoint {path} has format tag {doc.get('format')!r}, "
             f"expected {FORMAT_TAG!r}"
         )
+    if not isinstance(doc.get("kind"), str) or not isinstance(doc.get("params"), dict):
+        raise CheckpointError(f"checkpoint {path} needs a string 'kind' and a 'params' object")
     config = doc.get("config", {})
     dtype = np.dtype(config.get("dtype", "float32"))
     params = {}
     for name, entry in doc["params"].items():
-        arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        try:
+            arr = np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"checkpoint {path}: parameter {name!r} is malformed: {exc}"
+            ) from exc
+        if not np.all(np.isfinite(arr)):
+            raise CheckpointError(f"checkpoint {path}: parameter {name!r} holds non-finite values")
         params[name] = arr.astype(dtype)
     return doc["kind"], config, params

@@ -11,7 +11,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -47,14 +47,7 @@ class PipelineConfig:
             raise ConfigError(f"per_tag_rank must be 'max' or 'mean', got {self.per_tag_rank!r}")
 
     def as_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "threshold_b": self.threshold_b,
-            "nms_tiou": self.nms_tiou,
-            "max_duration_shots": self.max_duration_shots,
-            "top_n_segments": self.top_n_segments,
-            "per_tag_rank": self.per_tag_rank,
-        }
+        return asdict(self)
 
 
 @dataclass

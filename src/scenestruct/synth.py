@@ -13,7 +13,7 @@ scene join exactly. Per modality, features carry one of three signals:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -87,25 +87,7 @@ class GeneratorConfig:
         return float(self.noise_std)
 
     def as_dict(self) -> dict:
-        return {
-            "num_videos": self.num_videos,
-            "seed": self.seed,
-            "duration_mean_s": self.duration_mean_s,
-            "duration_std_s": self.duration_std_s,
-            "scenes_per_video": list(self.scenes_per_video),
-            "shots_per_scene": list(self.shots_per_scene),
-            "num_tags": self.num_tags,
-            "tags_per_scene": list(self.tags_per_scene),
-            "modalities": dict(self.modalities),
-            "signal": dict(self.signal),
-            "noise_std": self.noise_std,
-            "prototype_scale": self.prototype_scale,
-            "min_scene_prototype_distance": self.min_scene_prototype_distance,
-            "scene_prototype_pool": self.scene_prototype_pool,
-            "tag_zipf_exponent": self.tag_zipf_exponent,
-            "min_scene_s": self.min_scene_s,
-            "min_shot_s": self.min_shot_s,
-        }
+        return asdict(self)
 
 
 def _split_interval(total, parts, floor, rng) -> np.ndarray:

@@ -12,7 +12,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from scenestruct.data.labels import boundary_labels
+from scenestruct.data.labels import boundary_labels, shots_in_span
 from scenestruct.data.records import Corpus, SegmentSpan
 from scenestruct.experiment import split_corpus, tagging_map_on_gt_scenes
 from scenestruct.fusion import EncoderSpec, ModalityMask
@@ -111,11 +111,7 @@ def test_criterion_1_gradient_correctness():
         t_items = []
         for video in corpus.videos:
             for scene in video.scenes:
-                shots = [
-                    s for s in video.shots
-                    if s.start_s >= scene.span.start_s - 1e-9 and s.end_s <= scene.span.end_s + 1e-9
-                ]
-                t_items.append((shots, multihot(scene.tags, 2)))
+                t_items.append((shots_in_span(video, scene.span), multihot(scene.tags, 2)))
 
         models = [
             (BoundaryNet(GRAD_MASK, dims, seed=seed, **kwargs), b_items),
@@ -471,11 +467,8 @@ def test_criterion_8_padding_invariance():
                       corpus.manifest.modality_dims, hidden_dim=4, dropout_rate=0.0,
                       dtype=np.float64, seed=1)
     solo = [net.forward_video(v) for v in corpus.videos]
-    probs_batch, _ = net._forward_batch(corpus.videos, train=False, rng=None)
-    batch_equal = all(
-        np.array_equal(probs_batch[row, : v.num_shots - 1], solo[row])
-        for row, v in enumerate(corpus.videos)
-    )
+    batch = net.forward_videos(corpus.videos)
+    batch_equal = all(np.array_equal(batch[row], solo[row]) for row in range(len(solo)))
 
     ok = loss_equal and grads_equal and preds_equal and batch_equal
     report(8, ok, f"loss equal: {loss_equal}; grads equal: {grads_equal}; "

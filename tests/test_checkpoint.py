@@ -43,6 +43,35 @@ class TestRawCheckpoint:
         with pytest.raises(CheckpointError, match="not found"):
             load_checkpoint(tmp_path / "missing.json")
 
+    def test_top_level_list_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(CheckpointError, match="ckpt.json.*JSON object"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("key", ["kind", "params"])
+    def test_missing_key_rejected(self, tmp_path, key):
+        path = tmp_path / "ckpt.json"
+        doc = {"format": FORMAT_TAG, "kind": "tag", "config": {}, "params": {}}
+        del doc[key]
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match=f"ckpt.json.*'{key}'"):
+            load_checkpoint(path)
+
+    def test_data_length_not_matching_shape_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        doc = {"format": FORMAT_TAG, "kind": "tag", "config": {},
+               "params": {"head.W": {"shape": [2, 2], "data": [0.0, 1.0, 2.0]}}}
+        path.write_text(json.dumps(doc))
+        with pytest.raises(CheckpointError, match="ckpt.json.*'head.W'"):
+            load_checkpoint(path)
+
+    def test_nan_value_rejected(self, tmp_path):
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(path, "tag", {}, {"head.b": np.array([0.5, np.nan])})
+        with pytest.raises(CheckpointError, match="ckpt.json.*'head.b'.*non-finite"):
+            load_checkpoint(path)
+
 
 class TestModelCheckpoints:
     @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from scenestruct.data.labels import boundary_labels
+from scenestruct.data.labels import boundary_labels, shots_in_span
 from scenestruct.fusion import EncoderSpec, ModalityMask
 from scenestruct.models import BoundaryNet, SegmentNet, TagNet, enumerate_proposals, proposal_tag_targets, proposal_targets
 from scenestruct.models.tag import multihot
@@ -79,11 +79,7 @@ def tag_items(corpus):
     items = []
     for video in corpus.videos:
         for scene in video.scenes:
-            shots = [
-                s for s in video.shots
-                if s.start_s >= scene.span.start_s - 1e-9 and s.end_s <= scene.span.end_s + 1e-9
-            ]
-            items.append((shots, multihot(scene.tags, 2)))
+            items.append((shots_in_span(video, scene.span), multihot(scene.tags, 2)))
     return items
 
 
@@ -160,8 +156,7 @@ def test_tag_net_three_shot_scene_finite_differences():
     corpus = build_corpus(cfg)
     video = corpus.videos[0]
     scene = video.scenes[0]
-    shots = [s for s in video.shots
-             if s.start_s >= scene.span.start_s - 1e-9 and s.end_s <= scene.span.end_s + 1e-9]
+    shots = shots_in_span(video, scene.span)
     assert len(shots) == 3
     model = TagNet(MASK, corpus.manifest.modality_dims, 2, **net_kwargs(0, 0.5))
     err = check_model(model, [(shots, multihot(scene.tags, 2))])

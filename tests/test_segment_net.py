@@ -178,7 +178,7 @@ class TestForward:
         from scenestruct.nn.batching import SequenceBatch
 
         for net in (scalar, per_tag):
-            fused, _ = net.fuser.forward_video(video)
+            fused, _ = net.fuser.forward_shots(video.shots)
             net._hidden = net.lstm.forward(SequenceBatch.from_sequences([fused]))[0]
         assert np.array_equal(scalar._hidden, per_tag._hidden)
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scenestruct.data.labels import shots_in_span
 from scenestruct.errors import ConfigError, DataError
 from scenestruct.fusion import ModalityMask
 from scenestruct.models import TagNet, train_tag
@@ -67,10 +68,9 @@ class TestForward:
             for k in range(3)
         ]
         scene_shots = [v.shots for v in videos]
-        probs_joint, _ = net._forward_scenes(scene_shots, train=False, rng=None)
+        probs_joint = net.forward_scenes(scene_shots)
         for idx, shots in enumerate(scene_shots):
-            probs_solo, _ = net._forward_scenes([shots], train=False, rng=None)
-            assert np.array_equal(probs_joint[idx], probs_solo[0])
+            assert np.array_equal(probs_joint[idx], net.forward_scenes([shots])[0])
 
 
 class TestMultihot:
@@ -128,11 +128,9 @@ class TestTraining:
         without_tag = {k: [] for k in range(1, 5)}
         for video in val:
             for scene in video.scenes:
-                shots = [s for s in video.shots
-                         if s.start_s >= scene.span.start_s - 1e-6 and s.end_s <= scene.span.end_s + 1e-6]
-                probs, _ = model._forward_scenes([shots], train=False, rng=None)
+                probs = model.forward_scenes([shots_in_span(video, scene.span)])[0]
                 for k in range(1, 5):
-                    (with_tag if k in scene.tags else without_tag)[k].append(probs[0][k - 1])
+                    (with_tag if k in scene.tags else without_tag)[k].append(probs[k - 1])
         gaps = [np.mean(with_tag[k]) - np.mean(without_tag[k]) for k in range(1, 5) if with_tag[k]]
         assert min(gaps) >= 0.3
         assert tagging_map_on_gt_scenes(model, val) >= 0.8
