@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..errors import CheckpointError
+from ..errors import CheckpointError, ConfigError
 from ..nn.checkpoint import load_checkpoint, save_checkpoint
 from .boundary import BoundaryNet
 from .segment import SegmentNet
@@ -14,10 +14,10 @@ from .tag import TagNet
 NETS_BY_KIND = {cls.kind: cls for cls in (BoundaryNet, SegmentNet, TagNet)}
 
 CHECKPOINT_FILES = {
-    ("boundary", None): "boundary.json",
-    ("segment", "scalar"): "segment_scalar.json",
-    ("segment", "per_tag"): "segment_per_tag.json",
-    ("tag", None): "tag.json",
+    ("boundary", None): "boundary.ckpt",
+    ("segment", "scalar"): "segment_scalar.ckpt",
+    ("segment", "per_tag"): "segment_per_tag.ckpt",
+    ("tag", None): "tag.ckpt",
 }
 
 # which submodels each pipeline mode needs, as (net, head_mode) keys
@@ -46,15 +46,20 @@ def load_model(path, expected_kind=None):
         raise CheckpointError(f"checkpoint {path} holds a {kind!r} model, expected {expected_kind!r}")
     if kind not in NETS_BY_KIND:
         raise CheckpointError(f"checkpoint {path} holds unknown model kind {kind!r}")
-    model = NETS_BY_KIND[kind].from_config(config)
+    try:
+        model = NETS_BY_KIND[kind].from_config(config)
+    except KeyError as exc:
+        raise CheckpointError(f"checkpoint {path}: config lacks key {exc.args[0]!r}") from exc
+    except (AttributeError, TypeError, ValueError, ConfigError) as exc:
+        raise CheckpointError(f"checkpoint {path}: config is malformed: {exc}") from exc
     own = model.parameters()
     if set(own) != set(params):
         raise CheckpointError(f"checkpoint {path} parameter names do not match the model")
     for name, value in params.items():
-        if own[name].shape != value.shape:
+        if (own[name].shape, own[name].dtype) != (value.shape, value.dtype):
             raise CheckpointError(
-                f"checkpoint {path}: parameter {name} has shape {value.shape}, "
-                f"model expects {own[name].shape}"
+                f"checkpoint {path}: parameter {name} is {value.dtype.name} of shape "
+                f"{value.shape}, model expects {own[name].dtype.name} of shape {own[name].shape}"
             )
         own[name][...] = value
     return model

@@ -64,16 +64,16 @@ class SequenceNet:
 
     @classmethod
     def from_config(cls, config: dict):
-        """Rebuild an untrained net from what config_dict recorded."""
+        """Rebuild an untrained net from what config_dict recorded. Every key
+        config_dict writes is required: a missing one raises KeyError naming it."""
         mask = ModalityMask.from_names(
             config["mask"]["modalities"], include_length=config["mask"]["include_length"]
         )
         encoders = {mod: EncoderSpec(trainable=spec["trainable"], dim=spec["dim"])
-                    for mod, spec in config.get("encoders", {}).items()}
+                    for mod, spec in config["encoders"].items()}
         return cls(mask, config["dims"], hidden_dim=config["hidden_dim"], encoders=encoders,
-                   dropout_rate=config["dropout_rate"],
-                   dtype=np.dtype(config.get("dtype", "float32")),
-                   **{key: config[key] for key in cls.config_keys if key in config})
+                   dropout_rate=config["dropout_rate"], dtype=np.dtype(config["dtype"]),
+                   **{key: config[key] for key in cls.config_keys})
 
     def _encode(self, shot_lists, *, train, rng):
         """Fuse each shot list and run them through the BiLSTM as one padded

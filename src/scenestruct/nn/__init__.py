@@ -2,7 +2,9 @@
 
 Dense layers, a two-layer bi-directional LSTM over padded sequence batches,
 sigmoid, inverted dropout, masked binary cross-entropy, Adam, a central
-finite-difference gradient checker, and a versioned checkpoint format.
+finite-difference gradient checker, and the versioned binary checkpoint
+format (scenestruct-ckpt-v2: a tag line, a JSON header line, raw
+little-endian parameter bytes).
 """
 
 from .batching import SequenceBatch

@@ -9,6 +9,7 @@ from scenestruct.data.corpus_io import load_corpus
 from scenestruct.data.records import Corpus, CorpusManifest
 from scenestruct.errors import DataError
 from scenestruct.experiment import ablation_metric, split_corpus
+from scenestruct.nn import load_checkpoint, save_checkpoint
 
 from conftest import make_video
 
@@ -54,7 +55,7 @@ class TestExitCodes:
         assert (tmp_path / "corpus" / "manifest.json").exists()
         assert main(["train", "--config", str(cfg), "--net", "boundary"]) == 0
         assert main(["train", "--config", str(cfg), "--net", "tag"]) == 0
-        assert (tmp_path / "ckpts" / "boundary.json").exists()
+        assert (tmp_path / "ckpts" / "boundary.ckpt").exists()
         assert (tmp_path / "out" / "loss_boundary.csv").exists()
         assert main(["predict", "--config", str(cfg), "--mode", "a"]) == 0
         assert (tmp_path / "out" / "predictions.jsonl").exists()
@@ -88,6 +89,20 @@ class TestExitCodes:
         code = main(["predict", "--config", str(cfg), "--mode", "d"])
         assert code == 4
         assert "segment" in capsys.readouterr().err
+
+    def test_predict_with_malformed_checkpoint_config_exits_4(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        assert main(["train", "--config", str(cfg), "--net", "boundary"]) == 0
+        assert main(["train", "--config", str(cfg), "--net", "tag"]) == 0
+        ckpt = tmp_path / "ckpts" / "tag.ckpt"
+        kind, config, params = load_checkpoint(ckpt)
+        del config["num_tags"]
+        save_checkpoint(ckpt, kind, config, params)
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg), "--mode", "a"]) == 4
+        err = capsys.readouterr().err
+        assert "tag.ckpt" in err and "'num_tags'" in err
 
     def test_evaluate_ground_truth_scores_one(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -138,12 +153,14 @@ class TestDeterminism:
 class TestSeedOverride:
     def test_seed_flag_changes_training(self, tmp_path):
         cfg = base_config(tmp_path)
+        ckpt = tmp_path / "ckpts" / "tag.ckpt"
         assert main(["generate", "--config", str(cfg)]) == 0
         assert main(["train", "--config", str(cfg), "--net", "tag"]) == 0
-        first = (tmp_path / "ckpts" / "tag.json").read_bytes()
+        first = ckpt.read_bytes()
+        assert main(["train", "--config", str(cfg), "--net", "tag"]) == 0
+        assert ckpt.read_bytes() == first
         assert main(["train", "--config", str(cfg), "--net", "tag", "--seed", "99"]) == 0
-        second = (tmp_path / "ckpts" / "tag.json").read_bytes()
-        assert first != second
+        assert ckpt.read_bytes() != first
 
 
 class TestSplitCorpus:

@@ -58,12 +58,13 @@ class TestMaskOverride:
     def test_train_mask_flag_is_recorded_in_checkpoint(self, tmp_path):
         from test_cli import base_config
         from scenestruct.cli import main
+        from scenestruct.nn import load_checkpoint
 
         cfg = base_config(tmp_path)
         assert main(["generate", "--config", str(cfg)]) == 0
         assert main(["train", "--config", str(cfg), "--net", "tag", "--mask", "audio"]) == 0
-        doc = json.loads((tmp_path / "ckpts" / "tag.json").read_text())
-        assert doc["config"]["mask"]["modalities"] == ["audio"]
+        _, config, _ = load_checkpoint(tmp_path / "ckpts" / "tag.ckpt")
+        assert config["mask"]["modalities"] == ["audio"]
 
 
 class TestEvaluateErrors:
