@@ -8,7 +8,7 @@ from .records import (
     CorpusManifest,
     SceneAnnotation,
     SegmentSpan,
-    ShotRecord,
+    ShotTable,
     TagVocabulary,
     VideoRecord,
 )
@@ -19,7 +19,7 @@ __all__ = [
     "CorpusManifest",
     "SceneAnnotation",
     "SegmentSpan",
-    "ShotRecord",
+    "ShotTable",
     "TagVocabulary",
     "VideoRecord",
     "boundary_labels",

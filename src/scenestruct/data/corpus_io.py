@@ -8,12 +8,14 @@ so a save/load cycle reproduces every value bit-exactly.
 from __future__ import annotations
 
 import json
+from itertools import chain
+from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
 from ..errors import DataError
-from .records import Corpus, CorpusManifest, SceneAnnotation, SegmentSpan, ShotRecord, VideoRecord
+from .records import Corpus, CorpusManifest, SceneAnnotation, SegmentSpan, ShotTable, VideoRecord
 
 # Shot timelines must be contiguous to this tolerance (seconds).
 SHOT_CONTIGUITY_TOL_S = 1e-3
@@ -45,68 +47,78 @@ def load_manifest(path) -> CorpusManifest:
     )
 
 
-def _parse_video(line: str, line_no: int, manifest: CorpusManifest) -> VideoRecord:
+def _parse_video(line: str, manifest: CorpusManifest) -> VideoRecord:
+    """One records line; any missing, mistyped or ragged field is a DataError."""
     try:
         doc = json.loads(line)
+        if not isinstance(doc, dict):
+            raise DataError(f"a record must be a JSON object, got {type(doc).__name__}")
+        vid = str(doc["video_id"])
+        duration = float(doc["duration_s"])
+        shot_docs = doc["shots"]
+        if not shot_docs:
+            raise DataError(f"video {vid!r} has no shots")
+        feature_docs = list(map(itemgetter("features"), shot_docs))
+        unknown = set(chain.from_iterable(feature_docs)).difference(manifest.modality_dims)
+        if unknown:
+            raise DataError(f"video {vid!r}: unknown modality {min(unknown)!r}")
+        try:
+            features = {name: np.array(list(map(itemgetter(name), feature_docs)), dtype=np.float64)
+                        for name in manifest.modality_dims}
+        except KeyError as exc:  # name the first shot that lacks the modality
+            name = exc.args[0]
+            idx = next(k for k, feats in enumerate(feature_docs, start=1) if name not in feats)
+            raise DataError(f"video {vid!r} shot {idx} is missing modality {name!r}") from None
+        shots = ShotTable(list(map(itemgetter("start_s"), shot_docs)),
+                          list(map(itemgetter("end_s"), shot_docs)), features)
+        scenes = None
+        if doc.get("scenes") is not None:
+            scenes = [
+                SceneAnnotation(
+                    span=SegmentSpan(float(s["start_s"]), float(s["end_s"])),
+                    tags=frozenset(int(t) for t in s["tags"]),
+                )
+                for s in doc["scenes"]
+            ]
+        return VideoRecord(video_id=vid, duration_s=duration, shots=shots, scenes=scenes)
     except json.JSONDecodeError as exc:
-        raise DataError(f"records line {line_no} is not valid JSON: {exc}") from exc
-    vid = str(doc["video_id"])
-    duration = float(doc["duration_s"])
-    shots = []
-    for shot_doc in doc["shots"]:
-        feats = {}
-        for name, values in shot_doc["features"].items():
-            if name not in manifest.modality_dims:
-                raise DataError(f"video {vid!r}: unknown modality {name!r}")
-            feats[name] = np.asarray(values, dtype=np.float64)
-        shots.append(
-            ShotRecord(start_s=float(shot_doc["start_s"]), end_s=float(shot_doc["end_s"]), features=feats)
-        )
-    scenes = None
-    if doc.get("scenes") is not None:
-        scenes = [
-            SceneAnnotation(
-                span=SegmentSpan(float(s["start_s"]), float(s["end_s"])),
-                tags=frozenset(int(t) for t in s["tags"]),
-            )
-            for s in doc["scenes"]
-        ]
-    return VideoRecord(video_id=vid, duration_s=duration, shots=shots, scenes=scenes)
+        raise DataError(f"not valid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise DataError(f"missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DataError(f"malformed record: {exc}") from exc
 
 
 def validate_video(video: VideoRecord, manifest: CorpusManifest) -> None:
-    vid = video.video_id
-    if video.num_shots < 1:
-        raise DataError(f"video {vid!r} has no shots")
-    for idx, shot in enumerate(video.shots, start=1):
-        if not shot.end_s > shot.start_s:
-            raise DataError(
-                f"video {vid!r} shot {idx} has non-positive length "
-                f"[{shot.start_s}, {shot.end_s}]"
-            )
-        for name, dim in manifest.modality_dims.items():
-            if name not in shot.features:
-                raise DataError(f"video {vid!r} shot {idx} is missing modality {name!r}")
-            got = shot.features[name].shape
-            if got != (dim,):
-                raise DataError(
-                    f"video {vid!r} shot {idx}: modality {name!r} has dim "
-                    f"{got[0] if len(got) == 1 else got}, manifest says {dim}"
-                )
-    for idx in range(video.num_shots - 1):
-        gap = video.shots[idx + 1].start_s - video.shots[idx].end_s
-        if abs(gap) > SHOT_CONTIGUITY_TOL_S:
-            raise DataError(
-                f"video {vid!r}: shots {idx + 1} and {idx + 2} are not contiguous "
-                f"(gap {gap:+.6f} s)"
-            )
-    if abs(video.shots[0].start_s) > SHOT_CONTIGUITY_TOL_S:
-        raise DataError(f"video {vid!r}: first shot starts at {video.shots[0].start_s}, not 0")
-    if abs(video.shots[-1].end_s - video.duration_s) > SHOT_CONTIGUITY_TOL_S:
-        raise DataError(
-            f"video {vid!r}: last shot ends at {video.shots[-1].end_s}, "
-            f"duration is {video.duration_s}"
-        )
+    """Check a parsed video, whose table holds every manifest modality."""
+    vid, shots = video.video_id, video.shots
+    if not np.isfinite(video.duration_s):
+        raise DataError(f"video {vid!r} has non-finite duration_s {video.duration_s}")
+    for name, col in {"start_s": shots.starts, "end_s": shots.ends, **shots.features}.items():
+        finite = np.isfinite(col)
+        if not finite.all():
+            idx = int(np.argmin(finite.reshape(len(col), -1).all(axis=1)))
+            raise DataError(f"video {vid!r} shot {idx + 1} has a non-finite {name!r} value")
+    short = ~(shots.ends > shots.starts)
+    if short.any():
+        idx = int(np.argmax(short))
+        raise DataError(f"video {vid!r} shot {idx + 1} has non-positive length "
+                        f"[{shots.starts[idx]}, {shots.ends[idx]}]")
+    for name, dim in manifest.modality_dims.items():
+        got = shots.features[name].shape[1]
+        if got != dim:
+            raise DataError(f"video {vid!r} shot 1: modality {name!r} has dim {got}, manifest says {dim}")
+    gaps = shots.starts[1:] - shots.ends[:-1]
+    apart = np.abs(gaps) > SHOT_CONTIGUITY_TOL_S
+    if apart.any():
+        idx = int(np.argmax(apart))
+        raise DataError(f"video {vid!r}: shots {idx + 1} and {idx + 2} are not contiguous "
+                        f"(gap {gaps[idx]:+.6f} s)")
+    if abs(shots.starts[0]) > SHOT_CONTIGUITY_TOL_S:
+        raise DataError(f"video {vid!r}: first shot starts at {shots.starts[0]}, not 0")
+    if abs(shots.ends[-1] - video.duration_s) > SHOT_CONTIGUITY_TOL_S:
+        raise DataError(f"video {vid!r}: last shot ends at {shots.ends[-1]}, "
+                        f"duration is {video.duration_s}")
     if video.scenes is not None:
         video.scenes.sort(key=lambda s: (s.span.start_s, s.span.end_s))
         for scene in video.scenes:
@@ -136,8 +148,11 @@ def load_corpus(manifest_path, records_path) -> Corpus:
             line = line.strip()
             if not line:
                 continue
-            video = _parse_video(line, line_no, manifest)
-            validate_video(video, manifest)
+            try:
+                video = _parse_video(line, manifest)
+                validate_video(video, manifest)
+            except DataError as exc:
+                raise DataError(f"records {records_path} line {line_no}: {exc}") from exc
             videos.append(video)
     return Corpus(manifest=manifest, videos=videos)
 
@@ -154,17 +169,13 @@ def _manifest_doc(manifest: CorpusManifest) -> dict:
 
 
 def _video_doc(video: VideoRecord) -> dict:
+    shots = video.shots
+    columns = (shots.starts, shots.ends, *shots.features.values())
     return {
         "video_id": video.video_id,
         "duration_s": video.duration_s,
-        "shots": [
-            {
-                "start_s": shot.start_s,
-                "end_s": shot.end_s,
-                "features": {name: [float(v) for v in vec] for name, vec in shot.features.items()},
-            }
-            for shot in video.shots
-        ],
+        "shots": [{"start_s": start, "end_s": end, "features": dict(zip(shots.features, vectors))}
+                  for start, end, *vectors in zip(*(col.tolist() for col in columns))],
         "scenes": None
         if video.scenes is None
         else [

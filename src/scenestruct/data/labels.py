@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from .records import SegmentSpan, VideoRecord
+from .records import SegmentSpan, ShotTable, VideoRecord
 
 # Default alignment tolerance, mirroring the 0.5 s boundary-F1 tolerance.
 DEFAULT_BOUNDARY_TOL_S = 0.5
@@ -47,11 +47,11 @@ def boundary_labels(video: VideoRecord, gt_scenes=None, tol_s=DEFAULT_BOUNDARY_T
     labels = np.zeros(max(m - 1, 0), dtype=np.float64)
     if m < 2:
         return labels
-    shot_bounds = np.array([shot.end_s for shot in video.shots[:-1]], dtype=np.float64)
+    shot_bounds = video.shots.ends[:-1]
     gt_bounds = interior_boundaries(
         (s.span for s in gt_scenes),
-        video.shots[-1].end_s,
-        start_s=video.shots[0].start_s,
+        video.shots.ends[-1],
+        start_s=video.shots.starts[0],
     )
     for g in gt_bounds:
         dist = np.abs(shot_bounds - g)
@@ -66,14 +66,14 @@ def span_from_shots(video: VideoRecord, i: int, j: int) -> SegmentSpan:
     m = video.num_shots
     if not 1 <= i <= j <= m:
         raise IndexError(f"shot range ({i}, {j}) out of range for {m} shots")
-    return SegmentSpan(video.shots[i - 1].start_s, video.shots[j - 1].end_s)
+    return SegmentSpan(video.shots.starts.item(i - 1), video.shots.ends.item(j - 1))
 
 
-def shots_in_span(video: VideoRecord, span: SegmentSpan) -> list:
+def shots_in_span(video: VideoRecord, span: SegmentSpan) -> ShotTable:
     """The shots lying inside span (edges within 1e-6 s count), selected by
     time so that gaps between annotated scenes are tolerated."""
-    return [s for s in video.shots
-            if s.start_s >= span.start_s - 1e-6 and s.end_s <= span.end_s + 1e-6]
+    shots = video.shots
+    return shots[(shots.starts >= span.start_s - 1e-6) & (shots.ends <= span.end_s + 1e-6)]
 
 
 def shot_span_indices(video: VideoRecord, span: SegmentSpan, tol_s=1e-6) -> tuple[int, int]:
@@ -81,15 +81,12 @@ def shot_span_indices(video: VideoRecord, span: SegmentSpan, tol_s=1e-6) -> tupl
 
     Raises DataError when the span is not aligned with shot boundaries.
     """
-    i = j = None
-    for idx, shot in enumerate(video.shots, start=1):
-        if abs(shot.start_s - span.start_s) <= tol_s:
-            i = idx
-        if abs(shot.end_s - span.end_s) <= tol_s:
-            j = idx
-    if i is None or j is None or i > j:
+    # the last matching shot wins on either edge
+    starts = np.flatnonzero(np.abs(video.shots.starts - span.start_s) <= tol_s)
+    ends = np.flatnonzero(np.abs(video.shots.ends - span.end_s) <= tol_s)
+    if not starts.size or not ends.size or starts[-1] > ends[-1]:
         raise DataError(
             f"video {video.video_id!r}: span [{span.start_s}, {span.end_s}] "
             f"is not aligned with shot boundaries"
         )
-    return i, j
+    return int(starts[-1]) + 1, int(ends[-1]) + 1

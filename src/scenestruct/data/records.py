@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,9 +22,9 @@ class SegmentSpan:
     end_s: float
 
     def __post_init__(self):
-        if not self.end_s > self.start_s:
+        if not (self.end_s > self.start_s and math.isfinite(self.end_s - self.start_s)):
             raise DataError(
-                f"segment span must have end > start, got [{self.start_s}, {self.end_s}]"
+                f"segment span must be finite with end > start, got [{self.start_s}, {self.end_s}]"
             )
 
     @property
@@ -31,17 +32,27 @@ class SegmentSpan:
         return self.end_s - self.start_s
 
 
-@dataclass
-class ShotRecord:
-    """One shot: its time span plus per-modality feature vectors."""
+class ShotTable:
+    """One video's shots by column: (M,) float64 starts and ends in seconds,
+    and features mapping each modality to an (M, dim) float64 array. A slice
+    or an integer or boolean row array selects rows into a new table."""
 
-    start_s: float
-    end_s: float
-    features: dict[str, np.ndarray]
+    def __init__(self, starts, ends, features):
+        self.starts = np.asarray(starts, dtype=np.float64)
+        self.ends = np.asarray(ends, dtype=np.float64)
+        self.features = {name: np.asarray(col, dtype=np.float64) for name, col in features.items()}
+        shapes = {name: col.shape for name, col in self.features.items()}
+        m = len(self.starts) if self.starts.ndim == 1 else -1
+        if self.ends.shape != (m,) or any(len(s) != 2 or s[0] != m for s in shapes.values()):
+            raise DataError("shot columns must be (M,) starts and ends and (M, dim) features, "
+                            f"got {self.starts.shape}, {self.ends.shape} and {shapes}")
 
-    @property
-    def length_s(self) -> float:
-        return self.end_s - self.start_s
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, rows) -> "ShotTable":
+        return ShotTable(self.starts[rows], self.ends[rows],
+                         {name: col[rows] for name, col in self.features.items()})
 
 
 @dataclass
@@ -56,7 +67,7 @@ class VideoRecord:
 
     video_id: str
     duration_s: float
-    shots: list[ShotRecord]
+    shots: ShotTable
     scenes: list[SceneAnnotation] | None = None
 
     @property

@@ -157,7 +157,7 @@ def boundary_f1_on_videos(model, videos, threshold_b) -> float:
             continue
         scores = model.forward_video(video)
         scene_ranges = boundaries_to_scenes(scores, threshold_b)
-        pred_bounds = [video.shots[j - 1].end_s for _i, j in scene_ranges[:-1]]
+        pred_bounds = [video.shots.ends[j - 1] for _i, j in scene_ranges[:-1]]
         gt_bounds = interior_boundaries((s.span for s in video.scenes), video.duration_s)
         tp += match_boundaries(pred_bounds, gt_bounds)
         n_pred += len(pred_bounds)

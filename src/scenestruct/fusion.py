@@ -109,18 +109,15 @@ class ShotFuser:
             g[...] = 0
 
     def forward_shots(self, shots, *, train=False, rng=None):
-        """Fuse a list of shots into (n_shots, fused_dim); returns (out, cache)."""
-        if not shots:
-            raise DataError("cannot fuse an empty shot list")
+        """Fuse a ShotTable into (len(shots), fused_dim); returns (out, cache)."""
+        if not len(shots):
+            raise DataError("cannot fuse an empty shot table")
         blocks = []
         enc_cache = {}
         for mod in self.mask.modalities:
-            rows = []
-            for shot in shots:
-                if mod not in shot.features:
-                    raise DataError(f"shot at {shot.start_s:.3f}s is missing modality {mod!r}")
-                rows.append(shot.features[mod])
-            x = np.asarray(rows, dtype=self.dtype)
+            if mod not in shots.features:
+                raise DataError(f"shot table is missing modality {mod!r}")
+            x = shots.features[mod].astype(self.dtype)
             if x.shape[1] != self.dims[mod]:
                 raise DataError(
                     f"modality {mod!r} has dim {x.shape[1]}, manifest says {self.dims[mod]}"
@@ -134,8 +131,7 @@ class ShotFuser:
             else:
                 blocks.append(x)
         if self.mask.include_length:
-            lengths = np.array([[shot.length_s] for shot in shots], dtype=self.dtype)
-            blocks.append(lengths)
+            blocks.append((shots.ends - shots.starts)[:, None].astype(self.dtype))
         fused = np.concatenate(blocks, axis=1)
         fused, drop_mask = dropout(fused, self.dropout_rate, train, rng)
         return fused, (enc_cache, drop_mask)

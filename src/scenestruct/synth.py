@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .data.corpus_io import save_corpus
-from .data.records import Corpus, CorpusManifest, SceneAnnotation, SegmentSpan, ShotRecord, VideoRecord
+from .data.records import Corpus, CorpusManifest, SceneAnnotation, SegmentSpan, ShotTable, VideoRecord
 from .errors import ConfigError
 
 SIGNAL_MODES = ("tag", "scene", "none")
@@ -141,6 +141,13 @@ def build_corpus(cfg: GeneratorConfig) -> Corpus:
         for mod, dim in cfg.modalities.items()
         if cfg.signal.get(mod, "none") == "scene"
     }
+    # one normal() call per scene draws the noise shot by shot in modality order:
+    # scale 1 for 'none' modalities, else noise_std, skipping a zero noise_std
+    scales = {mod: 1.0 if cfg.signal.get(mod, "none") == "none" else cfg.noise_for(mod)
+              for mod in cfg.modalities}
+    drawn = {mod: dim for mod, dim in cfg.modalities.items() if scales[mod] > 0}
+    draw_scales = np.repeat([scales[mod] for mod in drawn], list(drawn.values()))
+    draw_splits = np.cumsum(list(drawn.values()))[:-1]
     videos = []
     for v_idx in range(cfg.num_videos):
         n_scenes = int(rng.integers(cfg.scenes_per_video[0], cfg.scenes_per_video[1] + 1))
@@ -158,7 +165,8 @@ def build_corpus(cfg: GeneratorConfig) -> Corpus:
         scene_lens = _split_interval(duration, n_scenes, cfg.min_scene_s, rng)
         scene_bounds = np.concatenate([[0.0], np.cumsum(scene_lens)])
         scenes = []
-        shots = []
+        starts = []
+        columns = {mod: [] for mod in cfg.modalities}
         prev_pool_pick: dict[str, int] = {}
         for s_idx in range(n_scenes):
             start, end = float(scene_bounds[s_idx]), float(scene_bounds[s_idx + 1])
@@ -189,25 +197,18 @@ def build_corpus(cfg: GeneratorConfig) -> Corpus:
             shot_bounds = start + np.concatenate([[0.0], np.cumsum(shot_lens)])
             shot_bounds[0] = start
             shot_bounds[-1] = end
-            for k in range(n_shots):
-                features = {}
-                for mod, dim in cfg.modalities.items():
-                    mode = cfg.signal.get(mod, "none")
-                    if mode == "none":
-                        features[mod] = rng.normal(0.0, 1.0, size=dim)
-                    else:
-                        noise = cfg.noise_for(mod)
-                        features[mod] = scene_protos[mod] + (
-                            rng.normal(0.0, noise, size=dim) if noise > 0 else 0.0
-                        )
-                shots.append(ShotRecord(
-                    start_s=float(shot_bounds[k]), end_s=float(shot_bounds[k + 1]),
-                    features=features,
-                ))
+            starts.append(shot_bounds[:-1])
+            draws = rng.normal(0.0, draw_scales, size=(n_shots, draw_scales.size))
+            noise = dict(zip(drawn, np.split(draws, draw_splits, axis=1)))
+            for mod, dim in cfg.modalities.items():
+                columns[mod].append(scene_protos.get(mod, 0.0)
+                                    + noise.get(mod, np.zeros((n_shots, dim))))
+        edges = np.concatenate(starts + [scene_bounds[-1:]])  # each shot ends where the next starts
         videos.append(VideoRecord(
             video_id=f"synth-{v_idx:05d}",
             duration_s=float(scene_bounds[-1]),
-            shots=shots,
+            shots=ShotTable(edges[:-1], edges[1:],
+                            {mod: np.concatenate(cols) for mod, cols in columns.items()}),
             scenes=scenes,
         ))
     manifest = CorpusManifest(

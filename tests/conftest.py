@@ -6,26 +6,21 @@ from scenestruct.data.records import (
     CorpusManifest,
     SceneAnnotation,
     SegmentSpan,
-    ShotRecord,
+    ShotTable,
     VideoRecord,
 )
-
-
-def make_shot(start, end, features):
-    return ShotRecord(start_s=start, end_s=end, features={k: np.asarray(v, dtype=np.float64) for k, v in features.items()})
 
 
 def make_video(video_id, bounds, feature_dim=2, modalities=("vis_r50",), scenes=None, rng=None):
     """Video with shots at the given boundary list [t0, t1, ..., tM]."""
     rng = rng or np.random.default_rng(0)
-    shots = []
-    for a, b in zip(bounds, bounds[1:]):
-        feats = {m: rng.normal(size=feature_dim) for m in modalities}
-        shots.append(make_shot(a, b, feats))
+    # features are drawn shot by shot, then modality by modality
+    feats = rng.normal(size=(len(bounds) - 1, len(modalities), feature_dim))
     return VideoRecord(
         video_id=video_id,
         duration_s=float(bounds[-1]),
-        shots=shots,
+        shots=ShotTable(bounds[:-1], bounds[1:],
+                        {m: feats[:, k] for k, m in enumerate(modalities)}),
         scenes=scenes,
     )
 

@@ -246,3 +246,23 @@ def brute_force_proposals(m, cap):
             if i <= j and (j - i + 1) <= cap:
                 out.append((i, j))
     return sorted(out)
+
+
+def naive_shots_in_span(starts, ends, span_start, span_end):
+    """0-based rows of the shots inside the span, edges within 1e-6 s counting."""
+    return [k for k in range(len(starts))
+            if starts[k] >= span_start - 1e-6 and ends[k] <= span_end + 1e-6]
+
+
+def naive_shot_span_indices(starts, ends, span_start, span_end, tol=1e-6):
+    """1-based (i, j) of the last shot whose start and the last shot whose end
+    lie within tol of the span's; None when the span is not aligned."""
+    i = j = None
+    for k in range(len(starts)):
+        if abs(starts[k] - span_start) <= tol:
+            i = k + 1
+        if abs(ends[k] - span_end) <= tol:
+            j = k + 1
+    if i is None or j is None or i > j:
+        return None
+    return i, j

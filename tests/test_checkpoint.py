@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from scenestruct.data.records import ShotTable
 from scenestruct.errors import CheckpointError
 from scenestruct.fusion import EncoderSpec, ModalityMask
 from scenestruct.models import BoundaryNet, SegmentNet, TagNet, load_model, save_model
@@ -143,8 +144,9 @@ class TestModelCheckpoints:
         loaded = load_model(path)
         video = make_video("v", [0.0, 1.0, 2.0, 3.0], feature_dim=3,
                            modalities=("vis_r50",), rng=np.random.default_rng(1))
-        for shot in video.shots:
-            shot.features["audio"] = np.random.default_rng(2).normal(size=2)
+        shots = video.shots
+        audio = np.tile(np.random.default_rng(2).normal(size=2), (len(shots), 1))
+        video.shots = ShotTable(shots.starts, shots.ends, {**shots.features, "audio": audio})
         if isinstance(model, BoundaryNet):
             assert np.array_equal(model.forward_video(video), loaded.forward_video(video))
         elif isinstance(model, SegmentNet):

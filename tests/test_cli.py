@@ -81,6 +81,19 @@ class TestExitCodes:
         cfg = base_config(tmp_path)
         assert main(["train", "--config", str(cfg), "--net", "tag"]) == 3
 
+    def test_malformed_records_line_exits_3(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        records = tmp_path / "corpus" / "records.jsonl"
+        n_lines = len(records.read_text().splitlines())
+        with records.open("a") as fh:
+            fh.write('{"video_id": "bad", "duration_s": 2.0}\n')
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"records.jsonl line {n_lines + 1}: missing key 'shots'" in err
+        assert "Traceback" not in err
+
     def test_predict_without_segment_checkpoint_exits_4(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         assert main(["generate", "--config", str(cfg)]) == 0

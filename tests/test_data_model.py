@@ -1,8 +1,10 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scenestruct.data import (
@@ -14,10 +16,13 @@ from scenestruct.data import (
     shot_span_indices,
     span_from_shots,
 )
+from scenestruct.data.labels import shots_in_span
 from scenestruct.data.records import Corpus, CorpusManifest
 from scenestruct.errors import DataError
+from scenestruct.synth import GeneratorConfig, build_corpus
 
 from conftest import make_scene, make_video
+from oracles import naive_shot_span_indices, naive_shots_in_span
 
 
 def write_corpus_files(tmp_path, manifest_doc, video_docs):
@@ -99,6 +104,62 @@ class TestLoadCorpus:
             load_corpus(manifest, records)
 
 
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
+
+
+def with_shot_field(doc, shot, key, value):
+    doc = json.loads(json.dumps(doc))
+    doc["shots"][shot][key] = value
+    return doc
+
+
+TWO_SHOTS = video_doc(shots=((0.0, 2.0), (2.0, 4.0)))
+TAGGED = video_doc(scenes=[{"start_s": 0.0, "end_s": 2.0, "tags": ["x"]}])
+
+
+class TestMalformedRecords:
+    """A bad records line is a DataError naming the file and the line."""
+
+    @pytest.mark.parametrize("line, detail", [
+        (json.dumps(without(video_doc(), "video_id")), "missing key 'video_id'"),
+        (json.dumps(without(video_doc(), "shots")), "missing key 'shots'"),
+        (json.dumps([video_doc()]), "JSON object"),
+        (json.dumps(with_shot_field(TWO_SHOTS, 1, "features", {"vis_r50": [0.5]})), "malformed"),
+        (json.dumps(with_shot_field(TWO_SHOTS, 0, "features", {"vis_r50": ["x", 0.5]})),
+         "malformed"),
+        (json.dumps(TAGGED), "malformed"),
+        (json.dumps(with_shot_field(TWO_SHOTS, 1, "features", {})), "shot 2 is missing modality"),
+        ("{not json", "not valid JSON"),
+    ], ids=["no-video-id", "no-shots", "list", "ragged-feature", "text-feature", "text-tag",
+            "shot-lacks-modality", "bad-json"])
+    def test_names_file_and_line(self, tmp_path, line, detail):
+        manifest, records = write_corpus_files(tmp_path, MANIFEST, [video_doc("ok")])
+        with records.open("a") as fh:
+            fh.write(line + "\n")
+        with pytest.raises(DataError, match=re.escape(f"{records} line 2: ")) as info:
+            load_corpus(manifest, records)
+        assert detail in str(info.value)
+
+    @pytest.mark.parametrize("doc, detail", [
+        (with_shot_field(TWO_SHOTS, 1, "features", {"vis_r50": [0.5, math.nan]}),
+         "shot 2 has a non-finite 'vis_r50' value"),
+        (with_shot_field(TWO_SHOTS, 0, "features", {"vis_r50": [math.inf, 0.5]}),
+         "shot 1 has a non-finite 'vis_r50' value"),
+        (with_shot_field(TWO_SHOTS, 0, "end_s", math.nan), "shot 1 has a non-finite 'end_s' value"),
+        (with_shot_field(TWO_SHOTS, 1, "start_s", -math.inf),
+         "shot 2 has a non-finite 'start_s' value"),
+        ({**TWO_SHOTS, "duration_s": math.nan}, "non-finite duration_s"),
+        ({**TWO_SHOTS, "scenes": [{"start_s": 0.0, "end_s": math.inf, "tags": [1]}]},
+         "segment span must be finite"),
+    ], ids=["nan-feature", "inf-feature", "nan-end", "inf-start", "nan-duration", "inf-scene"])
+    def test_non_finite_values_rejected(self, tmp_path, doc, detail):
+        manifest, records = write_corpus_files(tmp_path, MANIFEST, [doc])
+        with pytest.raises(DataError, match=re.escape(f"{records} line 1: ")) as info:
+            load_corpus(manifest, records)
+        assert detail in str(info.value)
+
+
 class TestRoundTrip:
     def test_save_load_is_bit_exact(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -113,9 +174,9 @@ class TestRoundTrip:
         loaded = load_corpus(tmp_path / "m.json", tmp_path / "r.jsonl")
         reloaded = loaded.video("v0")
         assert reloaded.duration_s == video.duration_s
-        for a, b in zip(video.shots, reloaded.shots):
-            assert a.start_s == b.start_s and a.end_s == b.end_s
-            assert np.array_equal(a.features["vis_r50"], b.features["vis_r50"])
+        assert np.array_equal(reloaded.shots.starts, video.shots.starts)
+        assert np.array_equal(reloaded.shots.ends, video.shots.ends)
+        assert np.array_equal(reloaded.shots.features["vis_r50"], video.shots.features["vis_r50"])
         assert [s.span for s in reloaded.scenes] == [s.span for s in video.scenes]
         assert [s.tags for s in reloaded.scenes] == [s.tags for s in video.scenes]
 
@@ -126,6 +187,28 @@ class TestRoundTrip:
         loaded = load_corpus(tmp_path / "m1.json", tmp_path / "r1.jsonl")
         save_corpus(loaded, tmp_path / "m2.json", tmp_path / "r2.jsonl")
         assert (tmp_path / "r1.jsonl").read_bytes() == (tmp_path / "r2.jsonl").read_bytes()
+
+    def test_generated_corpus_round_trip_is_exact(self, tmp_path):
+        cfg = GeneratorConfig(
+            num_videos=12, seed=3, num_tags=4, tags_per_scene=(1, 2),
+            modalities={"vis_r50": 5, "audio": 3, "text": 2},
+            signal={"vis_r50": "scene", "audio": "tag", "text": "none"},
+            noise_std={"vis_r50": 0.1, "audio": 0.0}, duration_mean_s=20.0, duration_std_s=4.0,
+        )
+        corpus = build_corpus(cfg)
+        save_corpus(corpus, tmp_path / "m1.json", tmp_path / "r1.jsonl")
+        loaded = load_corpus(tmp_path / "m1.json", tmp_path / "r1.jsonl")
+        save_corpus(loaded, tmp_path / "m2.json", tmp_path / "r2.jsonl")
+        for name in ("m{}.json", "r{}.jsonl"):
+            assert (tmp_path / name.format(1)).read_bytes() == (tmp_path / name.format(2)).read_bytes()
+        for made, back in zip(corpus.videos, loaded.videos):
+            assert back.duration_s == made.duration_s
+            made_cols = [made.shots.starts, made.shots.ends, *made.shots.features.values()]
+            back_cols = [back.shots.starts, back.shots.ends, *back.shots.features.values()]
+            assert list(back.shots.features) == list(made.shots.features)
+            for a, b in zip(made_cols, back_cols):
+                assert a.dtype == b.dtype == np.float64
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestBoundaryLabels:
@@ -213,6 +296,50 @@ class TestSpanConversions:
         i = data.draw(st.integers(min_value=1, max_value=n))
         j = data.draw(st.integers(min_value=i, max_value=n))
         assert shot_span_indices(video, span_from_shots(video, i, j)) == (i, j)
+
+
+def timeline_and_span(data):
+    """A contiguous shot timeline (some shots shorter than the 1e-6 s edge
+    tolerance) and a span whose edges sit at, or within a few microseconds
+    of, shot edges, or anywhere in the video."""
+    lengths = data.draw(st.lists(
+        st.one_of(st.floats(1e-7, 3e-6), st.floats(0.05, 5.0)), min_size=1, max_size=10))
+    bounds = [0.0]
+    for length in lengths:
+        bounds.append(bounds[-1] + length)
+    edge = st.one_of(
+        st.tuples(st.sampled_from(bounds), st.sampled_from([0.0, -1e-6, 1e-6, -2e-6, 2e-6]),
+                  st.floats(-1e-6, 1e-6)).map(lambda t: t[0] + t[1] + t[2] * 0.5),
+        st.floats(-1.0, bounds[-1] + 1.0),
+    )
+    a, b = data.draw(edge), data.draw(edge)
+    assume(a != b)
+    return bounds, SegmentSpan(min(a, b), max(a, b))
+
+
+class TestSpanOracles:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_shots_in_span_matches_oracle(self, data):
+        bounds, span = timeline_and_span(data)
+        video = make_video("v", bounds)
+        rows = naive_shots_in_span(bounds[:-1], bounds[1:], span.start_s, span.end_s)
+        picked = shots_in_span(video, span)
+        assert picked.starts.tolist() == [bounds[k] for k in rows]
+        assert picked.ends.tolist() == [bounds[k + 1] for k in rows]
+        assert np.array_equal(picked.features["vis_r50"], video.shots.features["vis_r50"][rows])
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_shot_span_indices_matches_oracle(self, data):
+        bounds, span = timeline_and_span(data)
+        video = make_video("v", bounds)
+        expected = naive_shot_span_indices(bounds[:-1], bounds[1:], span.start_s, span.end_s)
+        if expected is None:
+            with pytest.raises(DataError, match="aligned"):
+                shot_span_indices(video, span)
+        else:
+            assert shot_span_indices(video, span) == expected
 
 
 class TestInteriorBoundaries:

@@ -1,21 +1,25 @@
 import numpy as np
 import pytest
 
+from scenestruct.data.records import ShotTable
 from scenestruct.errors import ConfigError, DataError
 from scenestruct.fusion import EncoderSpec, ModalityMask, ShotFuser
-
-from conftest import make_shot
 
 
 def shots_with(modalities, n=3, rng=None):
     rng = rng or np.random.default_rng(0)
-    out = []
-    t = 0.0
+    edges = [0.0]
+    rows = {m: [] for m in modalities}
     for _ in range(n):
-        length = float(rng.uniform(0.5, 2.0))
-        out.append(make_shot(t, t + length, {m: rng.normal(size=d) for m, d in modalities.items()}))
-        t += length
-    return out
+        edges.append(edges[-1] + float(rng.uniform(0.5, 2.0)))
+        for m, d in modalities.items():
+            rows[m].append(rng.normal(size=d))
+    return ShotTable(edges[:-1], edges[1:], {m: np.array(r) for m, r in rows.items()})
+
+
+def with_column(shots, modality, values):
+    """A copy of shots with one feature column replaced."""
+    return ShotTable(shots.starts, shots.ends, {**shots.features, modality: values})
 
 
 class TestModalityMask:
@@ -42,7 +46,7 @@ class TestFuseShot:
         shots = shots_with({"vis_r50": 4})
         fused, _ = fuser.forward_shots(shots)
         assert fused.shape == (3, 1)
-        assert fused[:, 0] == pytest.approx([s.length_s for s in shots])
+        assert fused[:, 0] == pytest.approx(shots.ends - shots.starts)
 
     def test_published_backbone_dims(self):
         # frozen 2048-d and 1024-d visual blocks plus the length scalar
@@ -58,9 +62,8 @@ class TestFuseShot:
         assert fuser.fused_dim == 32
         shots = shots_with(dims)
         fused, _ = fuser.forward_shots(shots)
-        for row, shot in enumerate(shots):
-            assert np.array_equal(fused[row, :16], shot.features["vis_r50"])
-            assert np.array_equal(fused[row, 16:], shot.features["audio"])
+        assert np.array_equal(fused[:, :16], shots.features["vis_r50"])
+        assert np.array_equal(fused[:, 16:], shots.features["audio"])
 
     def test_missing_modality_raises(self):
         mask = ModalityMask.from_names(["vis_r50", "audio"])
@@ -88,9 +91,7 @@ class TestFuseShot:
         fuser = ShotFuser(mask, dims, dtype=np.float64)
         shots = shots_with(dims, rng=rng)
         fused_a, _ = fuser.forward_shots(shots)
-        for shot in shots:
-            shot.features["audio"] = rng.normal(size=4) * 1e6
-        fused_b, _ = fuser.forward_shots(shots)
+        fused_b, _ = fuser.forward_shots(with_column(shots, "audio", rng.normal(size=(3, 4)) * 1e6))
         assert np.array_equal(fused_a, fused_b)
 
     def test_trainable_encoder_output_dim(self):
@@ -106,8 +107,7 @@ class TestFuseShot:
         dims = {"vis_r50": 1000}
         mask = ModalityMask.from_names(["vis_r50"], include_length=False)
         fuser = ShotFuser(mask, dims, dropout_rate=0.5, dtype=np.float64)
-        shots = shots_with(dims, n=1)
-        shots[0].features["vis_r50"] = np.ones(1000)
+        shots = with_column(shots_with(dims, n=1), "vis_r50", np.ones((1, 1000)))
         fused, (_enc, drop_mask) = fuser.forward_shots(shots, train=True, rng=np.random.default_rng(0))
         kept = fused[fused != 0]
         assert np.all(kept == 2.0)

@@ -25,6 +25,12 @@ def small_cfg(**kwargs):
     return GeneratorConfig(**defaults)
 
 
+def first_shot_features(video, scene, modality):
+    """The modality's features of the shot that opens the scene."""
+    row = np.flatnonzero(video.shots.starts == scene.span.start_s)[0]
+    return video.shots.features[modality][row]
+
+
 class TestDeterminism:
     def test_same_seed_twice_is_byte_identical(self, tmp_path):
         for name in ("a", "b"):
@@ -57,20 +63,19 @@ class TestStructure:
             assert video.scenes[-1].span.end_s == video.duration_s
             for a, b in zip(video.scenes, video.scenes[1:]):
                 assert a.span.end_s == b.span.start_s
+            shots = video.shots
             for scene in video.scenes:
-                inside = [
-                    s for s in video.shots
-                    if s.start_s >= scene.span.start_s - 1e-12 and s.end_s <= scene.span.end_s + 1e-12
-                ]
-                assert inside[0].start_s == scene.span.start_s
-                assert inside[-1].end_s == scene.span.end_s
-                for u, v in zip(inside, inside[1:]):
-                    assert u.end_s == v.start_s
+                inside = ((shots.starts >= scene.span.start_s - 1e-12)
+                          & (shots.ends <= scene.span.end_s + 1e-12))
+                starts, ends = shots.starts[inside], shots.ends[inside]
+                assert starts[0] == scene.span.start_s
+                assert ends[-1] == scene.span.end_s
+                assert np.array_equal(ends[:-1], starts[1:])
 
     def test_scene_joins_are_shot_boundaries(self):
         corpus = build_corpus(small_cfg())
         for video in corpus.videos:
-            shot_edges = {s.end_s for s in video.shots}
+            shot_edges = set(video.shots.ends.tolist())
             for scene in video.scenes[:-1]:
                 assert scene.span.end_s in shot_edges
 
@@ -79,9 +84,8 @@ class TestStructure:
         corpus = build_corpus(cfg)
         for video in corpus.videos:
             for a, b in zip(video.scenes, video.scenes[1:]):
-                shot_a = next(s for s in video.shots if s.start_s == a.span.start_s)
-                shot_b = next(s for s in video.shots if s.start_s == b.span.start_s)
-                dist = np.linalg.norm(shot_a.features["vis_r50"] - shot_b.features["vis_r50"])
+                dist = np.linalg.norm(first_shot_features(video, a, "vis_r50")
+                                      - first_shot_features(video, b, "vis_r50"))
                 assert dist >= cfg.min_scene_prototype_distance
 
 
@@ -99,8 +103,7 @@ class TestSignals:
         checked = 0
         for video in corpus.videos:
             for scene in video.scenes:
-                shot = next(s for s in video.shots if s.start_s == scene.span.start_s)
-                feat = shot.features["audio"]
+                feat = first_shot_features(video, scene, "audio")
                 best = min(candidates, key=lambda tags: np.linalg.norm(candidates[tags] - feat))
                 assert frozenset(best) == scene.tags
                 checked += 1
@@ -112,9 +115,8 @@ class TestSignals:
         values = {1: [], 2: []}
         for video in corpus.videos:
             for scene in video.scenes:
-                shot = next(s for s in video.shots if s.start_s == scene.span.start_s)
                 tag = next(iter(scene.tags))
-                values[tag].append(shot.features["text"])
+                values[tag].append(first_shot_features(video, scene, "text"))
         gap = np.abs(np.mean(values[1], axis=0) - np.mean(values[2], axis=0))
         assert np.max(gap) < 0.3
 
