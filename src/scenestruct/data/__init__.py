@@ -9,7 +9,6 @@ from .records import (
     SceneAnnotation,
     SegmentSpan,
     ShotTable,
-    TagVocabulary,
     VideoRecord,
 )
 
@@ -20,7 +19,6 @@ __all__ = [
     "SceneAnnotation",
     "SegmentSpan",
     "ShotTable",
-    "TagVocabulary",
     "VideoRecord",
     "boundary_labels",
     "interior_boundaries",

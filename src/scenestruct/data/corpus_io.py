@@ -21,30 +21,44 @@ from .records import Corpus, CorpusManifest, SceneAnnotation, SegmentSpan, ShotT
 SHOT_CONTIGUITY_TOL_S = 1e-3
 
 
+def _positive_int(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise DataError(f"{what} must be a positive integer, got {value!r}")
+    return value
+
+
 def load_manifest(path) -> CorpusManifest:
     path = Path(path)
     if not path.exists():
         raise DataError(f"manifest file not found: {path}")
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict) or "modalities" not in doc or "num_tags" not in doc:
+            raise DataError("must define 'modalities' and 'num_tags'")
+        for key in ("modalities", "tag_names"):
+            if not isinstance(doc.get(key, {}), dict):
+                raise DataError(f"{key!r} must be a JSON object")
+        dims = {str(k): _positive_int(v, f"modality {k!r} dim") for k, v in doc["modalities"].items()}
+        num_tags = _positive_int(doc["num_tags"], "num_tags")
+        tag_names = {int(k): str(v) for k, v in doc.get("tag_names", {}).items()}
     except json.JSONDecodeError as exc:
         raise DataError(f"manifest {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or "modalities" not in doc or "num_tags" not in doc:
-        raise DataError(f"manifest {path} must define 'modalities' and 'num_tags'")
-    dims = {str(k): int(v) for k, v in doc["modalities"].items()}
-    for name, dim in dims.items():
-        if dim < 1:
-            raise DataError(f"manifest modality {name!r} has non-positive dim {dim}")
-    num_tags = int(doc["num_tags"])
-    if num_tags < 1:
-        raise DataError(f"manifest num_tags must be >= 1, got {num_tags}")
-    tag_names = {int(k): str(v) for k, v in doc.get("tag_names", {}).items()}
+    except ValueError as exc:  # a tag_names key that is not an integer
+        raise DataError(f"manifest {path}: malformed tag_names: {exc}") from exc
+    except DataError as exc:
+        raise DataError(f"manifest {path}: {exc}") from exc
     return CorpusManifest(
         modality_dims=dims,
         num_tags=num_tags,
         stats=doc.get("stats", {}),
         tag_names=tag_names,
     )
+
+
+def _scene_tags(tags) -> frozenset[int]:
+    if not isinstance(tags, list) or any(isinstance(t, bool) or not isinstance(t, int) for t in tags):
+        raise DataError(f"malformed scene tags {tags!r}: expected a JSON list of integers")
+    return frozenset(tags)
 
 
 def _parse_video(line: str, manifest: CorpusManifest) -> VideoRecord:
@@ -76,7 +90,7 @@ def _parse_video(line: str, manifest: CorpusManifest) -> VideoRecord:
             scenes = [
                 SceneAnnotation(
                     span=SegmentSpan(float(s["start_s"]), float(s["end_s"])),
-                    tags=frozenset(int(t) for t in s["tags"]),
+                    tags=_scene_tags(s["tags"]),
                 )
                 for s in doc["scenes"]
             ]

@@ -76,21 +76,6 @@ class VideoRecord:
 
 
 @dataclass
-class TagVocabulary:
-    """Dense tag ids 1..num_tags with optional display names."""
-
-    num_tags: int
-    names: dict[int, str] = field(default_factory=dict)
-
-    def name(self, tag_id: int) -> str:
-        return self.names.get(tag_id, f"tag_{tag_id}")
-
-    @property
-    def ids(self) -> range:
-        return range(1, self.num_tags + 1)
-
-
-@dataclass
 class CorpusManifest:
     modality_dims: dict[str, int]
     num_tags: int
@@ -114,15 +99,5 @@ class Corpus:
         except KeyError:
             raise DataError(f"unknown video_id {video_id!r}") from None
 
-    def __contains__(self, video_id: str) -> bool:
-        return video_id in self._by_id
-
     def __len__(self) -> int:
         return len(self.videos)
-
-    @property
-    def tag_vocabulary(self) -> TagVocabulary:
-        return TagVocabulary(self.manifest.num_tags, dict(self.manifest.tag_names))
-
-    def labeled_videos(self) -> list[VideoRecord]:
-        return [v for v in self.videos if v.scenes is not None]

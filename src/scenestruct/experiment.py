@@ -19,16 +19,9 @@ from .data.labels import interior_boundaries, shots_in_span, span_from_shots
 from .data.records import Corpus
 from .errors import ConfigError, DataError
 from .metrics import _f1_from_counts, evaluate, match_boundaries, match_scenes, tagging_map
-from .models import (
-    boundaries_to_scenes,
-    enumerate_proposals,
-    save_model,
-    train_boundary,
-    train_segment,
-    train_tag,
-)
+from .models import boundaries_to_scenes, save_model, train_boundary, train_segment, train_tag
 from .models.bundle import checkpoint_filename, load_bundle
-from .pipeline import nms_temporal, predict_corpus, read_predictions
+from .pipeline import predict_corpus, read_predictions, segment_proposals
 from .synth import generate_corpus
 
 log = logging.getLogger(__name__)
@@ -120,7 +113,10 @@ def run_evaluate(cfg: ExperimentConfig, predictions_path=None, video_ids=None):
         corpus = Corpus(manifest=corpus.manifest, videos=[corpus.video(v) for v in video_ids])
     predictions_path = Path(predictions_path or cfg.paths.predictions)
     predictions = read_predictions(predictions_path)
-    report = evaluate(predictions, corpus)
+    try:
+        report = evaluate(predictions, corpus)
+    except DataError as exc:
+        raise DataError(f"predictions {predictions_path}: {exc}") from exc
     out_dir = Path(cfg.paths.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     report.write_json(out_dir / "report.json")
@@ -166,16 +162,13 @@ def boundary_f1_on_videos(model, videos, threshold_b) -> float:
 
 
 def scene_f1_on_videos(model, videos, nms_tiou, max_duration_shots=None) -> float:
-    """Pooled scene F1 of NMS-kept scalar-head proposals over videos."""
+    """Pooled scene F1 of the pipeline's NMS-kept proposals over videos."""
     tp = n_pred = n_gt = 0
     for video in videos:
         if video.scenes is None:
             continue
-        proposals = enumerate_proposals(video.num_shots, max_duration_shots)
-        spans = [span_from_shots(video, i, j) for i, j in proposals]
-        confidences = model.forward_video(video, proposals)
-        kept = nms_temporal(spans, confidences.tolist(), nms_tiou)
-        pred_spans = [spans[idx] for idx in kept]
+        ranges, _scores = segment_proposals(video, model, nms_tiou, max_duration_shots)
+        pred_spans = [span_from_shots(video, i, j) for i, j in ranges]
         gt_spans = [s.span for s in video.scenes]
         tp += match_scenes(pred_spans, gt_spans)
         n_pred += len(pred_spans)

@@ -258,7 +258,8 @@ def evaluate(predictions, corpus: Corpus, *, thresholds=TIOU_THRESHOLDS,
 
     predictions: per-video objects with .video_id and .segments, where each
     segment has .span and .tag_scores (dense vector or tag id -> score map).
-    Every predicted video must exist in the corpus and carry annotations.
+    Every predicted video must exist in the corpus and carry annotations,
+    and every predicted tag id must lie in 1..num_tags.
     """
     num_tags = corpus.manifest.num_tags
     preds_by_video = {}
@@ -285,6 +286,9 @@ def evaluate(predictions, corpus: Corpus, *, thresholds=TIOU_THRESHOLDS,
             for segment in pred.segments:
                 pred_spans.append(segment.span)
                 for k, score in _segment_tag_scores(segment).items():
+                    if k not in preds_by_class:
+                        raise DataError(f"video {video.video_id!r}: predicted tag id {k} "
+                                        f"is outside 1..{num_tags}")
                     preds_by_class[k].append((video.video_id, segment.span, score))
         pred_bounds = interior_boundaries(pred_spans, video.duration_s)
         gt_bounds = interior_boundaries(gt_spans, video.duration_s)

@@ -20,12 +20,13 @@ CHECKPOINT_FILES = {
     ("tag", None): "tag.ckpt",
 }
 
-# which submodels each pipeline mode needs, as (net, head_mode) keys
+# the nets each pipeline mode runs, with the segment head it needs; the
+# pipeline's steps and the checkpoints load_bundle reads follow this table
 MODE_REQUIREMENTS = {
-    "a": [("boundary", None), ("tag", None)],
-    "b": [("segment", "scalar"), ("tag", None)],
-    "c": [("segment", "per_tag")],
-    "d": [("boundary", None), ("segment", "scalar"), ("tag", None)],
+    "a": {"boundary": None, "tag": None},
+    "b": {"segment": "scalar", "tag": None},
+    "c": {"segment": "per_tag"},
+    "d": {"boundary": None, "segment": "scalar", "tag": None},
 }
 
 
@@ -97,7 +98,7 @@ def load_bundle(checkpoint_dir, mode: str) -> ModelBundle:
     if mode not in MODE_REQUIREMENTS:
         raise CheckpointError(f"unknown pipeline mode {mode!r}")
     bundle = ModelBundle()
-    for net, head in MODE_REQUIREMENTS[mode]:
+    for net, head in MODE_REQUIREMENTS[mode].items():
         path = Path(checkpoint_dir) / checkpoint_filename(net, head)
         if not path.exists():
             raise CheckpointError(

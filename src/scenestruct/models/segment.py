@@ -13,7 +13,7 @@ import logging
 
 import numpy as np
 
-from ..data.labels import shot_span_indices, span_from_shots
+from ..data.labels import span_from_shots
 from ..errors import ConfigError, DataError
 from ..metrics import tiou
 from ..nn.layers import Dense, sigmoid
@@ -139,17 +139,6 @@ class SegmentNet(SequenceNet):
         j_idx = np.array([j for _, j in proposals])
         scores = self._head_forward(self._summaries(hidden[0], i_idx, j_idx))
         return scores[:, 0] if self.head_mode == "scalar" else scores
-
-    def score_spans(self, video, spans) -> np.ndarray:
-        """Scalar confidences for segments given as time spans.
-
-        Spans must align with shot boundaries; this is the same computation
-        as forward_video restricted to the given segments.
-        """
-        if self.head_mode != "scalar":
-            raise ConfigError("score_spans requires a scalar-head checkpoint")
-        proposals = [shot_span_indices(video, span) for span in spans]
-        return self.forward_video(video, proposals)
 
     def batch_loss_and_grads(self, items, rng, *, train=True, backward=None):
         """items: (video, i_idx, j_idx, targets). Returns (loss, count) or None.

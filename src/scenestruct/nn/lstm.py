@@ -49,10 +49,6 @@ class BiLstm:
         for name, p in self.params.items():
             self.grads[name] = np.zeros_like(p)
 
-    @property
-    def output_dim(self) -> int:
-        return 2 * self.hidden_dim
-
     def zero_grads(self) -> None:
         for g in self.grads.values():
             g[...] = 0

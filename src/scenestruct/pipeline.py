@@ -1,16 +1,24 @@
 """Compose the submodels into the four pipeline modes.
 
-  a: boundary thresholding -> per-scene tag scores.
-  b: dense proposals -> scalar confidences -> temporal NMS -> confidence
-     times tag scores.
-  c: dense proposals -> per-tag scores -> NMS on a scalarized ranking key.
-  d: boundary thresholding -> per-scene confidence and tag scores ->
-     confidence times tag scores (same spans as mode a by construction).
+Every mode runs the same steps over inclusive 1-based shot ranges, and
+models.bundle.MODE_REQUIREMENTS says which nets (and segment head) a mode
+runs:
+
+  segment  thresholded boundary scores with the boundary net (a, d), else
+           dense proposals scored by the segment net and kept by temporal
+           NMS (b, c; a per-tag head ranks by its maximum tag score);
+  score    the scalar segment net on the boundary ranges (d), or the kept
+           proposals' scores (b, c);
+  tag      per-scene tag scores times the confidence where there is one
+           (a, b, d); mode c emits its per-tag scores instead.
+
+Modes a and d therefore emit the same spans.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -21,10 +29,10 @@ from .data.records import Corpus, SegmentSpan, VideoRecord
 from .errors import ConfigError, DataError
 from .metrics import tiou
 from .models.boundary import boundaries_to_scenes
-from .models.bundle import ModelBundle
+from .models.bundle import MODE_REQUIREMENTS, ModelBundle
 from .models.segment import enumerate_proposals
 
-MODES = ("a", "b", "c", "d")
+MODES = tuple(MODE_REQUIREMENTS)
 
 
 @dataclass
@@ -33,8 +41,6 @@ class PipelineConfig:
     threshold_b: float = 0.65
     nms_tiou: float = 0.0
     max_duration_shots: int | None = None
-    top_n_segments: int | None = None
-    per_tag_rank: str = "max"  # scalarization of per-tag scores for NMS in mode c
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -43,8 +49,6 @@ class PipelineConfig:
             raise ConfigError(f"threshold_b must be in (0, 1), got {self.threshold_b}")
         if not 0.0 <= self.nms_tiou < 1.0:
             raise ConfigError(f"nms_tiou must be in [0, 1), got {self.nms_tiou}")
-        if self.per_tag_rank not in ("max", "mean"):
-            raise ConfigError(f"per_tag_rank must be 'max' or 'mean', got {self.per_tag_rank!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -88,71 +92,43 @@ def nms_temporal(spans, scores, nms_tiou) -> list[int]:
     return kept
 
 
-def _require(bundle: ModelBundle, cfg: PipelineConfig, *nets: str) -> None:
-    for net in nets:
-        if getattr(bundle, net) is None:
-            raise ConfigError(f"pipeline mode {cfg.mode!r} requires the {net} net")
-    if bundle.segment is not None and "segment" in nets:
-        needed = "per_tag" if cfg.mode == "c" else "scalar"
-        if bundle.segment.head_mode != needed:
-            raise ConfigError(
-                f"pipeline mode {cfg.mode!r} needs a {needed} segment head, "
-                f"bundle has {bundle.segment.head_mode!r}"
-            )
-
-
-def _boundary_scenes(video: VideoRecord, bundle: ModelBundle, cfg: PipelineConfig):
-    scores = bundle.boundary.forward_video(video)
-    return boundaries_to_scenes(scores, cfg.threshold_b)
+def segment_proposals(video: VideoRecord, segment, nms_tiou, max_duration_shots=None):
+    """NMS-kept proposal ranges in descending rank order, with their score
+    rows; a per-tag head ranks by its maximum tag score."""
+    proposals = enumerate_proposals(video.num_shots, max_duration_shots)
+    spans = [span_from_shots(video, i, j) for i, j in proposals]
+    scores = segment.forward_video(video, proposals)
+    rank = scores if scores.ndim == 1 else scores.max(axis=1)
+    kept = nms_temporal(spans, rank.tolist(), nms_tiou)
+    return [proposals[idx] for idx in kept], scores[kept]
 
 
 def run_pipeline(video: VideoRecord, bundle: ModelBundle, cfg: PipelineConfig) -> StructuredPrediction:
     """Structure one video: ranked scene segments with fused tag scores."""
-    if cfg.mode == "a":
-        _require(bundle, cfg, "boundary", "tag")
-        segments = []
-        for i, j in _boundary_scenes(video, bundle, cfg):
-            tags = bundle.tag.forward_scene(video, i, j)
-            segments.append(PredictedSegment(span_from_shots(video, i, j), None, tags))
-        return StructuredPrediction(video.video_id, segments)
-
-    if cfg.mode == "d":
-        _require(bundle, cfg, "boundary", "segment", "tag")
-        scene_ranges = _boundary_scenes(video, bundle, cfg)
-        spans = [span_from_shots(video, i, j) for i, j in scene_ranges]
-        confidences = bundle.segment.score_spans(video, spans)
-        segments = []
-        for (i, j), span, conf in zip(scene_ranges, spans, confidences):
-            tags = bundle.tag.forward_scene(video, i, j)
-            segments.append(PredictedSegment(span, float(conf), float(conf) * tags))
-        return StructuredPrediction(video.video_id, segments)
-
-    if cfg.mode == "b":
-        _require(bundle, cfg, "segment", "tag")
-        proposals = enumerate_proposals(video.num_shots, cfg.max_duration_shots)
-        spans = [span_from_shots(video, i, j) for i, j in proposals]
-        confidences = bundle.segment.forward_video(video, proposals)
-        kept = nms_temporal(spans, confidences.tolist(), cfg.nms_tiou)
-        if cfg.top_n_segments is not None:
-            kept = kept[: cfg.top_n_segments]
-        segments = []
-        for idx in kept:
-            i, j = proposals[idx]
-            conf = float(confidences[idx])
-            tags = bundle.tag.forward_scene(video, i, j)
-            segments.append(PredictedSegment(spans[idx], conf, conf * tags))
-        return StructuredPrediction(video.video_id, segments)
-
-    # mode c
-    _require(bundle, cfg, "segment")
-    proposals = enumerate_proposals(video.num_shots, cfg.max_duration_shots)
-    spans = [span_from_shots(video, i, j) for i, j in proposals]
-    scores = bundle.segment.forward_video(video, proposals)
-    rank_key = scores.max(axis=1) if cfg.per_tag_rank == "max" else scores.mean(axis=1)
-    kept = nms_temporal(spans, rank_key.tolist(), cfg.nms_tiou)
-    if cfg.top_n_segments is not None:
-        kept = kept[: cfg.top_n_segments]
-    segments = [PredictedSegment(spans[idx], None, scores[idx].copy()) for idx in kept]
+    needs = MODE_REQUIREMENTS[cfg.mode]
+    for net, head in needs.items():
+        model = getattr(bundle, net)
+        if model is None:
+            raise ConfigError(f"pipeline mode {cfg.mode!r} requires the {net} net")
+        if head is not None and model.head_mode != head:
+            raise ConfigError(f"pipeline mode {cfg.mode!r} needs a {head} {net} head, "
+                              f"bundle has {model.head_mode!r}")
+    if "boundary" in needs:
+        ranges = boundaries_to_scenes(bundle.boundary.forward_video(video), cfg.threshold_b)
+        scores = bundle.segment.forward_video(video, ranges) if "segment" in needs else None
+    else:
+        ranges, scores = segment_proposals(video, bundle.segment, cfg.nms_tiou,
+                                           cfg.max_duration_shots)
+    segments = []
+    for row, (i, j) in enumerate(ranges):
+        span = span_from_shots(video, i, j)
+        if "tag" not in needs:
+            segments.append(PredictedSegment(span, None, scores[row]))
+        elif scores is None:
+            segments.append(PredictedSegment(span, None, bundle.tag.forward_scene(video, i, j)))
+        else:
+            conf = float(scores[row])
+            segments.append(PredictedSegment(span, conf, conf * bundle.tag.forward_scene(video, i, j)))
     return StructuredPrediction(video.video_id, segments)
 
 
@@ -206,6 +182,43 @@ class LoadedPrediction:
     segments: list[LoadedSegment]
 
 
+def _finite(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise DataError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _tag_id(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise DataError(f"tag id must be an integer, got {value!r}")
+    return value
+
+
+def _parse_prediction(line: str) -> LoadedPrediction:
+    """One predictions line; any missing, mistyped or non-finite field is a DataError."""
+    try:
+        doc = json.loads(line)
+        if not isinstance(doc, dict):
+            raise DataError(f"a prediction must be a JSON object, got {type(doc).__name__}")
+        segments = [
+            LoadedSegment(
+                span=SegmentSpan(_finite(seg["start_s"], "start_s"), _finite(seg["end_s"], "end_s")),
+                scene_score=None if seg.get("scene_score") is None
+                else _finite(seg["scene_score"], "scene_score"),
+                tag_scores={_tag_id(t["id"]): _finite(t["score"], "tag score")
+                            for t in seg.get("tags", [])},
+            )
+            for seg in doc["segments"]
+        ]
+        return LoadedPrediction(video_id=str(doc["video_id"]), segments=segments)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"not valid JSON: {exc}") from exc
+    except KeyError as exc:
+        raise DataError(f"missing key {exc}") from exc
+    except (TypeError, OverflowError) as exc:
+        raise DataError(f"malformed prediction: {exc}") from exc
+
+
 def read_predictions(path) -> list[LoadedPrediction]:
     path = Path(path)
     if not path.exists():
@@ -217,16 +230,7 @@ def read_predictions(path) -> list[LoadedPrediction]:
             if not line:
                 continue
             try:
-                doc = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"predictions line {line_no} is not valid JSON: {exc}") from exc
-            segments = [
-                LoadedSegment(
-                    span=SegmentSpan(float(seg["start_s"]), float(seg["end_s"])),
-                    scene_score=None if seg.get("scene_score") is None else float(seg["scene_score"]),
-                    tag_scores={int(t["id"]): float(t["score"]) for t in seg.get("tags", [])},
-                )
-                for seg in doc["segments"]
-            ]
-            out.append(LoadedPrediction(video_id=str(doc["video_id"]), segments=segments))
+                out.append(_parse_prediction(line))
+            except DataError as exc:
+                raise DataError(f"predictions {path} line {line_no}: {exc}") from exc
     return out

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,11 @@ from scenestruct.experiment import ablation_metric, split_corpus
 from scenestruct.nn import load_checkpoint, save_checkpoint
 
 from conftest import make_video
+
+
+def prediction_line(**segment):
+    seg = {"start_s": 0.0, "end_s": 1.0, "scene_score": None, "tags": [{"id": 1, "score": 0.5}]}
+    return json.dumps({"video_id": "synth-00000", "segments": [{**seg, **segment}]}) + "\n"
 
 
 def base_config(tmp_path, **overrides):
@@ -92,6 +98,34 @@ class TestExitCodes:
         assert main(["evaluate", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
         assert f"records.jsonl line {n_lines + 1}: missing key 'shots'" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("name, rewrite, detail", [
+        ("out/predictions.jsonl", lambda _text: '{"video_id": "synth-00000"}\n',
+         " line 1: missing key 'segments'"),
+        ("out/predictions.jsonl", lambda _text: prediction_line(scene_score=math.nan),
+         " line 1: scene_score must be a finite number"),
+        ("out/predictions.jsonl", lambda _text: prediction_line(tags=[{"id": 99, "score": 0.5}]),
+         ": video 'synth-00000': predicted tag id 99 is outside 1..3"),
+        ("corpus/manifest.json", lambda text: json.dumps({**json.loads(text), "modalities": []}),
+         ": 'modalities' must be a JSON object"),
+        ("corpus/manifest.json", lambda text: json.dumps({**json.loads(text), "num_tags": "x"}),
+         ": num_tags must be a positive integer"),
+        ("corpus/records.jsonl", lambda text: text.replace('"tags": [', '"tags": ["12", ', 1),
+         " line 1: malformed scene tags ['12'"),
+    ], ids=["prediction-no-segments", "prediction-nan-score", "prediction-tag-id",
+            "manifest-list-modalities", "manifest-text-num-tags", "records-text-tag"])
+    def test_malformed_evaluate_input_exits_3(self, tmp_path, capsys, name, rewrite, detail):
+        cfg = base_config(tmp_path)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        (tmp_path / "out").mkdir(exist_ok=True)
+        (tmp_path / "out" / "predictions.jsonl").write_text(prediction_line())
+        path = tmp_path / name
+        path.write_text(rewrite(path.read_text()))
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(cfg)]) == 3
+        err = capsys.readouterr().err
+        assert f"{path}{detail}" in err
         assert "Traceback" not in err
 
     def test_predict_without_segment_checkpoint_exits_4(self, tmp_path, capsys):

@@ -115,7 +115,13 @@ def with_shot_field(doc, shot, key, value):
 
 
 TWO_SHOTS = video_doc(shots=((0.0, 2.0), (2.0, 4.0)))
-TAGGED = video_doc(scenes=[{"start_s": 0.0, "end_s": 2.0, "tags": ["x"]}])
+
+
+def tagged(tags):
+    return video_doc(scenes=[{"start_s": 0.0, "end_s": 2.0, "tags": tags}])
+
+
+TAGGED = tagged(["x"])
 
 
 class TestMalformedRecords:
@@ -129,10 +135,13 @@ class TestMalformedRecords:
         (json.dumps(with_shot_field(TWO_SHOTS, 0, "features", {"vis_r50": ["x", 0.5]})),
          "malformed"),
         (json.dumps(TAGGED), "malformed"),
+        (json.dumps(tagged("12")), "malformed scene tags '12'"),
+        (json.dumps(tagged([1.7])), "malformed scene tags [1.7]"),
+        (json.dumps(tagged([True])), "malformed scene tags [True]"),
         (json.dumps(with_shot_field(TWO_SHOTS, 1, "features", {})), "shot 2 is missing modality"),
         ("{not json", "not valid JSON"),
     ], ids=["no-video-id", "no-shots", "list", "ragged-feature", "text-feature", "text-tag",
-            "shot-lacks-modality", "bad-json"])
+            "string-tags", "float-tag", "bool-tag", "shot-lacks-modality", "bad-json"])
     def test_names_file_and_line(self, tmp_path, line, detail):
         manifest, records = write_corpus_files(tmp_path, MANIFEST, [video_doc("ok")])
         with records.open("a") as fh:
@@ -156,6 +165,29 @@ class TestMalformedRecords:
     def test_non_finite_values_rejected(self, tmp_path, doc, detail):
         manifest, records = write_corpus_files(tmp_path, MANIFEST, [doc])
         with pytest.raises(DataError, match=re.escape(f"{records} line 1: ")) as info:
+            load_corpus(manifest, records)
+        assert detail in str(info.value)
+
+
+class TestMalformedManifest:
+    """A bad manifest is a DataError naming the manifest file."""
+
+    @pytest.mark.parametrize("doc, detail", [
+        ({**MANIFEST, "modalities": [["vis_r50", 2]]}, "'modalities' must be a JSON object"),
+        ({**MANIFEST, "tag_names": ["intro"]}, "'tag_names' must be a JSON object"),
+        ({**MANIFEST, "tag_names": {"x": "intro"}}, "malformed tag_names"),
+        ({**MANIFEST, "modalities": {"vis_r50": "x"}}, "modality 'vis_r50' dim must be a positive integer"),
+        ({**MANIFEST, "modalities": {"vis_r50": 2.5}}, "modality 'vis_r50' dim must be a positive integer"),
+        ({**MANIFEST, "modalities": {"vis_r50": 0}}, "modality 'vis_r50' dim must be a positive integer"),
+        ({**MANIFEST, "num_tags": "x"}, "num_tags must be a positive integer"),
+        ({**MANIFEST, "num_tags": True}, "num_tags must be a positive integer"),
+        (without(MANIFEST, "num_tags"), "must define 'modalities' and 'num_tags'"),
+        ([MANIFEST], "must define 'modalities' and 'num_tags'"),
+    ], ids=["list-modalities", "list-tag-names", "text-tag-name-key", "text-dim", "float-dim",
+            "zero-dim", "text-num-tags", "bool-num-tags", "no-num-tags", "list"])
+    def test_names_file(self, tmp_path, doc, detail):
+        manifest, records = write_corpus_files(tmp_path, doc, [video_doc()])
+        with pytest.raises(DataError, match=re.escape(f"manifest {manifest}: ")) as info:
             load_corpus(manifest, records)
         assert detail in str(info.value)
 

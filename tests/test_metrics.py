@@ -332,6 +332,14 @@ class TestEvaluate:
         with pytest.raises(DataError, match="nope"):
             evaluate(preds, tiny_corpus)
 
+    @pytest.mark.parametrize("tag_id", [0, 4, 99])
+    def test_tag_id_outside_vocabulary_names_video_and_id(self, tiny_corpus, tag_id):
+        from scenestruct.errors import DataError
+
+        segment = LoadedSegment(span=span(0.0, 4.0), scene_score=None, tag_scores={tag_id: 0.5})
+        with pytest.raises(DataError, match=f"video 'v0': predicted tag id {tag_id} "):
+            evaluate([LoadedPrediction(video_id="v0", segments=[segment])], tiny_corpus)
+
     def test_matches_reference_evaluator_on_random_instances(self):
         rng = np.random.default_rng(123)
         for _trial in range(60):

@@ -1,14 +1,20 @@
+import json
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scenestruct.data.labels import span_from_shots
 from scenestruct.data.records import Corpus, CorpusManifest, SegmentSpan
-from scenestruct.errors import ConfigError
+from scenestruct.errors import CheckpointError, ConfigError, DataError
 from scenestruct.fusion import ModalityMask
 from scenestruct.metrics import tiou
-from scenestruct.models import BoundaryNet, ModelBundle, SegmentNet, TagNet, enumerate_proposals
+from scenestruct.models import BoundaryNet, ModelBundle, SegmentNet, TagNet, enumerate_proposals, save_model
 from scenestruct.models.boundary import boundaries_to_scenes
+from scenestruct.models.bundle import MODE_REQUIREMENTS, checkpoint_filename, load_bundle
 from scenestruct.pipeline import (
     PipelineConfig,
     nms_temporal,
@@ -149,17 +155,21 @@ class TestRunPipeline:
             for seg_b in pred.segments[a_pos + 1 :]:
                 assert tiou(seg_a.span, seg_b.span) == 0.0
 
-    def test_missing_net_is_config_error_naming_it(self):
-        boundary, _seg, tag = nets()
-        with pytest.raises(ConfigError, match="segment"):
-            run_pipeline(three_shot_video(), ModelBundle(boundary=boundary, tag=tag),
-                         PipelineConfig(mode="d"))
-
-    def test_head_mode_mismatch_is_config_error(self):
-        _b, segment, tag = nets(head_mode="per_tag")
-        with pytest.raises(ConfigError, match="scalar"):
-            run_pipeline(three_shot_video(), ModelBundle(segment=segment, tag=tag),
-                         PipelineConfig(mode="b"))
+    def test_mode_d_scores_its_shot_ranges_like_mode_a_cuts_them(self):
+        # a 5e-7 s shot sits inside the 1e-6 s tolerance of a time-span lookup
+        video = make_video("v", [0.0, 1.0, 1.0000005, 2.5, 4.0], feature_dim=4,
+                           rng=np.random.default_rng(1))
+        boundary, segment, tag = nets(seed=3)
+        boundary.head.b[...] = 10.0  # every boundary cuts
+        pred_a = run_pipeline(video, ModelBundle(boundary=boundary, tag=tag), PipelineConfig(mode="a"))
+        pred_d = run_pipeline(video, ModelBundle(boundary=boundary, segment=segment, tag=tag),
+                              PipelineConfig(mode="d"))
+        ranges = [(k, k) for k in range(1, 5)]
+        assert [s.span for s in pred_a.segments] == [span_from_shots(video, i, j) for i, j in ranges]
+        assert [s.span for s in pred_d.segments] == [s.span for s in pred_a.segments]
+        for (i, j), seg in zip(ranges, pred_d.segments):
+            assert seg.scene_score == segment.forward_video(video, [(i, j)])[0]
+            assert np.array_equal(seg.tag_scores, seg.scene_score * tag.forward_scene(video, i, j))
 
     def test_single_shot_video_mode_a(self):
         boundary, _seg, tag = nets()
@@ -187,6 +197,37 @@ class TestRunPipeline:
                 scaled = (lam * seg.scene_score) * t
                 assert np.array_equal(scaled, lam * seg.tag_scores)
                 assert np.array_equal(np.argsort(-scaled), np.argsort(-seg.tag_scores))
+
+
+REQUIREMENT_ROWS = [(mode, net, head) for mode, needs in MODE_REQUIREMENTS.items()
+                    for net, head in needs.items()]
+
+
+class TestModeTable:
+    @pytest.mark.parametrize("mode,net,head", REQUIREMENT_ROWS)
+    def test_bundle_checked_against_mode_table(self, tmp_path, mode, net, head):
+        boundary, scalar, tag = nets()
+        _b, per_tag, _t = nets(head_mode="per_tag")
+        needs = MODE_REQUIREMENTS[mode]
+        heads = {"scalar": scalar, "per_tag": per_tag}
+        have = {"boundary": boundary, "tag": tag, "segment": heads[needs.get("segment", "scalar")]}
+        bundle = {name: have[name] for name in needs}
+        video, cfg = three_shot_video(), PipelineConfig(mode=mode)
+        assert run_pipeline(video, ModelBundle(**bundle), cfg).segments
+
+        with pytest.raises(ConfigError, match=net):
+            run_pipeline(video, ModelBundle(**{**bundle, net: None}), cfg)
+        if head is not None:
+            wrong = heads["per_tag" if head == "scalar" else "scalar"]
+            with pytest.raises(ConfigError, match=head):
+                run_pipeline(video, ModelBundle(**{**bundle, net: wrong}), cfg)
+
+        for model in (boundary, scalar, per_tag, tag):
+            save_model(model, tmp_path / checkpoint_filename(model.kind, getattr(model, "head_mode", None)))
+        load_bundle(tmp_path, mode)
+        (tmp_path / checkpoint_filename(net, head)).unlink()
+        with pytest.raises(CheckpointError, match=re.escape(checkpoint_filename(net, head))):
+            load_bundle(tmp_path, mode)
 
 
 class TestPredictCorpus:
@@ -234,8 +275,6 @@ class TestPredictCorpus:
         out = tmp_path / "p.jsonl"
         predict_corpus(corpus, ModelBundle(boundary=boundary, tag=tag),
                        PipelineConfig(mode="a", threshold_b=0.5), out_path=out)
-        import json
-
         for line in out.read_text().splitlines():
             for seg in json.loads(line)["segments"]:
                 scores = [t["score"] for t in seg["tags"]]
@@ -244,30 +283,11 @@ class TestPredictCorpus:
     def test_incompatible_manifest_rejected(self):
         boundary, _s, tag = nets()
         corpus = Corpus(manifest=CorpusManifest({"vis_r50": 9}, 3), videos=[])
-        from scenestruct.errors import CheckpointError
-
         with pytest.raises(CheckpointError, match="vis_r50"):
             predict_corpus(corpus, ModelBundle(boundary=boundary, tag=tag), PipelineConfig(mode="a"))
 
 
 class TestPipelineOptions:
-    def test_top_n_segments_limits_modes_b_and_c(self):
-        _b, segment, tag = nets(seed=11)
-        video = three_shot_video()
-        cfg = PipelineConfig(mode="b", nms_tiou=0.5, top_n_segments=1)
-        pred = run_pipeline(video, ModelBundle(segment=segment, tag=tag), cfg)
-        assert len(pred.segments) == 1
-
-    def test_per_tag_rank_mean_changes_ranking_key(self):
-        _b, segment, _t = nets(seed=13, head_mode="per_tag")
-        video = three_shot_video()
-        kept_max = run_pipeline(video, ModelBundle(segment=segment),
-                                PipelineConfig(mode="c", per_tag_rank="max"))
-        kept_mean = run_pipeline(video, ModelBundle(segment=segment),
-                                 PipelineConfig(mode="c", per_tag_rank="mean"))
-        # both are valid rankings over the same proposal set
-        assert kept_max.segments and kept_mean.segments
-
     def test_invalid_mode_rejected(self):
         with pytest.raises(ConfigError, match="mode"):
             PipelineConfig(mode="x")
@@ -275,3 +295,33 @@ class TestPipelineOptions:
     def test_invalid_nms_threshold_rejected(self):
         with pytest.raises(ConfigError, match="nms_tiou"):
             PipelineConfig(nms_tiou=1.0)
+
+
+def prediction_doc(**segment):
+    seg = {"start_s": 0.0, "end_s": 4.0, "scene_score": 0.5, "tags": [{"id": 1, "score": 0.25}]}
+    return {"video_id": "v0", "segments": [{**seg, **segment}]}
+
+
+class TestMalformedPredictions:
+    """A bad predictions line is a DataError naming the file and the line."""
+
+    @pytest.mark.parametrize("line, detail", [
+        (json.dumps({"video_id": "v0"}), "missing key 'segments'"),
+        (json.dumps({"segments": []}), "missing key 'video_id'"),
+        (json.dumps({"video_id": "v0", "segments": [{"start_s": 0.0}]}), "missing key 'end_s'"),
+        (json.dumps([prediction_doc()]), "JSON object"),
+        (json.dumps(prediction_doc(tags=5)), "malformed"),
+        (json.dumps(prediction_doc(tags=[{"id": "1", "score": 0.5}])), "tag id must be an integer"),
+        (json.dumps(prediction_doc(tags=[{"id": True, "score": 0.5}])), "tag id must be an integer"),
+        (json.dumps(prediction_doc(scene_score=math.nan)), "scene_score must be a finite number"),
+        (json.dumps(prediction_doc(tags=[{"id": 1, "score": math.inf}])), "tag score must be a finite"),
+        (json.dumps(prediction_doc(end_s="4.0")), "end_s must be a finite number"),
+        ("{not json", "not valid JSON"),
+    ], ids=["no-segments", "no-video-id", "no-end", "list", "int-tags", "text-tag-id",
+            "bool-tag-id", "nan-scene-score", "inf-tag-score", "text-end", "bad-json"])
+    def test_names_file_and_line(self, tmp_path, line, detail):
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps(prediction_doc()) + "\n" + line + "\n")
+        with pytest.raises(DataError, match=re.escape(f"predictions {path} line 2: ")) as info:
+            read_predictions(path)
+        assert detail in str(info.value)

@@ -137,32 +137,6 @@ class TestForward:
         permuted = net.forward_video(video, [proposals[i] for i in perm])
         assert np.array_equal(permuted, base[perm])
 
-    def test_score_spans_identical_to_enumerated_scores(self):
-        net = small_net(seed=5)
-        rng = np.random.default_rng(2)
-        for name, p in net.parameters().items():
-            p[...] = rng.normal(size=p.shape) * 0.3
-        video = make_video("v", [0.0, 1.0, 2.0, 3.0], feature_dim=4)
-        proposals = enumerate_proposals(3)
-        dense = net.forward_video(video, proposals)
-        spans = [span_from_shots(video, 2, 3)]
-        via_spans = net.score_spans(video, spans)
-        assert via_spans[0] == dense[proposals.index((2, 3))]
-
-    def test_score_spans_requires_scalar_head(self):
-        net = small_net(head_mode="per_tag")
-        video = make_video("v", [0.0, 1.0, 2.0], feature_dim=4)
-        with pytest.raises(ConfigError, match="scalar"):
-            net.score_spans(video, [span_from_shots(video, 1, 1)])
-
-    def test_misaligned_span_raises(self):
-        net = small_net()
-        video = make_video("v", [0.0, 1.0, 2.0], feature_dim=4)
-        from scenestruct.data.records import SegmentSpan
-
-        with pytest.raises(DataError, match="aligned"):
-            net.score_spans(video, [SegmentSpan(0.0, 1.5)])
-
     def test_out_of_range_proposal_raises(self):
         net = small_net()
         video = make_video("v", [0.0, 1.0, 2.0], feature_dim=4)
