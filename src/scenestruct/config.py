@@ -12,6 +12,7 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .data.corpus_io import RECORDS_FILE
 from .errors import ConfigError
 from .fusion import EncoderSpec, ModalityMask
 from .models.common import TrainingHyper
@@ -38,7 +39,7 @@ class PathsConfig:
 
     @property
     def records(self) -> Path:
-        return Path(self.corpus) / "records.jsonl"
+        return Path(self.corpus) / RECORDS_FILE
 
     @property
     def predictions(self) -> Path:

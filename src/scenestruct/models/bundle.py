@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from ..errors import CheckpointError, ConfigError
 from ..nn.checkpoint import load_checkpoint, save_checkpoint
 from .boundary import BoundaryNet
@@ -41,6 +43,15 @@ def save_model(model, path) -> None:
     save_checkpoint(path, model.kind, model.config_dict(), model.parameters())
 
 
+class _NoDraw:
+    """Stands in for the init rng of a net whose every parameter is then
+    overwritten from a checkpoint: zeros in place of random draws."""
+
+    @staticmethod
+    def uniform(low, high, size):
+        return np.broadcast_to(0.0, size)
+
+
 def load_model(path, expected_kind=None):
     kind, config, params = load_checkpoint(path)
     if expected_kind is not None and kind != expected_kind:
@@ -48,7 +59,7 @@ def load_model(path, expected_kind=None):
     if kind not in NETS_BY_KIND:
         raise CheckpointError(f"checkpoint {path} holds unknown model kind {kind!r}")
     try:
-        model = NETS_BY_KIND[kind].from_config(config)
+        model = NETS_BY_KIND[kind].from_config(config, rng=_NoDraw)
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {path}: config lacks key {exc.args[0]!r}") from exc
     except (AttributeError, TypeError, ValueError, ConfigError) as exc:

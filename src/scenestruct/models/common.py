@@ -8,6 +8,7 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from ..errors import ConfigError
 from ..fusion import EncoderSpec, ModalityMask, ShotFuser
 from ..nn.batching import SequenceBatch
 from ..nn.lstm import BiLstm
@@ -19,16 +20,18 @@ log = logging.getLogger(__name__)
 class SequenceNet:
     """Fused shot features -> two-layer BiLSTM -> a net-specific head.
 
-    The fuser and then the BiLSTM draw their initial weights from one rng
-    seeded by seed; a subclass builds its own Dense head as self.head and
-    names the constructor arguments its config_dict records in config_keys.
+    The fuser and then the BiLSTM draw their initial weights from rng, by
+    default one seeded by seed; a subclass builds its own Dense head as
+    self.head and names the constructor arguments its config_dict records
+    in config_keys.
     """
 
     config_keys: tuple[str, ...] = ()
 
     def __init__(self, mask, dims, *, hidden_dim=128, encoders=None,
-                 dropout_rate=0.5, dtype=np.float32, seed=0):
-        rng = np.random.default_rng(np.random.SeedSequence(seed))
+                 dropout_rate=0.5, dtype=np.float32, seed=0, rng=None):
+        if rng is None:
+            rng = np.random.default_rng(np.random.SeedSequence(seed))
         self.hidden_dim = hidden_dim
         self.fuser = ShotFuser(mask, dims, encoders=encoders,
                                dropout_rate=dropout_rate, dtype=dtype, rng=rng)
@@ -63,16 +66,17 @@ class SequenceNet:
         }
 
     @classmethod
-    def from_config(cls, config: dict):
-        """Rebuild an untrained net from what config_dict recorded. Every key
-        config_dict writes is required: a missing one raises KeyError naming it."""
+    def from_config(cls, config: dict, rng=None):
+        """Rebuild an untrained net from what config_dict recorded, drawing
+        its initial weights from rng if one is given. Every key config_dict
+        writes is required: a missing one raises KeyError naming it."""
         mask = ModalityMask.from_names(
             config["mask"]["modalities"], include_length=config["mask"]["include_length"]
         )
         encoders = {mod: EncoderSpec(trainable=spec["trainable"], dim=spec["dim"])
                     for mod, spec in config["encoders"].items()}
         return cls(mask, config["dims"], hidden_dim=config["hidden_dim"], encoders=encoders,
-                   dropout_rate=config["dropout_rate"], dtype=np.dtype(config["dtype"]),
+                   dropout_rate=config["dropout_rate"], dtype=np.dtype(config["dtype"]), rng=rng,
                    **{key: config[key] for key in cls.config_keys})
 
     def _encode(self, shot_lists, *, train, rng):
@@ -111,8 +115,18 @@ class TrainingHyper:
     segment_head: str = "scalar"
     max_duration_shots: int | None = None
 
+    def __post_init__(self):
+        check_max_duration_shots(self.max_duration_shots, "training")
+
     def as_dict(self) -> dict:
         return asdict(self)
+
+
+def check_max_duration_shots(value, section: str) -> None:
+    """The proposal cap of a config section: None (no cap) or an integer >= 1."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
+        raise ConfigError(f"{section}.max_duration_shots must be null or an integer >= 1, "
+                          f"got {value!r}")
 
 
 @dataclass

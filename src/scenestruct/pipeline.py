@@ -30,6 +30,7 @@ from .errors import ConfigError, DataError
 from .metrics import tiou
 from .models.boundary import boundaries_to_scenes
 from .models.bundle import MODE_REQUIREMENTS, ModelBundle
+from .models.common import check_max_duration_shots
 from .models.segment import enumerate_proposals
 
 MODES = tuple(MODE_REQUIREMENTS)
@@ -49,6 +50,7 @@ class PipelineConfig:
             raise ConfigError(f"threshold_b must be in (0, 1), got {self.threshold_b}")
         if not 0.0 <= self.nms_tiou < 1.0:
             raise ConfigError(f"nms_tiou must be in [0, 1), got {self.nms_tiou}")
+        check_max_duration_shots(self.max_duration_shots, "pipeline")
 
     def as_dict(self) -> dict:
         return asdict(self)
@@ -223,14 +225,19 @@ def read_predictions(path) -> list[LoadedPrediction]:
     path = Path(path)
     if not path.exists():
         raise DataError(f"predictions file not found: {path}")
-    out = []
+    out, first_line = [], {}
     with path.open(encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(_parse_prediction(line))
+                pred = _parse_prediction(line)
             except DataError as exc:
                 raise DataError(f"predictions {path} line {line_no}: {exc}") from exc
+            seen = first_line.setdefault(pred.video_id, line_no)
+            if seen != line_no:
+                raise DataError(f"predictions {path} line {line_no}: video {pred.video_id!r} "
+                                f"was already predicted on line {seen}")
+            out.append(pred)
     return out

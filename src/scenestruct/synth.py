@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data.corpus_io import save_corpus
+from .data.corpus_io import RECORDS_FILE, save_corpus
 from .data.records import Corpus, CorpusManifest, SceneAnnotation, SegmentSpan, ShotTable, VideoRecord
 from .errors import ConfigError
 
@@ -242,11 +242,11 @@ def corpus_stats(corpus: Corpus) -> dict:
 
 
 def generate_corpus(cfg: GeneratorConfig, out_dir):
-    """Write manifest.json and records.jsonl; returns their paths."""
+    """Write manifest.json and records.bin; returns their paths."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     corpus = build_corpus(cfg)
     manifest_path = out_dir / "manifest.json"
-    records_path = out_dir / "records.jsonl"
+    records_path = out_dir / RECORDS_FILE
     save_corpus(corpus, manifest_path, records_path)
     return manifest_path, records_path

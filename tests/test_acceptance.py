@@ -416,7 +416,7 @@ def test_criterion_7_cli_determinism(tmp_path):
             name: (tmp_path / "out" / name).read_bytes()
             for name in ("predictions.jsonl", "report.json", "report.csv")
         }
-        captured[round_name]["records.jsonl"] = (tmp_path / "corpus" / "records.jsonl").read_bytes()
+        captured[round_name]["records.bin"] = (tmp_path / "corpus" / "records.bin").read_bytes()
     ok = captured["first"] == captured["second"]
     report(7, ok, "generate/train/predict/evaluate rerun is byte-identical")
     assert ok

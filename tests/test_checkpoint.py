@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,34 @@ class TestModelCheckpoints:
             assert np.array_equal(
                 model.forward_scene(video, 1, 3), loaded.forward_scene(video, 1, 3)
             )
+
+    def test_load_draws_no_initial_weights(self, tmp_path, monkeypatch):
+        model = SegmentNet(MASK, DIMS, hidden_dim=4, seed=5, head_mode="per_tag", num_tags=3,
+                           encoders={"audio": EncoderSpec(trainable=True, dim=3)})
+        path = tmp_path / "segment.ckpt"
+        save_model(model, path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("load_model drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        loaded = load_model(path)
+        own = loaded.parameters()
+        assert list(own) == list(model.parameters())
+        for name, value in model.parameters().items():
+            assert own[name].dtype == value.dtype
+            assert own[name].tobytes() == value.tobytes()
+            assert own[name].flags.writeable
+
+    def test_parameter_shape_mismatch_rejected(self, tmp_path):
+        model = TagNet(MASK, DIMS, 3, hidden_dim=4)
+        params = {**model.parameters(), "head.b": np.zeros(4, dtype=np.float32)}
+        path = tmp_path / "tag.ckpt"
+        save_checkpoint(path, "tag", model.config_dict(), params)
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"checkpoint {path}: parameter head.b is float32 of shape (4,), "
+                f"model expects float32 of shape (3,)")):
+            load_model(path)
 
     def test_kind_mismatch_rejected(self, tmp_path):
         model = TagNet(MASK, DIMS, 3, hidden_dim=4)

@@ -87,41 +87,55 @@ class TestExitCodes:
         cfg = base_config(tmp_path)
         assert main(["train", "--config", str(cfg), "--net", "tag"]) == 3
 
+    def test_non_positive_max_duration_shots_exits_2(self, tmp_path, capsys):
+        cfg = base_config(tmp_path, pipeline={"mode": "b", "max_duration_shots": 0})
+        capsys.readouterr()
+        assert main(["predict", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "pipeline.max_duration_shots must be null or an integer >= 1, got 0" in err
+        assert "Traceback" not in err
+
     def test_malformed_records_line_exits_3(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         assert main(["generate", "--config", str(cfg)]) == 0
-        records = tmp_path / "corpus" / "records.jsonl"
-        n_lines = len(records.read_text().splitlines())
-        with records.open("a") as fh:
-            fh.write('{"video_id": "bad", "duration_s": 2.0}\n')
+        records = tmp_path / "corpus" / "records.bin"
+        tag, header, data = records.read_bytes().split(b"\n", 2)
+        videos = json.loads(header)["videos"]
+        del videos[-1]["starts"]
+        records.write_bytes(b"\n".join([tag, json.dumps({"videos": videos}).encode(), data]))
         capsys.readouterr()
         assert main(["evaluate", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
-        assert f"records.jsonl line {n_lines + 1}: missing key 'shots'" in err
+        assert f"records.bin video {len(videos)}: missing key 'starts'" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("name, rewrite, detail", [
-        ("out/predictions.jsonl", lambda _text: '{"video_id": "synth-00000"}\n',
+        ("out/predictions.jsonl", lambda _raw: b'{"video_id": "synth-00000"}\n',
          " line 1: missing key 'segments'"),
-        ("out/predictions.jsonl", lambda _text: prediction_line(scene_score=math.nan),
+        ("out/predictions.jsonl", lambda _raw: prediction_line(scene_score=math.nan).encode(),
          " line 1: scene_score must be a finite number"),
-        ("out/predictions.jsonl", lambda _text: prediction_line(tags=[{"id": 99, "score": 0.5}]),
+        ("out/predictions.jsonl",
+         lambda _raw: prediction_line(tags=[{"id": 99, "score": 0.5}]).encode(),
          ": video 'synth-00000': predicted tag id 99 is outside 1..3"),
-        ("corpus/manifest.json", lambda text: json.dumps({**json.loads(text), "modalities": []}),
+        ("out/predictions.jsonl", lambda _raw: (prediction_line() * 2).encode(),
+         " line 2: video 'synth-00000' was already predicted on line 1"),
+        ("corpus/manifest.json",
+         lambda raw: json.dumps({**json.loads(raw), "modalities": []}).encode(),
          ": 'modalities' must be a JSON object"),
-        ("corpus/manifest.json", lambda text: json.dumps({**json.loads(text), "num_tags": "x"}),
+        ("corpus/manifest.json", lambda raw: json.dumps({**json.loads(raw), "num_tags": "x"}).encode(),
          ": num_tags must be a positive integer"),
-        ("corpus/records.jsonl", lambda text: text.replace('"tags": [', '"tags": ["12", ', 1),
-         " line 1: malformed scene tags ['12'"),
+        ("corpus/records.bin", lambda raw: raw.replace(b'"tags": [', b'"tags": ["12", ', 1),
+         " video 1: malformed scene tags ['12'"),
     ], ids=["prediction-no-segments", "prediction-nan-score", "prediction-tag-id",
-            "manifest-list-modalities", "manifest-text-num-tags", "records-text-tag"])
+            "prediction-duplicate-video", "manifest-list-modalities", "manifest-text-num-tags",
+            "records-text-tag"])
     def test_malformed_evaluate_input_exits_3(self, tmp_path, capsys, name, rewrite, detail):
         cfg = base_config(tmp_path)
         assert main(["generate", "--config", str(cfg)]) == 0
         (tmp_path / "out").mkdir(exist_ok=True)
         (tmp_path / "out" / "predictions.jsonl").write_text(prediction_line())
         path = tmp_path / name
-        path.write_text(rewrite(path.read_text()))
+        path.write_bytes(rewrite(path.read_bytes()))
         capsys.readouterr()
         assert main(["evaluate", "--config", str(cfg)]) == 3
         err = capsys.readouterr().err
@@ -154,7 +168,7 @@ class TestExitCodes:
     def test_evaluate_ground_truth_scores_one(self, tmp_path):
         cfg = base_config(tmp_path)
         assert main(["generate", "--config", str(cfg)]) == 0
-        corpus = load_corpus(tmp_path / "corpus" / "manifest.json", tmp_path / "corpus" / "records.jsonl")
+        corpus = load_corpus(tmp_path / "corpus" / "manifest.json", tmp_path / "corpus" / "records.bin")
         out = tmp_path / "out"
         out.mkdir(exist_ok=True)
         with (out / "predictions.jsonl").open("w") as fh:

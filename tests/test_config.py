@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -52,6 +53,24 @@ class TestLoading:
         path.write_text(json.dumps({"split": {"val_fraction": 1.5}}))
         with pytest.raises(ConfigError, match="val_fraction"):
             load_experiment_config(path)
+
+
+    @pytest.mark.parametrize("section", ["pipeline", "training"])
+    @pytest.mark.parametrize("value", [0, -3, 2.5, True, "4"])
+    def test_bad_max_duration_shots_names_key(self, tmp_path, section, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({section: {"max_duration_shots": value}}))
+        with pytest.raises(ConfigError, match=f"{section}.max_duration_shots must be null or an "
+                                              f"integer >= 1, got {re.escape(repr(value))}"):
+            load_experiment_config(path)
+
+    @pytest.mark.parametrize("section", ["pipeline", "training"])
+    @pytest.mark.parametrize("value", [None, 1, 12])
+    def test_max_duration_shots_accepted(self, tmp_path, section, value):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({section: {"max_duration_shots": value}}))
+        cfg = load_experiment_config(path)
+        assert getattr(cfg, section).max_duration_shots == value
 
 
 class TestMaskOverride:

@@ -16,6 +16,7 @@ from scenestruct.data import (
     shot_span_indices,
     span_from_shots,
 )
+from scenestruct.data.corpus_io import FORMAT_TAG
 from scenestruct.data.labels import shots_in_span
 from scenestruct.data.records import Corpus, CorpusManifest
 from scenestruct.errors import DataError
@@ -25,11 +26,40 @@ from conftest import make_scene, make_video
 from oracles import naive_shot_span_indices, naive_shots_in_span
 
 
+def write_raw(path, header, data=b"", tag=FORMAT_TAG):
+    """Hand-written records bytes: tag line, header line, then data."""
+    path.write_bytes(f"{tag}\n{json.dumps(header)}\n".encode("utf-8") + data)
+
+
+def lay_out(video_docs):
+    """Header entries and column bytes for video docs whose starts, ends and
+    features hold arrays; a column already given as a header entry (a dict)
+    or anything that is not an array stays as it is."""
+    data = bytearray()
+
+    def entry(col):
+        if isinstance(col, (dict, str)):
+            return col
+        arr = np.asarray(col, dtype="<f8")
+        out = {"shape": list(arr.shape), "offset": len(data), "nbytes": arr.nbytes}
+        data.extend(arr.tobytes())
+        return out
+
+    videos = []
+    for doc in video_docs:
+        if isinstance(doc, dict):
+            doc = {k: entry(v) if k in ("starts", "ends") else v for k, v in doc.items()}
+            if isinstance(doc.get("features"), dict):
+                doc["features"] = {name: entry(col) for name, col in doc["features"].items()}
+        videos.append(doc)
+    return {"videos": videos}, bytes(data)
+
+
 def write_corpus_files(tmp_path, manifest_doc, video_docs):
     manifest = tmp_path / "manifest.json"
-    records = tmp_path / "records.jsonl"
+    records = tmp_path / "records.bin"
     manifest.write_text(json.dumps(manifest_doc))
-    records.write_text("".join(json.dumps(v) + "\n" for v in video_docs))
+    write_raw(records, *lay_out(video_docs))
     return manifest, records
 
 
@@ -40,10 +70,10 @@ def video_doc(video_id="v0", shots=((0.0, 2.0),), scenes=None, dim=2):
     return {
         "video_id": video_id,
         "duration_s": shots[-1][1],
-        "shots": [
-            {"start_s": a, "end_s": b, "features": {"vis_r50": [0.5] * dim}} for a, b in shots
-        ],
         "scenes": scenes,
+        "starts": [a for a, _b in shots],
+        "ends": [b for _a, b in shots],
+        "features": {"vis_r50": [[0.5] * dim for _ in shots]},
     }
 
 
@@ -63,7 +93,8 @@ class TestLoadCorpus:
     def test_dimension_mismatch_names_modality(self, tmp_path):
         doc = video_doc(dim=3)
         manifest, records = write_corpus_files(tmp_path, MANIFEST, [doc])
-        with pytest.raises(DataError, match="vis_r50"):
+        with pytest.raises(DataError, match=re.escape(
+                "video 1: video 'v0' column 'vis_r50' has shape [1, 3], expected [1, 2]")):
             load_corpus(manifest, records)
 
     def test_non_contiguous_shots_rejected(self, tmp_path):
@@ -91,10 +122,10 @@ class TestLoadCorpus:
             load_corpus(manifest, records)
 
     def test_missing_modality_rejected(self, tmp_path):
-        doc = video_doc()
-        doc["shots"][0]["features"] = {}
+        doc = {**video_doc(), "features": {}}
         manifest, records = write_corpus_files(tmp_path, MANIFEST, [doc])
-        with pytest.raises(DataError, match="missing modality"):
+        with pytest.raises(DataError, match=re.escape(
+                "has feature columns [], the manifest's modalities are ['vis_r50']")):
             load_corpus(manifest, records)
 
     def test_errors_name_the_video(self, tmp_path):
@@ -103,15 +134,33 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="bad-video"):
             load_corpus(manifest, records)
 
+    def test_duplicate_video_id_names_both_videos(self, tmp_path):
+        manifest, records = write_corpus_files(
+            tmp_path, MANIFEST, [video_doc("a"), video_doc("b"), video_doc("a")])
+        with pytest.raises(DataError, match=re.escape(
+                f"records {records} video 3: video 'a' is also video 1")):
+            load_corpus(manifest, records)
+
+    def test_loaded_columns_are_read_only_views(self, tmp_path):
+        manifest, records = write_corpus_files(
+            tmp_path, MANIFEST, [video_doc(shots=((0.0, 2.0), (2.0, 4.0)))])
+        shots = load_corpus(manifest, records).video("v0").shots
+        for col in (shots.starts, shots.ends, shots.features["vis_r50"]):
+            assert not col.flags.writeable
+            assert col.dtype == np.float64
+            with pytest.raises(ValueError):
+                col[0] = 1.0
+
 
 def without(doc, key):
     return {k: v for k, v in doc.items() if k != key}
 
 
-def with_shot_field(doc, shot, key, value):
-    doc = json.loads(json.dumps(doc))
-    doc["shots"][shot][key] = value
-    return doc
+def with_column(doc, name, value):
+    """doc with one column (starts, ends or a modality) replaced."""
+    if name in ("starts", "ends"):
+        return {**doc, name: value}
+    return {**doc, "features": {**doc["features"], name: value}}
 
 
 TWO_SHOTS = video_doc(shots=((0.0, 2.0), (2.0, 4.0)))
@@ -124,39 +173,47 @@ def tagged(tags):
 TAGGED = tagged(["x"])
 
 
-class TestMalformedRecords:
-    """A bad records line is a DataError naming the file and the line."""
+def with_value(col, index, value):
+    """A copy of a column with one value replaced."""
+    col = np.array(col, dtype=np.float64)
+    col[index] = value
+    return col
 
-    @pytest.mark.parametrize("line, detail", [
-        (json.dumps(without(video_doc(), "video_id")), "missing key 'video_id'"),
-        (json.dumps(without(video_doc(), "shots")), "missing key 'shots'"),
-        (json.dumps([video_doc()]), "JSON object"),
-        (json.dumps(with_shot_field(TWO_SHOTS, 1, "features", {"vis_r50": [0.5]})), "malformed"),
-        (json.dumps(with_shot_field(TWO_SHOTS, 0, "features", {"vis_r50": ["x", 0.5]})),
-         "malformed"),
-        (json.dumps(TAGGED), "malformed"),
-        (json.dumps(tagged("12")), "malformed scene tags '12'"),
-        (json.dumps(tagged([1.7])), "malformed scene tags [1.7]"),
-        (json.dumps(tagged([True])), "malformed scene tags [True]"),
-        (json.dumps(with_shot_field(TWO_SHOTS, 1, "features", {})), "shot 2 is missing modality"),
-        ("{not json", "not valid JSON"),
+
+class TestMalformedRecords:
+    """A bad video is a DataError naming the records file, the video by its
+    position in the header and, where there is one, the column."""
+
+    @pytest.mark.parametrize("doc, detail", [
+        (without(video_doc(), "video_id"), "missing key 'video_id'"),
+        ({**video_doc(), "starts": [], "ends": [], "features": {"vis_r50": np.zeros((0, 2))}},
+         "video 'v0' has no shots"),
+        ([video_doc()], "JSON object"),
+        (with_column(TWO_SHOTS, "vis_r50", [[0.5, 0.5]]),
+         "video 'v0' column 'vis_r50' has shape [1, 2], expected [2, 2]"),
+        (with_column(TWO_SHOTS, "vis_r50", "x"),
+         "video 'v0' column 'vis_r50' must be an object with 'shape', 'offset' and 'nbytes'"),
+        (TAGGED, "malformed"),
+        (tagged("12"), "malformed scene tags '12'"),
+        (tagged([1.7]), "malformed scene tags [1.7]"),
+        (tagged([True]), "malformed scene tags [True]"),
+        ({**TWO_SHOTS, "features": {"audio": [[0.5, 0.5]] * 2}},
+         "video 'v0' has feature columns ['audio'], the manifest's modalities are ['vis_r50']"),
     ], ids=["no-video-id", "no-shots", "list", "ragged-feature", "text-feature", "text-tag",
-            "string-tags", "float-tag", "bool-tag", "shot-lacks-modality", "bad-json"])
-    def test_names_file_and_line(self, tmp_path, line, detail):
-        manifest, records = write_corpus_files(tmp_path, MANIFEST, [video_doc("ok")])
-        with records.open("a") as fh:
-            fh.write(line + "\n")
-        with pytest.raises(DataError, match=re.escape(f"{records} line 2: ")) as info:
+            "string-tags", "float-tag", "bool-tag", "shot-lacks-modality"])
+    def test_names_file_and_line(self, tmp_path, doc, detail):
+        manifest, records = write_corpus_files(tmp_path, MANIFEST, [video_doc("ok"), doc])
+        with pytest.raises(DataError, match=re.escape(f"{records} video 2: ")) as info:
             load_corpus(manifest, records)
         assert detail in str(info.value)
 
     @pytest.mark.parametrize("doc, detail", [
-        (with_shot_field(TWO_SHOTS, 1, "features", {"vis_r50": [0.5, math.nan]}),
+        (with_column(TWO_SHOTS, "vis_r50", with_value([[0.5, 0.5]] * 2, (1, 1), math.nan)),
          "shot 2 has a non-finite 'vis_r50' value"),
-        (with_shot_field(TWO_SHOTS, 0, "features", {"vis_r50": [math.inf, 0.5]}),
+        (with_column(TWO_SHOTS, "vis_r50", with_value([[0.5, 0.5]] * 2, (0, 0), math.inf)),
          "shot 1 has a non-finite 'vis_r50' value"),
-        (with_shot_field(TWO_SHOTS, 0, "end_s", math.nan), "shot 1 has a non-finite 'end_s' value"),
-        (with_shot_field(TWO_SHOTS, 1, "start_s", -math.inf),
+        (with_column(TWO_SHOTS, "ends", [math.nan, 4.0]), "shot 1 has a non-finite 'end_s' value"),
+        (with_column(TWO_SHOTS, "starts", [0.0, -math.inf]),
          "shot 2 has a non-finite 'start_s' value"),
         ({**TWO_SHOTS, "duration_s": math.nan}, "non-finite duration_s"),
         ({**TWO_SHOTS, "scenes": [{"start_s": 0.0, "end_s": math.inf, "tags": [1]}]},
@@ -164,9 +221,89 @@ class TestMalformedRecords:
     ], ids=["nan-feature", "inf-feature", "nan-end", "inf-start", "nan-duration", "inf-scene"])
     def test_non_finite_values_rejected(self, tmp_path, doc, detail):
         manifest, records = write_corpus_files(tmp_path, MANIFEST, [doc])
-        with pytest.raises(DataError, match=re.escape(f"{records} line 1: ")) as info:
+        with pytest.raises(DataError, match=re.escape(f"{records} video 1: ")) as info:
             load_corpus(manifest, records)
         assert detail in str(info.value)
+
+    @pytest.mark.parametrize("doc, detail", [
+        ({**video_doc(), "video_id": 7}, "video_id must be a string, got 7"),
+        ({**video_doc(), "duration_s": "2.0"}, "video 'v0' duration_s must be a number, got '2.0'"),
+        ({**video_doc(), "duration_s": True}, "video 'v0' duration_s must be a number, got True"),
+        (without(video_doc(), "starts"), "missing key 'starts'"),
+        (without(video_doc(), "scenes"), "missing key 'scenes'"),
+        ({**video_doc(), "features": [[0.5, 0.5]]}, "video 'v0': 'features' must be a JSON object"),
+        ({**video_doc(), "scenes": [{"start_s": "0", "end_s": 2.0, "tags": [1]}]},
+         "scene start_s must be a number, got '0'"),
+        ({**video_doc(), "scenes": {"start_s": 0.0}}, "malformed record"),
+        ({**video_doc(), "duration_s": 10**400}, "malformed record"),
+        (with_column(video_doc(), "ends", {"shape": [1], "nbytes": 8}),
+         "video 'v0' column 'ends' must be an object with 'shape', 'offset' and 'nbytes'"),
+        (with_column(video_doc(), "ends", {"shape": [1], "offset": -8, "nbytes": 8}),
+         "video 'v0' column 'ends': shape, offset and nbytes must be non-negative integers"),
+        (with_column(video_doc(), "ends", {"shape": [1], "offset": 0.5, "nbytes": 8}),
+         "column 'ends': shape, offset and nbytes must be non-negative integers"),
+        (with_column(video_doc(), "ends", {"shape": [1], "offset": True, "nbytes": 8}),
+         "column 'ends': shape, offset and nbytes must be non-negative integers"),
+        (with_column(video_doc(), "ends", {"shape": [-1], "offset": 0, "nbytes": 8}),
+         "column 'ends': shape, offset and nbytes must be non-negative integers"),
+        (with_column(video_doc(), "ends", {"shape": 1, "offset": 0, "nbytes": 8}),
+         "column 'ends': shape, offset and nbytes must be non-negative integers"),
+        (with_column(video_doc(), "ends", {"shape": [1], "offset": 0, "nbytes": "8"}),
+         "column 'ends': shape, offset and nbytes must be non-negative integers"),
+        (with_column(video_doc(), "ends", {"shape": [1], "offset": 0, "nbytes": 4}),
+         "column 'ends' has 4 bytes, shape [1] of float64 needs 8"),
+        (with_column(video_doc(), "ends", {"shape": [2], "offset": 0, "nbytes": 16}),
+         "column 'ends' has shape [2], expected [1]"),
+        (with_column(video_doc(), "starts", {"shape": [1, 1], "offset": 0, "nbytes": 8}),
+         "column 'starts' has shape [1, 1], expected [M]"),
+        (with_column(video_doc(), "ends", {"shape": [1], "offset": 20, "nbytes": 8}),
+         "video 'v0' column 'ends' runs past the end of the file (bytes 20..28 of 24); "
+         "the file is truncated"),
+    ], ids=["int-video-id", "text-duration", "bool-duration", "no-starts", "no-scenes",
+            "list-features", "text-scene-start", "object-scenes", "huge-duration", "entry-no-offset",
+            "negative-offset", "float-offset", "bool-offset", "negative-shape", "int-shape",
+            "text-nbytes", "nbytes-not-shape", "ends-not-starts", "two-dim-starts", "past-end"])
+    def test_header_entry_rejected(self, tmp_path, doc, detail):
+        manifest, records = write_corpus_files(tmp_path, MANIFEST, [doc])
+        with pytest.raises(DataError, match=re.escape(f"{records} video 1: ")) as info:
+            load_corpus(manifest, records)
+        assert detail in str(info.value)
+
+    @pytest.mark.parametrize("write, detail", [
+        (lambda path: write_raw(path, {"videos": []}, tag="scenestruct-corpus-v1"),
+         "does not start with the format tag 'scenestruct-corpus-v2'"),
+        (lambda path: path.write_text(json.dumps(without(video_doc(), "starts")) + "\n"),
+         "does not start with the format tag 'scenestruct-corpus-v2' "
+         "(JSONL corpora must be regenerated)"),
+        (lambda path: path.write_bytes(f"{FORMAT_TAG}\n{{not json\n".encode()),
+         "header is not valid JSON"),
+        (lambda path: path.write_bytes(f"{FORMAT_TAG}\n{{\"videos\": [{'9' * 5000}]}}\n".encode()),
+         "header is not valid JSON"),
+        (lambda path: write_raw(path, [video_doc()]), "header must be a JSON object with a 'videos' list"),
+        (lambda path: write_raw(path, {"videos": {}}), "header must be a JSON object with a 'videos' list"),
+        (lambda path: path.write_bytes(b""), "does not start with the format tag"),
+    ], ids=["wrong-tag", "jsonl", "bad-json", "huge-int", "list-header", "object-videos",
+            "empty-file"])
+    def test_header_rejected(self, tmp_path, write, detail):
+        manifest, records = write_corpus_files(tmp_path, MANIFEST, [])
+        write(records)
+        with pytest.raises(DataError, match=re.escape(f"records {records} {detail}")):
+            load_corpus(manifest, records)
+
+    def test_truncated_file_rejected(self, tmp_path):
+        manifest, records = tmp_path / "m.json", tmp_path / "r.bin"
+        video = make_video("v0", [0.0, 1.0, 2.0], scenes=[make_scene(0.0, 2.0, {1})])
+        save_corpus(Corpus(CorpusManifest({"vis_r50": 2}, 3), [video]), manifest, records)
+        raw = records.read_bytes()
+        records.write_bytes(raw[:-1])
+        with pytest.raises(DataError, match=re.escape(
+                f"records {records} video 1: video 'v0' column 'vis_r50' runs past the end of "
+                f"the file (bytes 32..64 of 63); the file is truncated")):
+            load_corpus(manifest, records)
+        records.write_bytes(raw[:len(FORMAT_TAG) + 20])
+        with pytest.raises(DataError, match=re.escape(
+                f"records {records} has no complete header line; the file is truncated")):
+            load_corpus(manifest, records)
 
 
 class TestMalformedManifest:
@@ -202,8 +339,8 @@ class TestRoundTrip:
             rng=rng,
         )
         corpus = Corpus(manifest=CorpusManifest({"vis_r50": 2}, 3), videos=[video])
-        save_corpus(corpus, tmp_path / "m.json", tmp_path / "r.jsonl")
-        loaded = load_corpus(tmp_path / "m.json", tmp_path / "r.jsonl")
+        save_corpus(corpus, tmp_path / "m.json", tmp_path / "r.bin")
+        loaded = load_corpus(tmp_path / "m.json", tmp_path / "r.bin")
         reloaded = loaded.video("v0")
         assert reloaded.duration_s == video.duration_s
         assert np.array_equal(reloaded.shots.starts, video.shots.starts)
@@ -215,10 +352,10 @@ class TestRoundTrip:
     def test_double_save_is_byte_identical(self, tmp_path):
         video = make_video("v0", [0.0, 2.0, 4.0], scenes=[make_scene(0.0, 4.0, {1})])
         corpus = Corpus(manifest=CorpusManifest({"vis_r50": 2}, 3), videos=[video])
-        save_corpus(corpus, tmp_path / "m1.json", tmp_path / "r1.jsonl")
-        loaded = load_corpus(tmp_path / "m1.json", tmp_path / "r1.jsonl")
-        save_corpus(loaded, tmp_path / "m2.json", tmp_path / "r2.jsonl")
-        assert (tmp_path / "r1.jsonl").read_bytes() == (tmp_path / "r2.jsonl").read_bytes()
+        save_corpus(corpus, tmp_path / "m1.json", tmp_path / "r1.bin")
+        loaded = load_corpus(tmp_path / "m1.json", tmp_path / "r1.bin")
+        save_corpus(loaded, tmp_path / "m2.json", tmp_path / "r2.bin")
+        assert (tmp_path / "r1.bin").read_bytes() == (tmp_path / "r2.bin").read_bytes()
 
     def test_generated_corpus_round_trip_is_exact(self, tmp_path):
         cfg = GeneratorConfig(
@@ -228,10 +365,10 @@ class TestRoundTrip:
             noise_std={"vis_r50": 0.1, "audio": 0.0}, duration_mean_s=20.0, duration_std_s=4.0,
         )
         corpus = build_corpus(cfg)
-        save_corpus(corpus, tmp_path / "m1.json", tmp_path / "r1.jsonl")
-        loaded = load_corpus(tmp_path / "m1.json", tmp_path / "r1.jsonl")
-        save_corpus(loaded, tmp_path / "m2.json", tmp_path / "r2.jsonl")
-        for name in ("m{}.json", "r{}.jsonl"):
+        save_corpus(corpus, tmp_path / "m1.json", tmp_path / "r1.bin")
+        loaded = load_corpus(tmp_path / "m1.json", tmp_path / "r1.bin")
+        save_corpus(loaded, tmp_path / "m2.json", tmp_path / "r2.bin")
+        for name in ("m{}.json", "r{}.bin"):
             assert (tmp_path / name.format(1)).read_bytes() == (tmp_path / name.format(2)).read_bytes()
         for made, back in zip(corpus.videos, loaded.videos):
             assert back.duration_s == made.duration_s
@@ -241,6 +378,14 @@ class TestRoundTrip:
             for a, b in zip(made_cols, back_cols):
                 assert a.dtype == b.dtype == np.float64
                 assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        raw = (tmp_path / "r1.bin").read_bytes()
+        tag, header, data = raw.split(b"\n", 2)
+        assert tag.decode() == FORMAT_TAG
+        assert (len(tag) + len(header) + 2) % 8 == 0
+        entries = [entry for video in json.loads(header)["videos"]
+                   for entry in (video["starts"], video["ends"], *video["features"].values())]
+        assert all(entry["offset"] % 8 == 0 for entry in entries)
+        assert sum(entry["nbytes"] for entry in entries) == len(data)
 
 
 class TestBoundaryLabels:

@@ -325,3 +325,12 @@ class TestMalformedPredictions:
         with pytest.raises(DataError, match=re.escape(f"predictions {path} line 2: ")) as info:
             read_predictions(path)
         assert detail in str(info.value)
+
+    def test_second_line_for_a_video_rejected(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        lines = [prediction_doc(), {"video_id": "v1", "segments": []}, {"video_id": "v0", "segments": []}]
+        path.write_text(json.dumps(lines[0]) + "\n" + json.dumps(lines[1]) + "\n\n"
+                        + json.dumps(lines[2]) + "\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"predictions {path} line 4: video 'v0' was already predicted on line 1")):
+            read_predictions(path)

@@ -3,7 +3,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from scenestruct.data.corpus_io import load_corpus
+from scenestruct.data.corpus_io import load_corpus, save_corpus
 from scenestruct.errors import ConfigError
 from scenestruct.synth import GeneratorConfig, build_corpus, corpus_stats, generate_corpus
 
@@ -35,18 +35,27 @@ class TestDeterminism:
     def test_same_seed_twice_is_byte_identical(self, tmp_path):
         for name in ("a", "b"):
             generate_corpus(small_cfg(), tmp_path / name)
-        assert (tmp_path / "a" / "records.jsonl").read_bytes() == (
-            tmp_path / "b" / "records.jsonl"
+        assert (tmp_path / "a" / "records.bin").read_bytes() == (
+            tmp_path / "b" / "records.bin"
         ).read_bytes()
         assert (tmp_path / "a" / "manifest.json").read_bytes() == (
             tmp_path / "b" / "manifest.json"
         ).read_bytes()
+        loaded = load_corpus(tmp_path / "a" / "manifest.json", tmp_path / "a" / "records.bin")
+        for made, back in zip(build_corpus(small_cfg()).videos, loaded.videos, strict=True):
+            assert back.duration_s == made.duration_s
+            for a, b in zip([made.shots.starts, made.shots.ends, *made.shots.features.values()],
+                            [back.shots.starts, back.shots.ends, *back.shots.features.values()]):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+        save_corpus(loaded, tmp_path / "c" / "manifest.json", tmp_path / "c" / "records.bin")
+        for name in ("manifest.json", "records.bin"):
+            assert (tmp_path / "c" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
     def test_different_seed_differs(self, tmp_path):
         generate_corpus(small_cfg(), tmp_path / "a")
         generate_corpus(small_cfg(seed=22), tmp_path / "b")
-        assert (tmp_path / "a" / "records.jsonl").read_bytes() != (
-            tmp_path / "b" / "records.jsonl"
+        assert (tmp_path / "a" / "records.bin").read_bytes() != (
+            tmp_path / "b" / "records.bin"
         ).read_bytes()
 
 
