@@ -11,6 +11,7 @@ missing checkpoint. Diagnostics go to standard error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
 
@@ -59,7 +60,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _apply_overrides(cfg, args) -> None:
     if args.seed is not None:
-        cfg.training.seed = args.seed
+        cfg.training = dataclasses.replace(cfg.training, seed=args.seed)  # re-runs its checks
         if cfg.generator is not None:
             cfg.generator.seed = args.seed
     if args.out is not None:

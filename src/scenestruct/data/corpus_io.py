@@ -1,17 +1,13 @@
 """Corpus loading, validation and serialization.
 
 A corpus is a manifest JSON document plus one binary records file,
-``records.bin``, in three parts written in one pass:
-
-1. the format tag line, ``scenestruct-corpus-v2``;
-2. one JSON header line, ``{"videos": [...]}``, that gives each video its
-   ``video_id``, ``duration_s`` and ``scenes`` (``null`` when unlabeled,
-   else a list of ``start_s``/``end_s``/``tags`` objects), and for its
-   columns ``starts``, ``ends`` and ``features`` (an object with one column
-   per manifest modality) a ``shape``, ``offset`` and ``nbytes``, both
-   counted in bytes from the end of the header line; spaces pad the header
-   line so that the column bytes start 8-byte aligned;
-3. the raw column bytes, every column little-endian float64.
+``records.bin``: a scenestruct.binfile container tagged
+``scenestruct-corpus-v2``, whose header line ``{"videos": [...]}`` gives
+each video its ``video_id``, ``duration_s`` and ``scenes`` (``null`` when
+unlabeled, else a list of ``start_s``/``end_s``/``tags`` objects), and the
+entries of its columns ``starts``, ``ends`` and ``features`` (an object
+with one column per manifest modality). Spaces pad the header line so that
+the columns start 8-byte aligned; every column is little-endian float64.
 
 Header floats are shortest round-trip decimal text and columns are raw
 float64, so a save/load cycle reproduces every value bit-exactly, and the
@@ -21,13 +17,12 @@ same corpus always gives the same bytes.
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 import numpy as np
 
+from .. import binfile
 from ..errors import DataError
-from ..nn.checkpoint import _is_count
 from .records import Corpus, CorpusManifest, SceneAnnotation, SegmentSpan, ShotTable, VideoRecord
 
 FORMAT_TAG = "scenestruct-corpus-v2"
@@ -84,31 +79,9 @@ def _number(value, what: str) -> float:
     return float(value)
 
 
-def _column(where: str, entry, shape, raw: bytes, data_start: int) -> np.ndarray:
-    """A read-only float64 view of one column's bytes, after checking its
-    header entry; a None in shape accepts any length on that axis."""
-    if not isinstance(entry, dict) or not {"shape", "offset", "nbytes"} <= entry.keys():
-        raise DataError(f"{where} must be an object with 'shape', 'offset' and 'nbytes'")
-    got, offset, nbytes = entry["shape"], entry["offset"], entry["nbytes"]
-    if not isinstance(got, list) or not all(_is_count(v) for v in (offset, nbytes, *got)):
-        raise DataError(f"{where}: shape, offset and nbytes must be non-negative integers")
-    if len(got) != len(shape) or any(want not in (None, n) for n, want in zip(got, shape)):
-        want = ", ".join("M" if n is None else str(n) for n in shape)
-        raise DataError(f"{where} has shape {got}, expected [{want}]")
-    needed = math.prod(got) * COLUMN_DTYPE.itemsize
-    if nbytes != needed:
-        raise DataError(f"{where} has {nbytes} bytes, shape {got} of float64 needs {needed}")
-    data_len = len(raw) - data_start
-    if offset + nbytes > data_len:
-        raise DataError(f"{where} runs past the end of the file (bytes {offset}..{offset + nbytes} "
-                        f"of {data_len}); the file is truncated")
-    return np.frombuffer(raw, dtype=COLUMN_DTYPE, count=math.prod(got),
-                         offset=data_start + offset).reshape(got)
-
-
-def _parse_video(doc, manifest: CorpusManifest, raw: bytes, data_start: int) -> VideoRecord:
-    """One video's header entry over the file bytes; any missing, mistyped or
-    out-of-range field is a DataError."""
+def _parse_video(doc, manifest: CorpusManifest, records: binfile.BinFile) -> VideoRecord:
+    """One video's header entry over the file's columns; any missing,
+    mistyped or out-of-range field is a DataError."""
     if not isinstance(doc, dict):
         raise DataError(f"a video must be a JSON object, got {type(doc).__name__}")
     try:
@@ -116,18 +89,18 @@ def _parse_video(doc, manifest: CorpusManifest, raw: bytes, data_start: int) -> 
         if not isinstance(vid, str):
             raise DataError(f"video_id must be a string, got {vid!r}")
         duration = _number(doc["duration_s"], f"video {vid!r} duration_s")
-        starts = _column(f"video {vid!r} column 'starts'", doc["starts"], (None,), raw, data_start)
+        starts = records.view(doc["starts"], COLUMN_DTYPE, f"video {vid!r} column 'starts'", (None,))
         if not len(starts):
             raise DataError(f"video {vid!r} has no shots")
-        ends = _column(f"video {vid!r} column 'ends'", doc["ends"], (len(starts),), raw, data_start)
+        ends = records.view(doc["ends"], COLUMN_DTYPE, f"video {vid!r} column 'ends'", (len(starts),))
         feature_docs = doc["features"]
         if not isinstance(feature_docs, dict):
             raise DataError(f"video {vid!r}: 'features' must be a JSON object")
         if feature_docs.keys() != manifest.modality_dims.keys():
             raise DataError(f"video {vid!r} has feature columns {sorted(feature_docs)}, "
                             f"the manifest's modalities are {sorted(manifest.modality_dims)}")
-        features = {name: _column(f"video {vid!r} column {name!r}", feature_docs[name],
-                                  (len(starts), dim), raw, data_start)
+        features = {name: records.view(feature_docs[name], COLUMN_DTYPE,
+                                       f"video {vid!r} column {name!r}", (len(starts), dim))
                     for name, dim in manifest.modality_dims.items()}
         scenes = None
         if doc["scenes"] is not None:
@@ -194,39 +167,21 @@ def validate_video(video: VideoRecord, manifest: CorpusManifest) -> None:
                 )
 
 
-def _read_header(path: Path, raw: bytes):
-    """The header's video list and the offset where the column bytes start."""
-    tag_line = f"{FORMAT_TAG}\n".encode("utf-8")
-    if not raw.startswith(tag_line):
-        raise DataError(f"records {path} does not start with the format tag {FORMAT_TAG!r} "
-                        f"(JSONL corpora must be regenerated)")
-    header_end = raw.find(b"\n", len(tag_line))
-    if header_end < 0:
-        raise DataError(f"records {path} has no complete header line; the file is truncated")
-    try:
-        header = json.loads(raw[len(tag_line) : header_end])
-    except ValueError as exc:  # bad UTF-8, bad JSON, or an integer too long to convert
-        raise DataError(f"records {path} header is not valid JSON: {exc}") from exc
-    if not isinstance(header, dict) or not isinstance(header.get("videos"), list):
-        raise DataError(f"records {path} header must be a JSON object with a 'videos' list")
-    return header["videos"], header_end + 1
-
-
 def load_corpus(manifest_path, records_path) -> Corpus:
     """Load and eagerly validate a corpus. Raises DataError on any violation.
 
     Shot columns are read-only views of the records file's bytes.
     """
     manifest = load_manifest(manifest_path)
-    records_path = Path(records_path)
-    if not records_path.exists():
-        raise DataError(f"records file not found: {records_path}")
-    raw = records_path.read_bytes()
-    video_docs, data_start = _read_header(records_path, raw)
+    records = binfile.BinFile(records_path, FORMAT_TAG, "records",
+                              "JSONL corpora must be regenerated", DataError)
+    header, records_path = records.header, records.path
+    if not isinstance(header, dict) or not isinstance(header.get("videos"), list):
+        raise DataError(f"records {records_path} header must be a JSON object with a 'videos' list")
     videos, numbers = [], {}
-    for number, doc in enumerate(video_docs, start=1):
+    for number, doc in enumerate(header["videos"], start=1):
         try:
-            video = _parse_video(doc, manifest, raw, data_start)
+            video = _parse_video(doc, manifest, records)
             validate_video(video, manifest)
             first = numbers.setdefault(video.video_id, number)
             if first != number:
@@ -251,16 +206,9 @@ def _manifest_doc(manifest: CorpusManifest) -> dict:
 def save_corpus(corpus: Corpus, manifest_path, records_path) -> None:
     Path(manifest_path).parent.mkdir(parents=True, exist_ok=True)
     Path(manifest_path).write_text(json.dumps(_manifest_doc(corpus.manifest)) + "\n", encoding="utf-8")
-    entries, columns, offset = [], [], 0
+    layout, entries = binfile.Layout(), []
     for video in corpus.videos:
         shots = video.shots
-        refs = []
-        for col in (shots.starts, shots.ends, *shots.features.values()):
-            nbytes = col.size * COLUMN_DTYPE.itemsize
-            refs.append({"shape": list(col.shape), "offset": offset, "nbytes": nbytes})
-            columns.append(col)
-            offset += nbytes
-        starts, ends, *features = refs
         entries.append({
             "video_id": video.video_id,
             "duration_s": video.duration_s,
@@ -268,13 +216,9 @@ def save_corpus(corpus: Corpus, manifest_path, records_path) -> None:
                 {"start_s": s.span.start_s, "end_s": s.span.end_s, "tags": sorted(s.tags)}
                 for s in video.scenes
             ],
-            "starts": starts,
-            "ends": ends,
-            "features": dict(zip(shots.features, features)),
+            "starts": layout.add(shots.starts, COLUMN_DTYPE),
+            "ends": layout.add(shots.ends, COLUMN_DTYPE),
+            "features": {name: layout.add(col, COLUMN_DTYPE) for name, col in shots.features.items()},
         })
-    head = f"{FORMAT_TAG}\n{json.dumps({'videos': entries})}".encode("utf-8")
-    pad = b" " * (-(len(head) + 1) % COLUMN_DTYPE.itemsize)
-    with Path(records_path).open("wb") as fh:
-        fh.write(head + pad + b"\n")
-        for col in columns:  # each column's bytes as they sit in memory, copied only if strided
-            fh.write(np.ascontiguousarray(col, dtype=COLUMN_DTYPE))
+    binfile.write(records_path, FORMAT_TAG, {"videos": entries}, layout,
+                  align=COLUMN_DTYPE.itemsize)

@@ -18,7 +18,7 @@ from .data.corpus_io import load_corpus
 from .data.labels import interior_boundaries, shots_in_span, span_from_shots
 from .data.records import Corpus
 from .errors import ConfigError, DataError
-from .metrics import _f1_from_counts, evaluate, match_boundaries, match_scenes, tagging_map
+from .metrics import evaluate, f1_from_counts, match_boundaries, match_scenes, tagging_map
 from .models import boundaries_to_scenes, save_model, train_boundary, train_segment, train_tag
 from .models.bundle import checkpoint_filename, load_bundle
 from .pipeline import predict_corpus, read_predictions, segment_proposals
@@ -158,7 +158,7 @@ def boundary_f1_on_videos(model, videos, threshold_b) -> float:
         tp += match_boundaries(pred_bounds, gt_bounds)
         n_pred += len(pred_bounds)
         n_gt += len(gt_bounds)
-    return _f1_from_counts(tp, n_pred, n_gt).f1
+    return f1_from_counts(tp, n_pred, n_gt).f1
 
 
 def scene_f1_on_videos(model, videos, nms_tiou, max_duration_shots=None) -> float:
@@ -173,7 +173,7 @@ def scene_f1_on_videos(model, videos, nms_tiou, max_duration_shots=None) -> floa
         tp += match_scenes(pred_spans, gt_spans)
         n_pred += len(pred_spans)
         n_gt += len(gt_spans)
-    return _f1_from_counts(tp, n_pred, n_gt).f1
+    return f1_from_counts(tp, n_pred, n_gt).f1
 
 
 def ablation_metric(corpus, cfg: ExperimentConfig, net: str, mask) -> float:

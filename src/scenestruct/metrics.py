@@ -139,7 +139,7 @@ class F1Result:
     n_gt: int = 0
 
 
-def _f1_from_counts(tp, n_pred, n_gt) -> F1Result:
+def f1_from_counts(tp, n_pred, n_gt) -> F1Result:
     if n_pred == 0 and n_gt == 0:
         # perfect agreement on "nothing to find"
         return F1Result(1.0, 1.0, 1.0, 0, 0, 0)
@@ -152,7 +152,7 @@ def _f1_from_counts(tp, n_pred, n_gt) -> F1Result:
 def boundary_f1(pred_times, gt_times, tol_s=BOUNDARY_TOL_S) -> F1Result:
     """F1 of predicted interior boundaries against ground truth."""
     tp = match_boundaries(pred_times, gt_times, tol_s)
-    return _f1_from_counts(tp, len(pred_times), len(gt_times))
+    return f1_from_counts(tp, len(pred_times), len(gt_times))
 
 
 def match_scenes(pred_spans, gt_spans, tiou_thresh=SCENE_F1_TIOU) -> int:
@@ -177,7 +177,7 @@ def match_scenes(pred_spans, gt_spans, tiou_thresh=SCENE_F1_TIOU) -> int:
 
 def scene_f1(pred_spans, gt_spans, tiou_thresh=SCENE_F1_TIOU) -> float:
     tp = match_scenes(pred_spans, gt_spans, tiou_thresh)
-    return _f1_from_counts(tp, len(pred_spans), len(gt_spans)).f1
+    return f1_from_counts(tp, len(pred_spans), len(gt_spans)).f1
 
 
 def tagging_map(scene_preds, num_tags) -> float:
@@ -300,8 +300,8 @@ def evaluate(predictions, corpus: Corpus, *, thresholds=TIOU_THRESHOLDS,
         s_gt += len(gt_spans)
 
     avg, per_threshold, per_class = avg_map(preds_by_class, gts_by_class, thresholds)
-    b_res = _f1_from_counts(b_tp, b_pred, b_gt)
-    s_res = _f1_from_counts(s_tp, s_pred, s_gt)
+    b_res = f1_from_counts(b_tp, b_pred, b_gt)
+    s_res = f1_from_counts(s_tp, s_pred, s_gt)
     return MetricReport(
         avg_map=avg,
         b_f1=b_res.f1,

@@ -4,6 +4,7 @@ on, hyperparameters, and the minibatch loop."""
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -111,21 +112,38 @@ class TrainingHyper:
     hidden_dim: int = 128
     seed: int = 0
     positive_weight: float = 1.0
-    encoder_dim: int = 32
     segment_head: str = "scalar"
     max_duration_shots: int | None = None
 
     def __post_init__(self):
-        check_max_duration_shots(self.max_duration_shots, "training")
+        for key in ("lr", "positive_weight"):
+            check_setting(getattr(self, key), f"training.{key}", 0, open_low=True)
+        for key, low in (("batch_size", 1), ("epochs", 1), ("hidden_dim", 1), ("patience", 0),
+                         ("seed", 0)):
+            check_setting(getattr(self, key), f"training.{key}", low, integer=True)
+        check_setting(self.dropout, "training.dropout", 0, 1)
+        check_setting(self.max_duration_shots, "training.max_duration_shots", 1, integer=True,
+                      nullable=True)
 
     def as_dict(self) -> dict:
         return asdict(self)
 
 
-def check_max_duration_shots(value, section: str) -> None:
-    """The proposal cap of a config section: None (no cap) or an integer >= 1."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
-        raise ConfigError(f"{section}.max_duration_shots must be null or an integer >= 1, "
+def check_setting(value, key: str, low, high=math.inf, *, integer=False, open_low=False,
+                  nullable=False) -> None:
+    """Raise a ConfigError naming key unless value lies in [low, high), or
+    in (low, high) if open_low: an int if integer is set, else an int or a
+    float, never a bool; None passes if nullable. NaN and the infinities
+    lie outside every range."""
+    if value is None and nullable:
+        return
+    kinds = int if integer else (int, float)
+    if (isinstance(value, bool) or not isinstance(value, kinds)
+            or not (low < value if open_low else low <= value) or not value < high):
+        kind = "an integer" if integer else "a finite number"
+        bounds = (f"{'>' if open_low else '>='} {low}" if high == math.inf
+                  else f"in {'(' if open_low else '['}{low}, {high})")
+        raise ConfigError(f"{key} must be {'null or ' if nullable else ''}{kind} {bounds}, "
                           f"got {value!r}")
 
 
@@ -153,7 +171,8 @@ def fit(model, items, *, hyper: TrainingHyper, val_items=None) -> TrainTrace:
     model.batch_loss_and_grads(batch, rng, train=True) runs forward +
     backward on a list of items and returns (loss, count), or None when the
     batch carries no supervision. Keeps the parameters of the best
-    validation epoch. Fully deterministic for a fixed hyper.seed.
+    validation epoch. Fully deterministic for a fixed hyper.seed. Non-finite
+    values during training (divergence) are a ConfigError naming the epoch.
     """
     seq = np.random.SeedSequence(hyper.seed)
     shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in seq.spawn(2))
@@ -163,36 +182,39 @@ def fit(model, items, *, hyper: TrainingHyper, val_items=None) -> TrainTrace:
     best_val = np.inf
     best_params = None
     wait = 0
-    for epoch in range(1, hyper.epochs + 1):
-        order = shuffle_rng.permutation(len(items))
-        total = 0.0
-        count = 0
-        for start in range(0, len(order), hyper.batch_size):
-            batch = [items[i] for i in order[start : start + hyper.batch_size]]
-            model.zero_grads()
-            out = model.batch_loss_and_grads(batch, dropout_rng, train=True)
-            if out is None:
-                continue
-            loss, n = out
-            adam.step(params, model.gradients())
-            total += loss * n
-            count += n
-        train_loss = total / count if count else float("nan")
-        val_loss = None
-        if val_items:
-            out = model.batch_loss_and_grads(val_items, None, train=False)
-            val_loss = out[0] if out else float("inf")
-        trace.append(epoch, train_loss, val_loss)
-        log.debug("epoch %d train %.5f val %s", epoch, train_loss, val_loss)
-        if val_loss is not None:
-            if val_loss < best_val - 1e-12:
-                best_val = val_loss
-                best_params = {k: v.copy() for k, v in params.items()}
-                wait = 0
-            else:
-                wait += 1
-                if wait >= hyper.patience:
-                    break
+    try:
+        for epoch in range(1, hyper.epochs + 1):
+            order = shuffle_rng.permutation(len(items))
+            total = 0.0
+            count = 0
+            for start in range(0, len(order), hyper.batch_size):
+                batch = [items[i] for i in order[start : start + hyper.batch_size]]
+                model.zero_grads()
+                out = model.batch_loss_and_grads(batch, dropout_rng, train=True)
+                if out is None:
+                    continue
+                loss, n = out
+                adam.step(params, model.gradients())
+                total += loss * n
+                count += n
+            train_loss = total / count if count else float("nan")
+            val_loss = None
+            if val_items:
+                out = model.batch_loss_and_grads(val_items, None, train=False)
+                val_loss = out[0] if out else float("inf")
+            trace.append(epoch, train_loss, val_loss)
+            log.debug("epoch %d train %.5f val %s", epoch, train_loss, val_loss)
+            if val_loss is not None:
+                if val_loss < best_val - 1e-12:
+                    best_val = val_loss
+                    best_params = {k: v.copy() for k, v in params.items()}
+                    wait = 0
+                else:
+                    wait += 1
+                    if wait >= hyper.patience:
+                        break
+    except FloatingPointError as exc:
+        raise ConfigError(f"training diverged in epoch {epoch}: {exc}; lower training.lr") from exc
     if best_params is not None:
         for k, v in params.items():
             v[...] = best_params[k]

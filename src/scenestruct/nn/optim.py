@@ -28,9 +28,7 @@ class Adam:
         for name, p in params.items():
             g = grads[name]
             if not np.all(np.isfinite(g)):
-                raise FloatingPointError(
-                    f"training diverged: non-finite gradient in parameter block {name!r}"
-                )
+                raise FloatingPointError(f"non-finite gradient in parameter block {name!r}")
             m = self.m[name]
             v = self.v[name]
             m += (1.0 - self.beta1) * (g - m)

@@ -30,7 +30,7 @@ from .errors import ConfigError, DataError
 from .metrics import tiou
 from .models.boundary import boundaries_to_scenes
 from .models.bundle import MODE_REQUIREMENTS, ModelBundle
-from .models.common import check_max_duration_shots
+from .models.common import check_setting
 from .models.segment import enumerate_proposals
 
 MODES = tuple(MODE_REQUIREMENTS)
@@ -50,7 +50,8 @@ class PipelineConfig:
             raise ConfigError(f"threshold_b must be in (0, 1), got {self.threshold_b}")
         if not 0.0 <= self.nms_tiou < 1.0:
             raise ConfigError(f"nms_tiou must be in [0, 1), got {self.nms_tiou}")
-        check_max_duration_shots(self.max_duration_shots, "pipeline")
+        check_setting(self.max_duration_shots, "pipeline.max_duration_shots", 1, integer=True,
+                      nullable=True)
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -96,6 +96,7 @@ class TestRawCheckpoint:
     @pytest.mark.parametrize("keep, message", [
         (-1, "'head.b'.*truncated"),
         (len(FORMAT_TAG) + 10, "no complete header line"),
+        (0, "does not start with the format tag"),
     ])
     def test_truncated_file_rejected(self, tmp_path, keep, message):
         path = tmp_path / "ckpt.ckpt"
@@ -104,18 +105,52 @@ class TestRawCheckpoint:
         with pytest.raises(CheckpointError, match=f"ckpt.ckpt.*{message}"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("entry", [
-        {"shape": [1], "dtype": "<i4", "offset": 0, "nbytes": 4},
-        {"shape": [1], "dtype": None, "offset": 0, "nbytes": 8},
-        {"shape": [1], "dtype": "<f8", "offset": -8, "nbytes": 8},
-        {"shape": [1], "dtype": "<f8", "nbytes": 8},
+    @pytest.mark.parametrize("entry, fault", [
+        pytest.param({"shape": [1], "dtype": "<i4", "offset": 0, "nbytes": 4}, "malformed",
+                     id="entry0"),
+        pytest.param({"shape": [1], "dtype": None, "offset": 0, "nbytes": 8}, "malformed",
+                     id="entry1"),
+        pytest.param({"shape": [1], "dtype": "<f8", "offset": -8, "nbytes": 8},
+                     "shape, offset and nbytes must be non-negative integers", id="entry2"),
+        pytest.param({"shape": [1], "dtype": "<f8", "nbytes": 8},
+                     "must be an object with 'shape', 'offset' and 'nbytes'", id="entry3"),
+        pytest.param({"shape": [1] * 65, "dtype": "<f8", "offset": 0, "nbytes": 8},
+                     "which NumPy cannot hold", id="too-many-axes"),
+        pytest.param({"shape": [0, 10**30], "dtype": "<f8", "offset": 0, "nbytes": 0},
+                     "which NumPy cannot hold", id="huge-empty-axis"),
     ])
-    def test_malformed_entry_rejected(self, tmp_path, entry):
+    def test_malformed_entry_rejected(self, tmp_path, entry, fault):
         path = tmp_path / "ckpt.ckpt"
         write_raw(path, {"kind": "tag", "config": {}, "params": {"head.b": entry}},
                   np.zeros(1, dtype="<f8").tobytes())
-        with pytest.raises(CheckpointError, match="ckpt.ckpt.*'head.b'.*malformed"):
+        with pytest.raises(CheckpointError, match=f"ckpt.ckpt.*'head.b'.*{re.escape(fault)}"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", [
+        b"{not json",
+        f'{{"kind": {"9" * 5000}}}'.encode(),
+        b"[" * 100_000,
+    ], ids=["bad-json", "huge-int", "deep-nesting"])
+    def test_header_not_json_rejected(self, tmp_path, header):
+        path = tmp_path / "ckpt.ckpt"
+        path.write_bytes(f"{FORMAT_TAG}\n".encode() + header + b"\n")
+        with pytest.raises(CheckpointError,
+                           match=re.escape(f"checkpoint {path} header is not valid JSON")):
+            load_checkpoint(path)
+
+    def test_strided_parameters_written_in_c_order(self, tmp_path):
+        rng = np.random.default_rng(3)
+        params = {"fortran": np.asfortranarray(rng.normal(size=(3, 4)).astype(np.float32)),
+                  "strided": rng.normal(size=(4, 6))[:, ::2]}
+        path = tmp_path / "ckpt.ckpt"
+        save_checkpoint(path, "tag", {}, params)
+        _tag, _header, data = path.read_bytes().split(b"\n", 2)
+        assert data == b"".join(p.tobytes() for p in params.values())
+        _kind, _config, loaded = load_checkpoint(path)
+        for name, p in params.items():
+            assert loaded[name].dtype == p.dtype
+            assert np.array_equal(loaded[name], p)
+            assert not loaded[name].flags.writeable
 
     def test_nan_value_rejected(self, tmp_path):
         path = tmp_path / "ckpt.ckpt"

@@ -95,6 +95,32 @@ class TestExitCodes:
         assert "pipeline.max_duration_shots must be null or an integer >= 1, got 0" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("training, detail", [
+        ({"batch_size": 0}, "training.batch_size must be an integer >= 1, got 0"),
+        ({"lr": math.nan}, "training.lr must be a finite number > 0, got nan"),
+        ({"lr": 1e300}, "training diverged in epoch 1: non-finite values in "),
+    ], ids=["zero-batch-size", "nan-lr", "diverging-lr"])
+    def test_bad_training_value_exits_2(self, tmp_path, capsys, training, detail):
+        assert main(["generate", "--config", str(base_config(tmp_path))]) == 0
+        doc = json.loads((tmp_path / "config.json").read_text())
+        cfg = base_config(tmp_path, training={**doc["training"], **training})
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--net", "tag"]) == 2
+        err = capsys.readouterr().err
+        assert detail in err
+        assert "Traceback" not in err
+        if "diverged" in detail:
+            assert err.rstrip().endswith("; lower training.lr")
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        cfg = base_config(tmp_path)
+        assert main(["generate", "--config", str(cfg)]) == 0
+        capsys.readouterr()
+        assert main(["train", "--config", str(cfg), "--net", "tag", "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "training.seed must be an integer >= 0, got -1" in err
+        assert "Traceback" not in err
+
     def test_malformed_records_line_exits_3(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         assert main(["generate", "--config", str(cfg)]) == 0

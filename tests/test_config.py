@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -44,9 +45,10 @@ class TestLoading:
 
     def test_unknown_nested_key_rejected(self, tmp_path):
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"training": {"learning_rate": 0.1}}))
-        with pytest.raises(ConfigError, match="learning_rate"):
-            load_experiment_config(path)
+        for key in ("learning_rate", "encoder_dim"):  # encoder_dim: a removed setting
+            path.write_text(json.dumps({"training": {key: 0.1}}))
+            with pytest.raises(ConfigError, match=key):
+                load_experiment_config(path)
 
     def test_bad_val_fraction_rejected(self, tmp_path):
         path = tmp_path / "c.json"
@@ -55,13 +57,31 @@ class TestLoading:
             load_experiment_config(path)
 
 
-    @pytest.mark.parametrize("section", ["pipeline", "training"])
-    @pytest.mark.parametrize("value", [0, -3, 2.5, True, "4"])
-    def test_bad_max_duration_shots_names_key(self, tmp_path, section, value):
+    @pytest.mark.parametrize("section, key, value, rule", [
+        pytest.param(section, "max_duration_shots", value, "null or an integer >= 1",
+                     id=f"{value}-{section}")
+        for value in (0, -3, 2.5, True, "4") for section in ("pipeline", "training")
+    ] + [
+        pytest.param("training", key, value, rule, id=f"{key}-{value}")
+        for key, rule, values in [
+            ("lr", "a finite number > 0", (0, -0.1, math.nan, math.inf, "x", True)),
+            ("positive_weight", "a finite number > 0", (0, math.nan, True)),
+            ("batch_size", "an integer >= 1", (0, 2.5, "x", True)),
+            ("epochs", "an integer >= 1", (0, -1, 1.5, True)),
+            ("hidden_dim", "an integer >= 1", (0, "16", True)),
+            ("patience", "an integer >= 0", (-1, 1.5, True)),
+            ("seed", "an integer >= 0", (-1, 0.5, "0", True)),
+            ("dropout", "a finite number in [0, 1)", (1, 1.5, -0.1, math.nan, "0.5", True)),
+        ]
+        for value in values
+    ])
+    def test_bad_max_duration_shots_names_key(self, tmp_path, section, key, value, rule):
+        """Every checked numeric setting, max_duration_shots first, is a
+        ConfigError naming the key, its rule and the value."""
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({section: {"max_duration_shots": value}}))
-        with pytest.raises(ConfigError, match=f"{section}.max_duration_shots must be null or an "
-                                              f"integer >= 1, got {re.escape(repr(value))}"):
+        path.write_text(json.dumps({section: {key: value}}))
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{section}.{key} must be {rule}, got {value!r}")):
             load_experiment_config(path)
 
     @pytest.mark.parametrize("section", ["pipeline", "training"])

@@ -1,8 +1,11 @@
 """The shared minibatch loop, driven by a stub model."""
 
+import re
+
 import numpy as np
 import pytest
 
+from scenestruct.errors import ConfigError
 from scenestruct.models.common import TrainingHyper, fit
 
 
@@ -90,3 +93,23 @@ def test_no_validation_keeps_final_parameters(val_items):
     trace = fit(model, ITEMS, hyper=hyper(epochs=2), val_items=val_items)
     assert model.val_calls == []
     assert all(val is None for _epoch, _train, val in trace.rows)
+
+
+def test_divergence_is_config_error_naming_epoch():
+    class Diverging(StubModel):
+        """The third training batch, the first of epoch 2, gives a NaN gradient."""
+
+        calls = 0
+
+        def batch_loss_and_grads(self, items, rng, **kwargs):
+            out = super().batch_loss_and_grads(items, rng, **kwargs)
+            self.calls += 1
+            if self.calls == 3:
+                self.g[...] = np.nan
+            return out
+
+    with pytest.raises(ConfigError, match=re.escape(
+            "training diverged in epoch 2: non-finite gradient in parameter block 'w'; "
+            "lower training.lr")) as info:
+        fit(Diverging(), ITEMS, hyper=hyper(epochs=3))
+    assert isinstance(info.value.__cause__, FloatingPointError)
