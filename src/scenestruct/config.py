@@ -15,7 +15,7 @@ from pathlib import Path
 from .data.corpus_io import RECORDS_FILE
 from .errors import ConfigError
 from .fusion import EncoderSpec, ModalityMask
-from .models.common import TrainingHyper
+from .models.common import TrainingHyper, check_setting
 from .pipeline import PipelineConfig
 from .synth import GeneratorConfig
 
@@ -52,8 +52,8 @@ class SplitConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0.0 < self.val_fraction < 1.0:
-            raise ConfigError(f"val_fraction must be in (0, 1), got {self.val_fraction}")
+        check_setting(self.val_fraction, "split.val_fraction", 0, 1, open_low=True)
+        check_setting(self.seed, "split.seed", 0, integer=True)
 
 
 @dataclass

@@ -29,7 +29,7 @@ def interior_boundaries(spans, end_s, *, start_s=0.0, edge_tol=1e-6, merge_tol=1
     return merged
 
 
-def boundary_labels(video: VideoRecord, gt_scenes=None, tol_s=DEFAULT_BOUNDARY_TOL_S) -> np.ndarray:
+def boundary_labels(video: VideoRecord, tol_s=DEFAULT_BOUNDARY_TOL_S) -> np.ndarray:
     """Binary targets for the M-1 interior shot boundaries of a video.
 
     Each interior ground-truth scene boundary marks the single nearest shot
@@ -39,9 +39,7 @@ def boundary_labels(video: VideoRecord, gt_scenes=None, tol_s=DEFAULT_BOUNDARY_T
     """
     if tol_s <= 0:
         raise ValueError(f"tol_s must be positive, got {tol_s}")
-    if gt_scenes is None:
-        gt_scenes = video.scenes
-    if gt_scenes is None:
+    if video.scenes is None:
         raise DataError(f"video {video.video_id!r} has no scene annotations")
     m = video.num_shots
     labels = np.zeros(max(m - 1, 0), dtype=np.float64)
@@ -49,7 +47,7 @@ def boundary_labels(video: VideoRecord, gt_scenes=None, tol_s=DEFAULT_BOUNDARY_T
         return labels
     shot_bounds = video.shots.ends[:-1]
     gt_bounds = interior_boundaries(
-        (s.span for s in gt_scenes),
+        (s.span for s in video.scenes),
         video.shots.ends[-1],
         start_s=video.shots.starts[0],
     )
@@ -69,24 +67,21 @@ def span_from_shots(video: VideoRecord, i: int, j: int) -> SegmentSpan:
     return SegmentSpan(video.shots.starts.item(i - 1), video.shots.ends.item(j - 1))
 
 
+def range_spans(video: VideoRecord, ranges) -> np.ndarray:
+    """(N, 2) [start_s, end_s] rows of an (N, 2) array of inclusive 1-based
+    shot ranges."""
+    ranges = np.asarray(ranges, dtype=np.intp).reshape(-1, 2)
+    return np.column_stack([video.shots.starts[ranges[:, 0] - 1],
+                            video.shots.ends[ranges[:, 1] - 1]])
+
+
+def span_array(spans) -> np.ndarray:
+    """(N, 2) [start_s, end_s] rows of SegmentSpan objects."""
+    return np.array([(s.start_s, s.end_s) for s in spans], dtype=np.float64).reshape(-1, 2)
+
+
 def shots_in_span(video: VideoRecord, span: SegmentSpan) -> ShotTable:
     """The shots lying inside span (edges within 1e-6 s count), selected by
     time so that gaps between annotated scenes are tolerated."""
     shots = video.shots
     return shots[(shots.starts >= span.start_s - 1e-6) & (shots.ends <= span.end_s + 1e-6)]
-
-
-def shot_span_indices(video: VideoRecord, span: SegmentSpan, tol_s=1e-6) -> tuple[int, int]:
-    """Inverse of span_from_shots: the shot range whose edges match the span.
-
-    Raises DataError when the span is not aligned with shot boundaries.
-    """
-    # the last matching shot wins on either edge
-    starts = np.flatnonzero(np.abs(video.shots.starts - span.start_s) <= tol_s)
-    ends = np.flatnonzero(np.abs(video.shots.ends - span.end_s) <= tol_s)
-    if not starts.size or not ends.size or starts[-1] > ends[-1]:
-        raise DataError(
-            f"video {video.video_id!r}: span [{span.start_s}, {span.end_s}] "
-            f"is not aligned with shot boundaries"
-        )
-    return int(starts[-1]) + 1, int(ends[-1]) + 1

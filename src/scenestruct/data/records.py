@@ -27,10 +27,6 @@ class SegmentSpan:
                 f"segment span must be finite with end > start, got [{self.start_s}, {self.end_s}]"
             )
 
-    @property
-    def length_s(self) -> float:
-        return self.end_s - self.start_s
-
 
 class ShotTable:
     """One video's shots by column: (M,) float64 starts and ends in seconds,

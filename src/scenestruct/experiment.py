@@ -15,10 +15,10 @@ import numpy as np
 
 from .config import ExperimentConfig, write_resolved_config
 from .data.corpus_io import load_corpus
-from .data.labels import interior_boundaries, shots_in_span, span_from_shots
+from .data.labels import interior_boundaries, range_spans, shots_in_span, span_array
 from .data.records import Corpus
 from .errors import ConfigError, DataError
-from .metrics import evaluate, f1_from_counts, match_boundaries, match_scenes, tagging_map
+from .metrics import evaluate, f1_from_counts, match_boundaries, match_scenes, tagging_map, tiou
 from .models import boundaries_to_scenes, save_model, train_boundary, train_segment, train_tag
 from .models.bundle import checkpoint_filename, load_bundle
 from .pipeline import predict_corpus, read_predictions, segment_proposals
@@ -168,11 +168,10 @@ def scene_f1_on_videos(model, videos, nms_tiou, max_duration_shots=None) -> floa
         if video.scenes is None:
             continue
         ranges, _scores = segment_proposals(video, model, nms_tiou, max_duration_shots)
-        pred_spans = [span_from_shots(video, i, j) for i, j in ranges]
-        gt_spans = [s.span for s in video.scenes]
-        tp += match_scenes(pred_spans, gt_spans)
-        n_pred += len(pred_spans)
-        n_gt += len(gt_spans)
+        tp += match_scenes(tiou(*range_spans(video, ranges).T,
+                                *span_array(s.span for s in video.scenes).T))
+        n_pred += len(ranges)
+        n_gt += len(video.scenes)
     return f1_from_counts(tp, n_pred, n_gt).f1
 
 

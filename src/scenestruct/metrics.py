@@ -17,8 +17,10 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .data.labels import interior_boundaries
-from .data.records import Corpus, SegmentSpan
+import numpy as np
+
+from .data.labels import interior_boundaries, span_array
+from .data.records import Corpus
 from .errors import DataError
 
 TIOU_THRESHOLDS = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95)
@@ -26,82 +28,75 @@ BOUNDARY_TOL_S = 0.5
 SCENE_F1_TIOU = 0.75
 
 
-def tiou(a: SegmentSpan, b: SegmentSpan) -> float:
-    """Temporal intersection over union of two spans; disjoint spans give 0."""
-    inter = min(a.end_s, b.end_s) - max(a.start_s, b.start_s)
-    if inter <= 0:
-        return 0.0
-    union = a.length_s + b.length_s - inter
-    return inter / union
+def tiou(a_starts, a_ends, b_starts, b_ends) -> np.ndarray:
+    """(len(a), len(b)) temporal intersection over union of two span sets;
+    disjoint and abutting pairs give 0."""
+    a_starts, a_ends = (np.asarray(x, dtype=np.float64)[:, None] for x in (a_starts, a_ends))
+    b_starts, b_ends = (np.asarray(x, dtype=np.float64) for x in (b_starts, b_ends))
+    inter = np.minimum(a_ends, b_ends) - np.maximum(a_starts, b_starts)
+    union = (a_ends - a_starts) + (b_ends - b_starts) - inter
+    return np.divide(inter, union, out=np.zeros_like(inter), where=inter > 0)
 
 
-def rank_predictions(preds):
-    """Indices of preds=(group, span, score) in evaluation order.
+def rank_predictions(scores, spans) -> np.ndarray:
+    """Indices of scored (N, 2) [start_s, end_s] spans in evaluation order:
+    descending score, ties by earlier start, earlier end, then input order."""
+    return np.lexsort((spans[:, 1], spans[:, 0], -np.asarray(scores)))
 
-    Descending score, ties by earlier start, earlier end, then input order.
+
+def average_precision(preds, num_gts) -> list[float]:
+    """AP of one class at each threshold of TIOU_THRESHOLDS.
+
+    preds: one (score, start_s, end_s, candidates) per prediction, where
+    candidates lists the (ground-truth index, tIoU > 0) pairs it may match:
+    the class's ground truths in its own video. The predictions are ranked
+    once (rank_predictions); at each threshold each in turn takes the
+    unmatched candidate of best tIoU >= the threshold (first on ties). AP
+    sums precision at each true-positive rank divided by num_gts.
     """
-    return sorted(
-        range(len(preds)),
-        key=lambda idx: (-preds[idx][2], preds[idx][1].start_s, preds[idx][1].end_s, idx),
-    )
-
-
-def average_precision(preds, gts, tiou_thresh) -> float:
-    """AP of scored spans against ground-truth spans.
-
-    preds: list of (group, span, score); gts: list of (group, span). A
-    prediction may only match an unmatched ground truth of the same group
-    (group = video id), at tIoU >= tiou_thresh, taking the best-tIoU
-    candidate (first on ties). AP sums precision at each true-positive rank
-    divided by the number of ground truths.
-    """
-    if not gts:
+    if not num_gts:
         raise ValueError("average_precision needs at least one ground truth")
-    gt_by_group: dict = {}
-    for gt_idx, (group, span) in enumerate(gts):
-        gt_by_group.setdefault(group, []).append((gt_idx, span))
-    matched = [False] * len(gts)
-    ap = 0.0
-    true_positives = 0
-    for rank, pred_idx in enumerate(rank_predictions(preds), start=1):
-        group, span, _score = preds[pred_idx]
-        best_gt = None
-        best_t = 0.0
-        for gt_idx, gt_span in gt_by_group.get(group, ()):
-            if matched[gt_idx]:
-                continue
-            t = tiou(span, gt_span)
-            if t >= tiou_thresh and t > best_t:
-                best_t = t
-                best_gt = gt_idx
-        if best_gt is not None:
-            matched[best_gt] = True
-            true_positives += 1
-            ap += true_positives / rank
-    return ap / len(gts)
+    cols = np.array([p[:3] for p in preds], dtype=np.float64).reshape(-1, 3)
+    order = rank_predictions(cols[:, 0], cols[:, 1:]).tolist()
+    hits = [(rank, preds[idx][3]) for rank, idx in enumerate(order, start=1) if preds[idx][3]]
+    aps = []
+    for thresh in TIOU_THRESHOLDS:
+        matched = set()
+        ap = 0.0
+        true_positives = 0
+        for rank, candidates in hits:
+            best_gt = None
+            best_t = 0.0
+            for gt_idx, t in candidates:
+                if t >= thresh and t > best_t and gt_idx not in matched:
+                    best_t = t
+                    best_gt = gt_idx
+            if best_gt is not None:
+                matched.add(best_gt)
+                true_positives += 1
+                ap += true_positives / rank
+        aps.append(ap / num_gts)
+    return aps
 
 
-def avg_map(preds_by_class, gts_by_class, thresholds=TIOU_THRESHOLDS):
+def avg_map(preds_by_class, num_gts_by_class):
     """Average of mAP over the tIoU threshold sweep.
 
-    Returns (avg, per_threshold, per_class); per-class values are averaged
-    over the sweep. Classes without ground truths are excluded.
+    preds_by_class maps a class to its average_precision predictions and
+    num_gts_by_class to its ground-truth count. Returns (avg,
+    per_threshold, per_class); per-class values are averaged over the
+    sweep. Classes without ground truths are excluded.
     """
-    classes = sorted(k for k, gts in gts_by_class.items() if gts)
-    per_threshold = {}
-    per_class_acc = {k: 0.0 for k in classes}
-    for thresh in thresholds:
-        if not classes:
-            per_threshold[thresh] = 0.0
-            continue
-        total = 0.0
-        for k in classes:
-            ap = average_precision(preds_by_class.get(k, []), gts_by_class[k], thresh)
-            total += ap
-            per_class_acc[k] += ap
-        per_threshold[thresh] = total / len(classes)
-    avg = sum(per_threshold.values()) / len(thresholds)
-    per_class = {k: acc / len(thresholds) for k, acc in per_class_acc.items()}
+    classes = sorted(k for k, n in num_gts_by_class.items() if n)
+    totals = [0.0] * len(TIOU_THRESHOLDS)
+    per_class = {}
+    for k in classes:
+        aps = average_precision(preds_by_class.get(k, []), num_gts_by_class[k])
+        totals = [total + ap for total, ap in zip(totals, aps)]
+        per_class[k] = sum(aps) / len(TIOU_THRESHOLDS)
+    per_threshold = {thresh: total / len(classes) if classes else 0.0
+                     for thresh, total in zip(TIOU_THRESHOLDS, totals)}
+    avg = sum(per_threshold.values()) / len(TIOU_THRESHOLDS)
     return avg, per_threshold, per_class
 
 
@@ -155,29 +150,23 @@ def boundary_f1(pred_times, gt_times, tol_s=BOUNDARY_TOL_S) -> F1Result:
     return f1_from_counts(tp, len(pred_times), len(gt_times))
 
 
-def match_scenes(pred_spans, gt_spans, tiou_thresh=SCENE_F1_TIOU) -> int:
-    """Greedy one-to-one matching by descending tIoU, strict > threshold."""
-    pairs = []
-    for p_idx, p in enumerate(pred_spans):
-        for g_idx, g in enumerate(gt_spans):
-            t = tiou(p, g)
-            if t > tiou_thresh:
-                pairs.append((-t, p_idx, g_idx))
-    pairs.sort()
-    p_used = [False] * len(pred_spans)
-    g_used = [False] * len(gt_spans)
-    matches = 0
-    for _neg_t, p_idx, g_idx in pairs:
-        if not p_used[p_idx] and not g_used[g_idx]:
-            p_used[p_idx] = True
-            g_used[g_idx] = True
-            matches += 1
-    return matches
+def match_scenes(tious) -> int:
+    """Greedy one-to-one matching of predicted scenes (rows) to ground-truth
+    scenes (columns) of a tIoU matrix: by descending tIoU, strict >
+    SCENE_F1_TIOU, ties by earlier prediction, then earlier ground truth."""
+    p_idx, g_idx = np.nonzero(tious > SCENE_F1_TIOU)  # row-major order
+    order = np.argsort(-tious[p_idx, g_idx], kind="stable")
+    p_used, g_used = set(), set()
+    for p, g in zip(p_idx[order].tolist(), g_idx[order].tolist()):
+        if p not in p_used and g not in g_used:
+            p_used.add(p)
+            g_used.add(g)
+    return len(p_used)
 
 
-def scene_f1(pred_spans, gt_spans, tiou_thresh=SCENE_F1_TIOU) -> float:
-    tp = match_scenes(pred_spans, gt_spans, tiou_thresh)
-    return f1_from_counts(tp, len(pred_spans), len(gt_spans)).f1
+def scene_f1(tious) -> float:
+    """F1 of the scene matching of a (predictions x ground truths) tIoU matrix."""
+    return f1_from_counts(match_scenes(tious), *tious.shape).f1
 
 
 def tagging_map(scene_preds, num_tags) -> float:
@@ -252,14 +241,15 @@ def _segment_tag_scores(segment) -> dict:
     return {k + 1: float(v) for k, v in enumerate(scores)}
 
 
-def evaluate(predictions, corpus: Corpus, *, thresholds=TIOU_THRESHOLDS,
-             boundary_tol_s=BOUNDARY_TOL_S, scene_tiou=SCENE_F1_TIOU) -> MetricReport:
+def evaluate(predictions, corpus: Corpus) -> MetricReport:
     """Score structured predictions against corpus ground truth.
 
     predictions: per-video objects with .video_id and .segments, where each
     segment has .span and .tag_scores (dense vector or tag id -> score map).
     Every predicted video must exist in the corpus and carry annotations,
-    and every predicted tag id must lie in 1..num_tags.
+    and every predicted tag id must lie in 1..num_tags. Each video's
+    (segments x scenes) tIoU matrix is computed once and serves the scene
+    matching and every class's AP.
     """
     num_tags = corpus.manifest.num_tags
     preds_by_video = {}
@@ -270,36 +260,41 @@ def evaluate(predictions, corpus: Corpus, *, thresholds=TIOU_THRESHOLDS,
         preds_by_video[pred.video_id] = pred
 
     preds_by_class: dict[int, list] = {k: [] for k in range(1, num_tags + 1)}
-    gts_by_class: dict[int, list] = {k: [] for k in range(1, num_tags + 1)}
+    num_gts = dict.fromkeys(preds_by_class, 0)
     b_tp = b_pred = b_gt = 0
     s_tp = s_pred = s_gt = 0
     for video in corpus.videos:
         if video.scenes is None:
             continue
         gt_spans = [scene.span for scene in video.scenes]
-        for scene in video.scenes:
+        class_gts: dict[int, list] = {}  # class -> (ground-truth index, scene row)
+        for row, scene in enumerate(video.scenes):
             for k in scene.tags:
-                gts_by_class[k].append((video.video_id, scene.span))
+                class_gts.setdefault(k, []).append((num_gts[k], row))
+                num_gts[k] += 1
         pred = preds_by_video.get(video.video_id)
-        pred_spans = []
-        if pred is not None:
-            for segment in pred.segments:
-                pred_spans.append(segment.span)
-                for k, score in _segment_tag_scores(segment).items():
-                    if k not in preds_by_class:
-                        raise DataError(f"video {video.video_id!r}: predicted tag id {k} "
-                                        f"is outside 1..{num_tags}")
-                    preds_by_class[k].append((video.video_id, segment.span, score))
+        segments = pred.segments if pred is not None else []
+        pred_spans = [segment.span for segment in segments]
+        tious = tiou(*span_array(pred_spans).T, *span_array(gt_spans).T)
+        for segment, row in zip(segments, tious.tolist()):
+            candidates = {k: [(gt_idx, row[col]) for gt_idx, col in gts if row[col] > 0]
+                          for k, gts in class_gts.items()}
+            span = segment.span
+            for k, score in _segment_tag_scores(segment).items():
+                if k not in preds_by_class:
+                    raise DataError(f"video {video.video_id!r}: predicted tag id {k} "
+                                    f"is outside 1..{num_tags}")
+                preds_by_class[k].append((score, span.start_s, span.end_s, candidates.get(k, [])))
         pred_bounds = interior_boundaries(pred_spans, video.duration_s)
         gt_bounds = interior_boundaries(gt_spans, video.duration_s)
-        b_tp += match_boundaries(pred_bounds, gt_bounds, boundary_tol_s)
+        b_tp += match_boundaries(pred_bounds, gt_bounds)
         b_pred += len(pred_bounds)
         b_gt += len(gt_bounds)
-        s_tp += match_scenes(pred_spans, gt_spans, scene_tiou)
+        s_tp += match_scenes(tious)
         s_pred += len(pred_spans)
         s_gt += len(gt_spans)
 
-    avg, per_threshold, per_class = avg_map(preds_by_class, gts_by_class, thresholds)
+    avg, per_threshold, per_class = avg_map(preds_by_class, num_gts)
     b_res = f1_from_counts(b_tp, b_pred, b_gt)
     s_res = f1_from_counts(s_tp, s_pred, s_gt)
     return MetricReport(

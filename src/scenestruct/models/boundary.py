@@ -23,7 +23,7 @@ class BoundaryNet(SequenceNet):
     def __init__(self, mask, dims, *, positive_weight=1.0, **kwargs):
         super().__init__(mask, dims, **kwargs)
         self.positive_weight = positive_weight
-        self.head = Dense(4 * self.hidden_dim, 1, init="zero", dtype=self.lstm.dtype)
+        self.head = Dense(4 * self.hidden_dim, 1, dtype=self.lstm.dtype)
 
     def _head_forward(self, hidden):
         pair = np.concatenate([hidden[:, :-1], hidden[:, 1:]], axis=2)

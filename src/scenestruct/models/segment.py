@@ -13,7 +13,7 @@ import logging
 
 import numpy as np
 
-from ..data.labels import span_from_shots
+from ..data.labels import range_spans, span_array
 from ..errors import ConfigError, DataError
 from ..metrics import tiou
 from ..nn.layers import Dense, sigmoid
@@ -25,56 +25,45 @@ log = logging.getLogger(__name__)
 HEAD_MODES = ("scalar", "per_tag")
 
 
-def enumerate_proposals(num_shots, max_duration_shots=None) -> list[tuple[int, int]]:
-    """All inclusive 1-based shot ranges (i, j) with j - i + 1 <= the cap,
-    in lexicographic order."""
+def enumerate_proposals(num_shots, max_duration_shots=None) -> np.ndarray:
+    """(N, 2) array of all inclusive 1-based shot ranges (i, j) with
+    j - i + 1 <= the cap, in lexicographic order."""
     if num_shots < 1:
         raise ValueError(f"num_shots must be >= 1, got {num_shots}")
     cap = num_shots if max_duration_shots is None else max_duration_shots
     if cap < 1:
         raise ValueError(f"max_duration_shots must be >= 1, got {cap}")
-    return [
-        (i, j)
-        for i in range(1, num_shots + 1)
-        for j in range(i, min(i + cap, num_shots + 1))
-    ]
+    i_idx, j_idx = np.triu_indices(num_shots)  # row-major: lexicographic
+    keep = j_idx - i_idx < cap
+    return np.column_stack([i_idx[keep], j_idx[keep]]) + 1
 
 
-def proposal_targets(proposals, video, gt_scenes=None) -> np.ndarray:
-    """Soft scalar targets: the best tIoU of each proposal over GT scenes."""
-    if gt_scenes is None:
-        gt_scenes = video.scenes
-    if gt_scenes is None:
+def _best_scene(proposals, video):
+    """Each proposal's best tIoU over the video's scenes and that scene's
+    row (argmax: the first scene on ties)."""
+    if video.scenes is None:
         raise DataError(f"video {video.video_id!r} has no scenes for proposal targets")
-    out = np.zeros(len(proposals), dtype=np.float64)
-    for idx, (i, j) in enumerate(proposals):
-        span = span_from_shots(video, i, j)
-        out[idx] = max((tiou(span, s.span) for s in gt_scenes), default=0.0)
-    return out
+    tious = tiou(*range_spans(video, proposals).T,
+                 *span_array(scene.span for scene in video.scenes).T)
+    # a zero column keeps argmax defined for a video without scenes
+    tious = np.pad(tious, ((0, 0), (0, 1)))
+    best = tious.argmax(axis=1)
+    return tious[np.arange(len(tious)), best], best
 
 
-def proposal_tag_targets(proposals, video, num_tags, gt_scenes=None) -> np.ndarray:
+def proposal_targets(proposals, video) -> np.ndarray:
+    """Soft scalar targets: the best tIoU of each proposal over GT scenes."""
+    return _best_scene(proposals, video)[0]
+
+
+def proposal_tag_targets(proposals, video, num_tags) -> np.ndarray:
     """Per-tag targets: the best-tIoU scene's tag indicators scaled by that
     tIoU (first scene wins ties); all-zero rows for disjoint proposals."""
-    if gt_scenes is None:
-        gt_scenes = video.scenes
-    if gt_scenes is None:
-        raise DataError(f"video {video.video_id!r} has no scenes for proposal targets")
-    out = np.zeros((len(proposals), num_tags), dtype=np.float64)
-    for idx, (i, j) in enumerate(proposals):
-        span = span_from_shots(video, i, j)
-        best_t = 0.0
-        best_scene = None
-        for scene in gt_scenes:
-            t = tiou(span, scene.span)
-            # strictly greater keeps the first scene on ties
-            if t > best_t:
-                best_t = t
-                best_scene = scene
-        if best_scene is not None:
-            for k in best_scene.tags:
-                out[idx, k - 1] = best_t
-    return out
+    best_t, best = _best_scene(proposals, video)
+    indicators = np.zeros((len(video.scenes) + 1, num_tags))
+    for row, scene in enumerate(video.scenes):
+        indicators[row, [k - 1 for k in scene.tags]] = 1.0
+    return indicators[best] * best_t[:, None]
 
 
 class SegmentNet(SequenceNet):
@@ -90,7 +79,7 @@ class SegmentNet(SequenceNet):
         self.head_mode = head_mode
         self.num_tags = num_tags
         out_dim = 1 if head_mode == "scalar" else num_tags
-        self.head = Dense(6 * self.hidden_dim, out_dim, init="zero", dtype=self.lstm.dtype)
+        self.head = Dense(6 * self.hidden_dim, out_dim, dtype=self.lstm.dtype)
 
     @staticmethod
     def _summaries(hidden_1video, i_idx, j_idx):
@@ -124,19 +113,20 @@ class SegmentNet(SequenceNet):
         return d_hidden
 
     def forward_video(self, video, proposals, *, train=False, rng=None):
-        """Scores for a list of (i, j) proposals: (N,) or (N, num_tags)."""
-        for i, j in proposals:
-            if not 1 <= i <= j <= video.num_shots:
-                raise DataError(
-                    f"proposal ({i}, {j}) out of range for video {video.video_id!r} "
-                    f"with {video.num_shots} shots"
-                )
-        if not proposals:
+        """Scores for an (N, 2) array of (i, j) proposals: (N,) or (N, num_tags)."""
+        proposals = np.asarray(proposals, dtype=np.intp).reshape(-1, 2)
+        i_idx, j_idx = proposals.T
+        bad = np.flatnonzero((i_idx < 1) | (i_idx > j_idx) | (j_idx > video.num_shots))
+        if bad.size:
+            i, j = proposals[bad[0]].tolist()
+            raise DataError(
+                f"proposal ({i}, {j}) out of range for video {video.video_id!r} "
+                f"with {video.num_shots} shots"
+            )
+        if not len(proposals):
             shape = (0,) if self.head_mode == "scalar" else (0, self.num_tags)
             return np.zeros(shape, dtype=self.lstm.dtype)
         hidden, _lengths, _cache = self._encode([video.shots], train=train, rng=rng)
-        i_idx = np.array([i for i, _ in proposals])
-        j_idx = np.array([j for _, j in proposals])
         scores = self._head_forward(self._summaries(hidden[0], i_idx, j_idx))
         return scores[:, 0] if self.head_mode == "scalar" else scores
 
@@ -182,13 +172,11 @@ def _prepare_items(videos, num_tags, head_mode, max_duration_shots):
             log.warning("skipping video %s: no scenes for segment supervision", video.video_id)
             continue
         proposals = enumerate_proposals(video.num_shots, max_duration_shots)
-        i_idx = np.array([i for i, _ in proposals])
-        j_idx = np.array([j for _, j in proposals])
         if head_mode == "scalar":
             targets = proposal_targets(proposals, video)
         else:
             targets = proposal_tag_targets(proposals, video, num_tags)
-        items.append((video, i_idx, j_idx, targets))
+        items.append((video, proposals[:, 0], proposals[:, 1], targets))
     return items
 
 

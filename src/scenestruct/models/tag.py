@@ -33,7 +33,7 @@ class TagNet(SequenceNet):
             raise ConfigError(f"num_tags must be >= 1, got {num_tags}")
         super().__init__(mask, dims, **kwargs)
         self.num_tags = num_tags
-        self.head = Dense(2 * self.hidden_dim, num_tags, init="zero", dtype=self.lstm.dtype)
+        self.head = Dense(2 * self.hidden_dim, num_tags, dtype=self.lstm.dtype)
 
     def _summary(self, hidden, lengths):
         # forward direction at the last valid step; backward direction at step 0

@@ -1,15 +1,13 @@
 """Minimal neural-network engine with hand-derived gradients.
 
 Dense layers, a two-layer bi-directional LSTM over padded sequence batches,
-sigmoid, inverted dropout, masked binary cross-entropy, Adam, a central
-finite-difference gradient checker, and the versioned binary checkpoint
-format (scenestruct-ckpt-v2: a tag line, a JSON header line, raw
-little-endian parameter bytes).
+sigmoid, inverted dropout, masked binary cross-entropy, Adam, and the
+versioned binary checkpoint format (scenestruct-ckpt-v2: a tag line, a JSON
+header line, raw little-endian parameter bytes).
 """
 
 from .batching import SequenceBatch
 from .checkpoint import FORMAT_TAG, load_checkpoint, save_checkpoint
-from .gradcheck import grad_check
 from .layers import Dense, dense_forward, dropout, sigmoid
 from .losses import bce_loss
 from .lstm import BiLstm
@@ -24,7 +22,6 @@ __all__ = [
     "bce_loss",
     "dense_forward",
     "dropout",
-    "grad_check",
     "load_checkpoint",
     "save_checkpoint",
     "sigmoid",

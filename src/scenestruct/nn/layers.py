@@ -55,22 +55,11 @@ def dense_backward(x, weights, grad_y):
 
 
 class Dense:
-    """Affine map y = x W + b with gradient accumulation.
+    """Affine map y = x W + b with gradient accumulation, zero-initialised:
+    every head starts at the sigmoid midpoint (all outputs 0.5)."""
 
-    init="zero" leaves the head at the sigmoid midpoint (all outputs 0.5
-    after a sigmoid), init="uniform" draws from +-1/sqrt(in_dim).
-    """
-
-    def __init__(self, in_dim, out_dim, *, init="zero", rng=None, dtype=np.float32):
-        if init == "zero":
-            self.W = np.zeros((in_dim, out_dim), dtype=dtype)
-        elif init == "uniform":
-            if rng is None:
-                raise ValueError("uniform init requires an rng")
-            scale = 1.0 / np.sqrt(in_dim)
-            self.W = rng.uniform(-scale, scale, size=(in_dim, out_dim)).astype(dtype)
-        else:
-            raise ValueError(f"unknown init {init!r}")
+    def __init__(self, in_dim, out_dim, *, dtype=np.float32):
+        self.W = np.zeros((in_dim, out_dim), dtype=dtype)
         self.b = np.zeros(out_dim, dtype=dtype)
         self.gW = np.zeros_like(self.W)
         self.gb = np.zeros_like(self.b)

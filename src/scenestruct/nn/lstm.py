@@ -25,17 +25,18 @@ class BiLstm:
     from the backward direction.
     """
 
-    def __init__(self, input_dim, hidden_dim, *, num_layers=2, rng=None, dtype=np.float32):
+    num_layers = 2  # the paper's depth
+
+    def __init__(self, input_dim, hidden_dim, *, rng=None, dtype=np.float32):
         if rng is None:
             rng = np.random.default_rng(0)
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
-        self.num_layers = num_layers
         self.dtype = np.dtype(dtype)
         self.params: dict[str, np.ndarray] = {}
         self.grads: dict[str, np.ndarray] = {}
         scale = 1.0 / np.sqrt(hidden_dim)
-        for layer in range(num_layers):
+        for layer in range(self.num_layers):
             in_dim = input_dim if layer == 0 else 2 * hidden_dim
             for direction in DIRECTIONS:
                 prefix = f"l{layer}_{direction}_"

@@ -6,7 +6,9 @@ import numpy as np
 
 
 class Adam:
-    """Adam with bias correction; updates parameters in place.
+    """Adam with bias correction; updates parameters in place, and only
+    with finite steps: a non-finite step raises FloatingPointError and
+    leaves the parameters as they were.
 
     First and second moment accumulators are zero-initialized with the same
     shapes as the parameters; the step counter increases by one per step.
@@ -33,6 +35,9 @@ class Adam:
             v = self.v[name]
             m += (1.0 - self.beta1) * (g - m)
             v += (1.0 - self.beta2) * (g * g - v)
-            m_hat = m / bc1
-            v_hat = v / bc2
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            with np.errstate(over="ignore", invalid="ignore"):
+                step = self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            if not np.all(np.isfinite(step)):
+                raise FloatingPointError(
+                    f"non-finite values in the step of parameter block {name!r}")
+            p -= step

@@ -24,10 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .data.labels import span_from_shots
+from .data.labels import range_spans, span_from_shots
 from .data.records import Corpus, SegmentSpan, VideoRecord
 from .errors import ConfigError, DataError
-from .metrics import tiou
+from .metrics import rank_predictions, tiou
 from .models.boundary import boundaries_to_scenes
 from .models.bundle import MODE_REQUIREMENTS, ModelBundle
 from .models.common import check_setting
@@ -46,10 +46,8 @@ class PipelineConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ConfigError(f"pipeline mode must be one of {MODES}, got {self.mode!r}")
-        if not 0.0 < self.threshold_b < 1.0:
-            raise ConfigError(f"threshold_b must be in (0, 1), got {self.threshold_b}")
-        if not 0.0 <= self.nms_tiou < 1.0:
-            raise ConfigError(f"nms_tiou must be in [0, 1), got {self.nms_tiou}")
+        check_setting(self.threshold_b, "pipeline.threshold_b", 0, 1, open_low=True)
+        check_setting(self.nms_tiou, "pipeline.nms_tiou", 0, 1)
         check_setting(self.max_duration_shots, "pipeline.max_duration_shots", 1, integer=True,
                       nullable=True)
 
@@ -71,7 +69,8 @@ class StructuredPrediction:
 
 
 def nms_temporal(spans, scores, nms_tiou) -> list[int]:
-    """Greedy temporal non-maximum suppression.
+    """Greedy temporal non-maximum suppression over (N, 2) [start_s, end_s]
+    spans.
 
     Repeatedly keeps the highest-scoring remaining span and discards every
     span whose tIoU with it strictly exceeds nms_tiou; at nms_tiou = 0
@@ -79,31 +78,26 @@ def nms_temporal(spans, scores, nms_tiou) -> list[int]:
     indices of kept spans in descending score order (ties by earlier start,
     earlier end, input order).
     """
-    order = sorted(
-        range(len(spans)),
-        key=lambda idx: (-scores[idx], spans[idx].start_s, spans[idx].end_s, idx),
-    )
-    suppressed = [False] * len(spans)
+    spans = np.asarray(spans, dtype=np.float64).reshape(-1, 2)
+    starts, ends = spans.T
+    suppressed = np.zeros(len(spans), dtype=bool)
     kept = []
-    for pos, idx in enumerate(order):
-        if suppressed[idx]:
-            continue
-        kept.append(idx)
-        for other in order[pos + 1 :]:
-            if not suppressed[other] and tiou(spans[idx], spans[other]) > nms_tiou:
-                suppressed[other] = True
+    for idx in rank_predictions(scores, spans).tolist():
+        if not suppressed[idx]:
+            kept.append(idx)
+            row = tiou(starts[idx : idx + 1], ends[idx : idx + 1], starts, ends)[0]
+            suppressed |= row > nms_tiou
     return kept
 
 
 def segment_proposals(video: VideoRecord, segment, nms_tiou, max_duration_shots=None):
-    """NMS-kept proposal ranges in descending rank order, with their score
-    rows; a per-tag head ranks by its maximum tag score."""
+    """NMS-kept (K, 2) proposal ranges in descending rank order, with their
+    score rows; a per-tag head ranks by its maximum tag score."""
     proposals = enumerate_proposals(video.num_shots, max_duration_shots)
-    spans = [span_from_shots(video, i, j) for i, j in proposals]
     scores = segment.forward_video(video, proposals)
     rank = scores if scores.ndim == 1 else scores.max(axis=1)
-    kept = nms_temporal(spans, rank.tolist(), nms_tiou)
-    return [proposals[idx] for idx in kept], scores[kept]
+    kept = nms_temporal(range_spans(video, proposals), rank, nms_tiou)
+    return proposals[kept], scores[kept]
 
 
 def run_pipeline(video: VideoRecord, bundle: ModelBundle, cfg: PipelineConfig) -> StructuredPrediction:

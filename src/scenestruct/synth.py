@@ -21,6 +21,7 @@ import numpy as np
 from .data.corpus_io import RECORDS_FILE, save_corpus
 from .data.records import Corpus, CorpusManifest, SceneAnnotation, SegmentSpan, ShotTable, VideoRecord
 from .errors import ConfigError
+from .models.common import check_setting
 
 SIGNAL_MODES = ("tag", "scene", "none")
 
@@ -52,6 +53,9 @@ class GeneratorConfig:
     tag_zipf_exponent: float = 0.0
     min_scene_s: float = 1.0
     min_shot_s: float = 0.2
+
+    def __post_init__(self):
+        check_setting(self.seed, "generator.seed", 0, integer=True)
 
     def validate(self) -> None:
         if self.num_videos < 0:

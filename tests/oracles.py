@@ -248,10 +248,44 @@ def brute_force_proposals(m, cap):
     return sorted(out)
 
 
+def naive_proposal_tag_targets(bounds, proposals, scenes, num_tags):
+    """Per-tag targets of 1-based shot ranges over shot boundaries bounds:
+    the tags of the first scene of greatest tIoU, each scaled by that tIoU;
+    an all-zero row where no scene overlaps. scenes: (start, end, tags)."""
+    rows = []
+    for i, j in proposals:
+        best_tags, best_t = (), 0.0
+        for start, end, tags in scenes:
+            t = naive_tiou(bounds[i - 1], bounds[j], start, end)
+            if t > best_t:
+                best_tags, best_t = tags, t
+        rows.append([best_t if k in best_tags else 0.0 for k in range(1, num_tags + 1)])
+    return rows
+
+
 def naive_shots_in_span(starts, ends, span_start, span_end):
     """0-based rows of the shots inside the span, edges within 1e-6 s counting."""
     return [k for k in range(len(starts))
             if starts[k] >= span_start - 1e-6 and ends[k] <= span_end + 1e-6]
+
+
+def shot_span_indices(video, span, tol_s=1e-6):
+    """Inverse of span_from_shots: the 1-based shot range whose edges match
+    the span; the last matching shot wins on either edge. Raises DataError
+    when the span is not aligned with shot boundaries. A test helper, not
+    an oracle: naive_shot_span_indices below is its oracle."""
+    import numpy as np
+
+    from scenestruct.errors import DataError
+
+    starts = np.flatnonzero(np.abs(video.shots.starts - span.start_s) <= tol_s)
+    ends = np.flatnonzero(np.abs(video.shots.ends - span.end_s) <= tol_s)
+    if not starts.size or not ends.size or starts[-1] > ends[-1]:
+        raise DataError(
+            f"video {video.video_id!r}: span [{span.start_s}, {span.end_s}] "
+            f"is not aligned with shot boundaries"
+        )
+    return int(starts[-1]) + 1, int(ends[-1]) + 1
 
 
 def naive_shot_span_indices(starts, ends, span_start, span_end, tol=1e-6):

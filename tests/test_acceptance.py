@@ -38,11 +38,13 @@ from scenestruct.models import (
 )
 from scenestruct.models.common import TrainingHyper
 from scenestruct.models.tag import multihot
-from scenestruct.nn import BiLstm, SequenceBatch, bce_loss, grad_check
+from scenestruct.nn import BiLstm, SequenceBatch, bce_loss
 from scenestruct.pipeline import LoadedPrediction, LoadedSegment, PipelineConfig, nms_temporal, predict_corpus
 from scenestruct.synth import GeneratorConfig, build_corpus
 
 import oracles
+from conftest import ap_predictions, map_inputs
+from gradcheck import grad_check
 
 
 def report(criterion, ok, detail=""):
@@ -201,13 +203,14 @@ def test_criterion_2_metric_oracle_equivalence():
         for thresh, value in ref["per_threshold"].items():
             worst = max(worst, abs(ours.per_threshold[thresh] - value))
         n_instances += 1
-    # spot checks of the scalar helpers against their own oracles
+    # spot checks of the tIoU entries against their own oracle
     for _ in range(200):
         a_start = float(rng.integers(0, 20))
         b_start = float(rng.integers(0, 20))
         a = SegmentSpan(a_start, a_start + float(rng.integers(1, 9)))
         b = SegmentSpan(b_start, b_start + float(rng.integers(1, 9)))
-        worst = max(worst, abs(tiou(a, b) - oracles.naive_tiou(a.start_s, a.end_s, b.start_s, b.end_s)))
+        ours = tiou([a.start_s], [a.end_s], [b.start_s], [b.end_s])[0, 0]
+        worst = max(worst, abs(ours - oracles.naive_tiou(a.start_s, a.end_s, b.start_s, b.end_s)))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-9 and elapsed <= 60.0
     report(2, ok, f"{n_instances} randomized corpora, worst metric deviation {worst:.2e}, {elapsed:.0f}s")
@@ -229,13 +232,12 @@ def test_criterion_3_nms_exactness():
             spans_raw.append((start, start + length))
             scores.append(float(rng.integers(0, 16)) / 16.0)
         thresh = float(rng.choice([0.0, 0.0, 0.1, 0.25, 0.5]))
-        spans = [SegmentSpan(s, e) for s, e in spans_raw]
+        spans = np.array(spans_raw).reshape(-1, 2)
         kept = nms_temporal(spans, scores, thresh)
         assert kept == oracles.naive_nms(spans_raw, scores, thresh), f"trial {trial}"
         if thresh == 0.0:
-            for a_pos, a in enumerate(kept):
-                for b in kept[a_pos + 1:]:
-                    assert tiou(spans[a], spans[b]) == 0.0
+            starts, ends = spans[kept].T
+            assert np.array_equal(tiou(starts, ends, starts, ends) > 0, np.eye(len(kept), dtype=bool))
     elapsed = time.monotonic() - t0
     ok = elapsed <= 30.0
     report(3, ok, f"1000 random proposal sets match the greedy oracle, {elapsed:.0f}s")
@@ -249,15 +251,16 @@ def test_criterion_4_hand_worked_fixtures():
     res = boundary_f1([5.3, 9.4, 12.0], [5.0, 10.0])
     checks.append(("boundary f1 = 0.4", abs(res.f1 - 0.4) < 1e-12))
 
-    avg, _t, _c = avg_map({1: [("v", SegmentSpan(0, 7), 1.0)]}, {1: [("v", SegmentSpan(0, 10))]})
+    avg, _t, _c = avg_map(*map_inputs({1: [("v", SegmentSpan(0, 7), 1.0)]},
+                                      {1: [("v", SegmentSpan(0, 10))]}))
     checks.append(("single-prediction sweep avg mAP = 0.5", abs(avg - 0.5) < 1e-12))
 
     gts = [("v", SegmentSpan(0, 2)), ("v", SegmentSpan(10, 12))]
     preds = [("v", SegmentSpan(0, 2), 0.9), ("v", SegmentSpan(5, 7), 0.8), ("v", SegmentSpan(10, 12), 0.7)]
-    ap = average_precision(preds, gts, 0.5)
+    ap = average_precision(ap_predictions(preds, gts), len(gts))[0]  # at tIoU 0.50
     checks.append(("hit-miss-hit AP = 0.8333", abs(ap - 5.0 / 6.0) < 1e-12))
 
-    checks.append(("M=1 proposals", enumerate_proposals(1) == [(1, 1)]))
+    checks.append(("M=1 proposals", enumerate_proposals(1).tolist() == [[1, 1]]))
     checks.append(("M=3 dense proposal count = 6", len(enumerate_proposals(3, 3)) == 6))
     checks.append(("M=5 capped proposal count = 9", len(enumerate_proposals(5, 2)) == 9))
 

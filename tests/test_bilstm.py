@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from scenestruct.nn import BiLstm, SequenceBatch, grad_check
+from scenestruct.nn import BiLstm, SequenceBatch
+
+from gradcheck import grad_check
 
 
 def random_batch(rng, dim, lengths, dtype=np.float64):
@@ -48,7 +50,7 @@ def swap_directions(lstm: BiLstm) -> BiLstm:
     Layers above the first consume [fwd | bwd] blocks of the layer below,
     so their input-weight rows must swap blocks as well.
     """
-    swapped = BiLstm(lstm.input_dim, lstm.hidden_dim, num_layers=lstm.num_layers, dtype=lstm.dtype)
+    swapped = BiLstm(lstm.input_dim, lstm.hidden_dim, dtype=lstm.dtype)
     hd = lstm.hidden_dim
     for layer in range(lstm.num_layers):
         for src, dst in (("fwd", "bwd"), ("bwd", "fwd")):

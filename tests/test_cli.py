@@ -112,6 +112,22 @@ class TestExitCodes:
         if "diverged" in detail:
             assert err.rstrip().endswith("; lower training.lr")
 
+    @pytest.mark.parametrize("command, section, values, detail", [
+        (["train", "--net", "tag"], "split", {"seed": -1}, "split.seed must be an integer >= 0, got -1"),
+        (["generate"], "generator", {"seed": -1}, "generator.seed must be an integer >= 0, got -1"),
+        (["predict"], "pipeline", {"threshold_b": "x"},
+         "pipeline.threshold_b must be a finite number in (0, 1), got 'x'"),
+    ], ids=["split-seed", "generator-seed", "threshold-b"])
+    def test_bad_section_value_exits_2_naming_key(self, tmp_path, capsys, command, section,
+                                                  values, detail):
+        doc = json.loads(base_config(tmp_path).read_text())
+        cfg = base_config(tmp_path, **{section: {**doc[section], **values}})
+        capsys.readouterr()
+        assert main([*command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert detail in err
+        assert "Traceback" not in err
+
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         assert main(["generate", "--config", str(cfg)]) == 0

@@ -74,6 +74,16 @@ class TestLoading:
             ("dropout", "a finite number in [0, 1)", (1, 1.5, -0.1, math.nan, "0.5", True)),
         ]
         for value in values
+    ] + [
+        pytest.param(section, key, value, rule, id=f"{section}.{key}-{value}")
+        for section, key, rule, values in [
+            ("split", "seed", "an integer >= 0", (-1, 0.5, True)),
+            ("split", "val_fraction", "a finite number in (0, 1)", (0, 1, math.nan, "x", True)),
+            ("generator", "seed", "an integer >= 0", (-1, "7", True)),
+            ("pipeline", "threshold_b", "a finite number in (0, 1)", (0, 1, math.nan, "x", True)),
+            ("pipeline", "nms_tiou", "a finite number in [0, 1)", (-0.1, 1, math.inf, "x", True)),
+        ]
+        for value in values
     ])
     def test_bad_max_duration_shots_names_key(self, tmp_path, section, key, value, rule):
         """Every checked numeric setting, max_duration_shots first, is a

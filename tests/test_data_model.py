@@ -13,7 +13,6 @@ from scenestruct.data import (
     interior_boundaries,
     load_corpus,
     save_corpus,
-    shot_span_indices,
     span_from_shots,
 )
 from scenestruct.data.corpus_io import FORMAT_TAG
@@ -23,7 +22,7 @@ from scenestruct.errors import DataError
 from scenestruct.synth import GeneratorConfig, build_corpus
 
 from conftest import make_scene, make_video
-from oracles import naive_shot_span_indices, naive_shots_in_span
+from oracles import naive_shot_span_indices, naive_shots_in_span, shot_span_indices
 
 
 def write_raw(path, header, data=b"", tag=FORMAT_TAG):

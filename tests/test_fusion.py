@@ -132,6 +132,6 @@ class TestFuseShot:
         fused, cache = fuser.forward_shots(shots)
         fuser.zero_grads()
         fuser.backward(cache, w.copy())
-        from scenestruct.nn import grad_check
+        from gradcheck import grad_check
 
         assert grad_check(loss_fn, fuser.params, fuser.grads, eps=1e-6) <= 1e-9

@@ -7,8 +7,9 @@ from scenestruct.data.labels import boundary_labels, shots_in_span
 from scenestruct.fusion import EncoderSpec, ModalityMask
 from scenestruct.models import BoundaryNet, SegmentNet, TagNet, enumerate_proposals, proposal_tag_targets, proposal_targets
 from scenestruct.models.tag import multihot
-from scenestruct.nn import grad_check
 from scenestruct.synth import GeneratorConfig, build_corpus
+
+from gradcheck import grad_check
 
 MASK = ModalityMask.from_names(["vis_r50", "audio"])
 ENCODERS = {"audio": EncoderSpec(trainable=True, dim=3)}

@@ -18,23 +18,32 @@ from scenestruct.metrics import (
 from scenestruct.pipeline import LoadedPrediction, LoadedSegment
 
 import oracles
-from conftest import make_scene, make_video
+from conftest import ap_predictions, make_scene, make_video, map_inputs, tiou_of_spans
 
 span = SegmentSpan
 
 
+def span_tiou(a, b):
+    return tiou_of_spans([a], [b])[0, 0]
+
+
+def ap_at(preds, gts, thresh):
+    """AP at one threshold of (group, span, score) against (group, span)."""
+    return average_precision(ap_predictions(preds, gts), len(gts))[TIOU_THRESHOLDS.index(thresh)]
+
+
 class TestTiou:
     def test_identical(self):
-        assert tiou(span(0, 4), span(0, 4)) == 1.0
+        assert span_tiou(span(0, 4), span(0, 4)) == 1.0
 
     def test_disjoint(self):
-        assert tiou(span(0, 4), span(5, 6)) == 0.0
+        assert span_tiou(span(0, 4), span(5, 6)) == 0.0
 
     def test_touching_is_zero(self):
-        assert tiou(span(0, 4), span(4, 8)) == 0.0
+        assert span_tiou(span(0, 4), span(4, 8)) == 0.0
 
     def test_hand_interval_arithmetic(self):
-        assert tiou(span(0, 4), span(2, 6)) == pytest.approx(2.0 / 6.0, abs=1e-15)
+        assert span_tiou(span(0, 4), span(2, 6)) == pytest.approx(2.0 / 6.0, abs=1e-15)
 
     @given(
         st.tuples(st.floats(0, 50), st.floats(0.1, 20)),
@@ -44,19 +53,31 @@ class TestTiou:
     def test_symmetry_and_bounds(self, a, b):
         sa = span(a[0], a[0] + a[1])
         sb = span(b[0], b[0] + b[1])
-        assert tiou(sa, sb) == tiou(sb, sa)
-        assert 0.0 <= tiou(sa, sb) <= 1.0
-        assert tiou(sa, sa) == 1.0
+        assert span_tiou(sa, sb) == span_tiou(sb, sa)
+        assert 0.0 <= span_tiou(sa, sb) <= 1.0
+        assert span_tiou(sa, sa) == 1.0
+
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(1, 16)), max_size=8),
+           st.lists(st.tuples(st.integers(0, 40), st.integers(1, 16)), max_size=8))
+    @settings(max_examples=100, deadline=None)
+    def test_matrix_entries_equal_pairwise_oracle(self, a, b):
+        a = [(s * 0.25, (s + n) * 0.25) for s, n in a]
+        b = [(s * 0.25, (s + n) * 0.25) for s, n in b]
+        tious = tiou([s for s, _ in a], [e for _, e in a], [s for s, _ in b], [e for _, e in b])
+        assert tious.shape == (len(a), len(b))
+        for row, (a_start, a_end) in enumerate(a):
+            for col, (b_start, b_end) in enumerate(b):
+                assert tious[row, col] == oracles.naive_tiou(a_start, a_end, b_start, b_end)
 
 
 class TestAveragePrecision:
     def test_perfect_predictions(self):
         gts = [("v", span(0, 2)), ("v", span(3, 5))]
         preds = [("v", span(0, 2), 0.9), ("v", span(3, 5), 0.8)]
-        assert average_precision(preds, gts, 0.5) == 1.0
+        assert ap_at(preds, gts, 0.5) == 1.0
 
     def test_no_predictions(self):
-        assert average_precision([], [("v", span(0, 2))], 0.5) == 0.0
+        assert ap_at([], [("v", span(0, 2))], 0.5) == 0.0
 
     def test_hit_miss_hit(self):
         gts = [("v", span(0, 2)), ("v", span(10, 12))]
@@ -65,14 +86,14 @@ class TestAveragePrecision:
             ("v", span(5, 7), 0.8),      # miss
             ("v", span(10, 12), 0.7),    # hit
         ]
-        assert average_precision(preds, gts, 0.5) == pytest.approx(
+        assert ap_at(preds, gts, 0.5) == pytest.approx(
             0.8333333333333333, abs=1e-12
         )
 
     def test_matching_is_per_video(self):
         gts = [("a", span(0, 2))]
         preds = [("b", span(0, 2), 0.9)]
-        assert average_precision(preds, gts, 0.5) == 0.0
+        assert ap_at(preds, gts, 0.5) == 0.0
 
     def test_invariant_under_monotone_score_transform(self):
         rng = np.random.default_rng(0)
@@ -81,9 +102,9 @@ class TestAveragePrecision:
             ("v", span(2 * i + rng.integers(0, 2) * 0.5, 2 * i + 1.5), round(s, 3))
             for i, s in enumerate(rng.integers(1, 64, size=6) / 64.0)
         ]
-        base = [average_precision(preds, gts, t) for t in TIOU_THRESHOLDS]
+        base = average_precision(ap_predictions(preds, gts), len(gts))
         scaled = [(v, s, score / 4.0 + 1.0) for v, s, score in preds]
-        after = [average_precision(scaled, gts, t) for t in TIOU_THRESHOLDS]
+        after = average_precision(ap_predictions(scaled, gts), len(gts))
         assert base == after
 
 
@@ -91,7 +112,7 @@ class TestAvgMap:
     def test_perfect(self):
         gts = {1: [("v", span(0, 2))]}
         preds = {1: [("v", span(0, 2), 1.0)]}
-        avg, per_t, per_c = avg_map(preds, gts)
+        avg, per_t, per_c = avg_map(*map_inputs(preds, gts))
         assert avg == 1.0
         assert all(v == 1.0 for v in per_t.values())
         assert per_c == {1: 1.0}
@@ -99,14 +120,14 @@ class TestAvgMap:
     def test_below_sweep_floor(self):
         gts = {1: [("v", span(0, 10))]}
         preds = {1: [("v", span(0, 4), 1.0)]}  # tIoU 0.4 < every threshold
-        avg, _per_t, _per_c = avg_map(preds, gts)
+        avg, _per_t, _per_c = avg_map(*map_inputs(preds, gts))
         assert avg == 0.0
 
     def test_single_prediction_sweep(self):
         # tIoU 0.7 passes thresholds 0.50..0.70, fails 0.75..0.95
         gts = {1: [("v", span(0, 10))]}
         preds = {1: [("v", span(0, 7), 1.0)]}
-        avg, per_t, _per_c = avg_map(preds, gts)
+        avg, per_t, _per_c = avg_map(*map_inputs(preds, gts))
         assert avg == pytest.approx(0.5, abs=1e-12)
         assert per_t[0.70] == 1.0
         assert per_t[0.75] == 0.0
@@ -114,7 +135,7 @@ class TestAvgMap:
     def test_classes_without_gt_excluded(self):
         gts = {1: [("v", span(0, 2))], 2: []}
         preds = {1: [("v", span(0, 2), 1.0)], 2: [("v", span(0, 2), 1.0)]}
-        avg, _t, per_c = avg_map(preds, gts)
+        avg, _t, per_c = avg_map(*map_inputs(preds, gts))
         assert avg == 1.0
         assert 2 not in per_c
 
@@ -126,7 +147,7 @@ class TestAvgMap:
             preds = {1: [("v", span(float(s), float(s) + float(d)), float(r))
                          for s, d, r in zip(rng.uniform(0, 40, 6), rng.uniform(1, 6, 6),
                                             rng.uniform(0, 1, 6))]}
-            _avg, per_t, _c = avg_map(preds, gts)
+            _avg, per_t, _c = avg_map(*map_inputs(preds, gts))
             values = [per_t[t] for t in TIOU_THRESHOLDS]
             assert all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
 
@@ -181,16 +202,16 @@ class TestBoundaryF1:
 class TestSceneF1:
     def test_identical(self):
         spans = [span(0, 4), span(4, 9)]
-        assert scene_f1(spans, spans) == 1.0
+        assert scene_f1(tiou_of_spans(spans, spans)) == 1.0
 
     def test_tiou_above_threshold(self):
-        assert scene_f1([span(0, 8)], [span(0, 10)]) == 1.0  # 0.8 > 0.75
+        assert scene_f1(tiou_of_spans([span(0, 8)], [span(0, 10)])) == 1.0  # 0.8 > 0.75
 
     def test_tiou_below_threshold(self):
-        assert scene_f1([span(0, 6)], [span(0, 10)]) == 0.0  # 0.6
+        assert scene_f1(tiou_of_spans([span(0, 6)], [span(0, 10)])) == 0.0  # 0.6
 
     def test_threshold_is_strict(self):
-        assert scene_f1([span(0, 3)], [span(0, 4)]) == 0.0  # exactly 0.75
+        assert scene_f1(tiou_of_spans([span(0, 3)], [span(0, 4)])) == 0.0  # exactly 0.75
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -205,7 +226,7 @@ class TestSceneF1:
 
         preds = data.draw(spans_strategy())
         gts = data.draw(spans_strategy())
-        ours = scene_f1([span(*p) for p in preds], [span(*g) for g in gts])
+        ours = scene_f1(tiou_of_spans([span(*p) for p in preds], [span(*g) for g in gts]))
         assert ours == pytest.approx(oracles.naive_scene_f1(preds, gts), abs=1e-12)
 
 

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from scenestruct.errors import ConfigError
-from scenestruct.nn import Adam, Dense, bce_loss, dense_forward, dropout, grad_check, sigmoid
+from scenestruct.nn import Adam, Dense, bce_loss, dense_forward, dropout, sigmoid
+
+from gradcheck import grad_check
 
 
 class TestDenseForward:
@@ -121,6 +124,20 @@ class TestAdam:
             adam.step(params, {"w": np.ones(1)})
             assert adam.t == expected
 
+    def test_non_finite_step_is_never_applied(self):
+        # lr 1e300 overflows float32: every step is inf or nan
+        params = {"fuser.w": np.array([0.5, -1.0], dtype=np.float32),
+                  "head.W": np.array([2.0], dtype=np.float32)}
+        before = {name: p.copy() for name, p in params.items()}
+        adam = Adam(params, lr=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="step of parameter block 'fuser.w'"):
+                adam.step(params, {"fuser.w": np.array([1.0, 0.0], dtype=np.float32),
+                                   "head.W": np.array([1.0], dtype=np.float32)})
+        for name, p in params.items():
+            assert np.array_equal(p, before[name])
+
     def test_non_finite_gradient_names_block(self):
         params = {"head.W": np.zeros(2)}
         adam = Adam(params)
@@ -157,7 +174,9 @@ class TestGradCheck:
     def test_linear_layer_squared_loss_is_exact(self):
         rng = np.random.default_rng(7)
         x = rng.normal(size=(5, 3))
-        layer = Dense(3, 2, init="uniform", rng=rng, dtype=np.float64)
+        layer = Dense(3, 2, dtype=np.float64)
+        scale = 1.0 / np.sqrt(3)
+        layer.W[...] = rng.uniform(-scale, scale, size=(3, 2))
         target = rng.normal(size=(5, 2))
 
         def loss_fn():
@@ -171,7 +190,7 @@ class TestGradCheck:
 
     def test_detects_wrong_gradient(self):
         x = np.array([[1.0, 2.0]])
-        layer = Dense(2, 1, init="zero", dtype=np.float64)
+        layer = Dense(2, 1, dtype=np.float64)
 
         def loss_fn():
             return float(layer.forward(x).sum())

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenestruct.data.labels import span_from_shots
+from scenestruct.data.labels import range_spans, span_array, span_from_shots
 from scenestruct.data.records import Corpus, CorpusManifest, SegmentSpan
 from scenestruct.errors import CheckpointError, ConfigError, DataError
 from scenestruct.fusion import ModalityMask
@@ -44,21 +44,27 @@ def nets(seed=0, num_tags=3, head_mode="scalar"):
     return boundary, segment, tag
 
 
+def off_diagonal_tious(spans):
+    """The tIoU of every pair of distinct (N, 2) spans."""
+    tious = tiou(spans[:, 0], spans[:, 1], spans[:, 0], spans[:, 1])
+    return tious[~np.eye(len(spans), dtype=bool)]
+
+
 class TestNmsTemporal:
     def test_single_proposal_kept(self):
-        assert nms_temporal([span(0, 4)], [0.5], 0.0) == [0]
+        assert nms_temporal(np.array([[0, 4]]), [0.5], 0.0) == [0]
 
     def test_duplicate_suppression(self):
-        kept = nms_temporal([span(0, 4), span(0, 4)], [0.9, 0.8], 0.0)
+        kept = nms_temporal(np.array([[0, 4], [0, 4]]), [0.9, 0.8], 0.0)
         assert kept == [0]
 
     def test_hand_nms_trace(self):
-        spans = [span(0, 4), span(2, 6), span(4, 8)]
+        spans = np.array([[0, 4], [2, 6], [4, 8]])
         kept = nms_temporal(spans, [0.9, 0.8, 0.7], 0.0)
         assert kept == [0, 2]  # [2,6] overlaps [0,4]; [4,8] only touches
 
     def test_kept_order_is_descending_score(self):
-        spans = [span(0, 2), span(10, 12), span(20, 22)]
+        spans = np.array([[0, 2], [10, 12], [20, 22]])
         kept = nms_temporal(spans, [0.2, 0.9, 0.5], 0.0)
         assert kept == [1, 2, 0]
 
@@ -74,8 +80,21 @@ class TestNmsTemporal:
             spans_raw.append((start, start + length))
             scores.append(data.draw(st.integers(0, 20)) / 20.0)
         thresh = data.draw(st.sampled_from([0.0, 0.1, 0.3, 0.5]))
-        ours = nms_temporal([span(*s) for s in spans_raw], scores, thresh)
+        ours = nms_temporal(np.array(spans_raw).reshape(-1, 2), scores, thresh)
         assert ours == oracles.naive_nms(spans_raw, scores, thresh)
+
+    @pytest.mark.parametrize("nms_tiou", [0.0, 0.3, 0.6])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_greedy_oracle_at_20_shots(self, seed, nms_tiou):
+        """All 210 proposals of a 20-shot video, with tied scores."""
+        rng = np.random.default_rng(seed)
+        bounds = np.concatenate([[0.0], np.cumsum(rng.integers(1, 5, size=20) * 0.5)])
+        video = make_video("v", bounds, rng=rng)
+        spans = range_spans(video, enumerate_proposals(video.num_shots))
+        assert spans.shape == (210, 2)
+        scores = rng.integers(0, 40, size=len(spans)) / 40.0
+        ours = nms_temporal(spans, scores, nms_tiou)
+        assert ours == oracles.naive_nms(spans.tolist(), scores.tolist(), nms_tiou)
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -86,12 +105,11 @@ class TestNmsTemporal:
         for _ in range(n):
             start = data.draw(st.integers(0, 20)) * 0.5
             length = data.draw(st.integers(1, 10)) * 0.5
-            spans_list.append(span(start, start + length))
+            spans_list.append((start, start + length))
             scores.append(data.draw(st.integers(0, 20)) / 20.0)
-        kept = nms_temporal(spans_list, scores, 0.0)
-        for a_pos, a in enumerate(kept):
-            for b in kept[a_pos + 1 :]:
-                assert tiou(spans_list[a], spans_list[b]) == 0.0
+        spans = np.array(spans_list)
+        kept = nms_temporal(spans, scores, 0.0)
+        assert not off_diagonal_tious(spans[kept]).any()
 
 
 def three_shot_video(seed=1):
@@ -132,12 +150,10 @@ class TestRunPipeline:
         # recompute both factor streams independently through the public api
         proposals = enumerate_proposals(video.num_shots)
         confidences = segment.forward_video(video, proposals)
-        from scenestruct.data.labels import shot_span_indices
-
         assert pred.segments
         for seg in pred.segments:
-            i, j = shot_span_indices(video, seg.span)
-            idx = proposals.index((i, j))
+            i, j = oracles.shot_span_indices(video, seg.span)
+            idx = proposals.tolist().index([i, j])
             expected = confidences[idx] * tag.forward_scene(video, i, j)
             assert np.array_equal(seg.tag_scores, expected)
             assert seg.scene_score == confidences[idx]
@@ -151,9 +167,7 @@ class TestRunPipeline:
         for seg in pred.segments:
             assert seg.scene_score is None
             assert seg.tag_scores.shape == (3,)
-        for a_pos, seg_a in enumerate(pred.segments):
-            for seg_b in pred.segments[a_pos + 1 :]:
-                assert tiou(seg_a.span, seg_b.span) == 0.0
+        assert not off_diagonal_tious(span_array(seg.span for seg in pred.segments)).any()
 
     def test_mode_d_scores_its_shot_ranges_like_mode_a_cuts_them(self):
         # a 5e-7 s shot sits inside the 1e-6 s tolerance of a time-span lookup
@@ -184,11 +198,9 @@ class TestRunPipeline:
         cfg = PipelineConfig(mode="d", threshold_b=0.5)
         bundle = ModelBundle(boundary=boundary, segment=segment, tag=tag)
         pred = run_pipeline(video, bundle, cfg)
-        from scenestruct.data.labels import shot_span_indices
-
         assert pred.segments
         for seg in pred.segments:
-            i, j = shot_span_indices(video, seg.span)
+            i, j = oracles.shot_span_indices(video, seg.span)
             t = tag.forward_scene(video, i, j)
             assert np.array_equal(seg.tag_scores, seg.scene_score * t)
             # scaling the confidence by a power of two scales every fused

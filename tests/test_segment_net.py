@@ -25,7 +25,7 @@ def small_net(**kwargs):
 
 class TestEnumerateProposals:
     def test_single_shot(self):
-        assert enumerate_proposals(1) == [(1, 1)]
+        assert enumerate_proposals(1).tolist() == [[1, 1]]
 
     def test_three_shots_dense(self):
         assert len(enumerate_proposals(3, 3)) == 6
@@ -34,12 +34,14 @@ class TestEnumerateProposals:
         assert len(enumerate_proposals(5, 2)) == 9
 
     def test_lexicographic_order(self):
-        assert enumerate_proposals(3) == [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+        assert enumerate_proposals(3).tolist() == [[1, 1], [1, 2], [1, 3], [2, 2], [2, 3], [3, 3]]
 
     @given(m=st.integers(1, 20), cap=st.integers(1, 22))
     @settings(max_examples=120, deadline=None)
     def test_matches_brute_force_double_loop(self, m, cap):
-        assert enumerate_proposals(m, cap) == oracles.brute_force_proposals(m, cap)
+        proposals = enumerate_proposals(m, cap)
+        assert proposals.shape == (len(proposals), 2)
+        assert [tuple(p) for p in proposals.tolist()] == oracles.brute_force_proposals(m, cap)
 
 
 class TestProposalTargets:
@@ -110,6 +112,28 @@ class TestProposalTargets:
                 default=0.0,
             )
             assert ours[idx] == pytest.approx(expected, abs=1e-12)
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_tag_targets_match_oracle(self, data):
+        """Equal shot lengths make tIoU ties between scenes likely, and
+        dropped scenes leave proposals that overlap no scene."""
+        n = data.draw(st.integers(1, 8))
+        bounds = [0.0]
+        for _ in range(n):
+            bounds.append(bounds[-1] + data.draw(st.sampled_from([0.5, 1.0])))
+        cuts = data.draw(st.lists(st.integers(1, n - 1), unique=True)) if n > 1 else []
+        edges = [0, *sorted(cuts), n]
+        scenes = [
+            (bounds[a], bounds[b], frozenset(data.draw(st.sets(st.integers(1, 3), min_size=1))))
+            for a, b in zip(edges, edges[1:])
+            if data.draw(st.booleans())
+        ]
+        video = make_video("v", bounds, feature_dim=4,
+                           scenes=[make_scene(s, e, tags) for s, e, tags in scenes])
+        proposals = enumerate_proposals(n)
+        expected = oracles.naive_proposal_tag_targets(bounds, proposals.tolist(), scenes, 3)
+        assert np.array_equal(proposal_tag_targets(proposals, video, 3), np.array(expected))
 
 
 class TestForward:
