@@ -67,46 +67,48 @@ class ShotFuser:
     then the length column. block_slices documents them.
     """
 
-    def __init__(self, mask, dims, *, encoders=None, dropout_rate=0.5,
-                 dtype=np.float32, rng=None):
+    def __init__(self, mask, dims, params, *, encoders=None, dropout_rate=0.5,
+                 dtype=np.float32):
         self.mask = mask
         self.dims = dict(dims)
         self.encoders = {m: (encoders or {}).get(m, EncoderSpec()) for m in mask.modalities}
         self.dropout_rate = dropout_rate
         self.dtype = np.dtype(dtype)
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
+        self.params = params  # the owning net's dict; this fuser reads its "fuser.*" entries
         missing = [m for m in mask.modalities if m not in self.dims]
         if missing:
             raise ConfigError(f"mask enables modalities absent from the manifest: {missing}")
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.block_slices: dict[str, slice] = {}
         offset = 0
         for mod in mask.modalities:
             spec = self.encoders[mod]
-            if spec.trainable:
-                in_dim = self.dims[mod]
-                scale = 1.0 / np.sqrt(in_dim)
-                self.params[f"enc_{mod}_W"] = rng.uniform(
-                    -scale, scale, size=(in_dim, spec.dim)
-                ).astype(self.dtype)
-                self.params[f"enc_{mod}_b"] = np.zeros(spec.dim, dtype=self.dtype)
-                width = spec.dim
-            else:
-                width = self.dims[mod]
+            width = spec.dim if spec.trainable else self.dims[mod]
             self.block_slices[mod] = slice(offset, offset + width)
             offset += width
         if mask.include_length:
             self.block_slices[LENGTH_KEY] = slice(offset, offset + 1)
             offset += 1
         self.fused_dim = offset
-        for name, p in self.params.items():
-            self.grads[name] = np.zeros_like(p)
 
-    def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0
+    def param_shapes(self) -> dict:
+        """Name -> shape of each trainable-encoder parameter, in draw and
+        checkpoint order."""
+        shapes = {}
+        for mod, spec in self.encoders.items():
+            if spec.trainable:
+                shapes[f"fuser.enc_{mod}_W"] = (self.dims[mod], spec.dim)
+                shapes[f"fuser.enc_{mod}_b"] = (spec.dim,)
+        return shapes
+
+    def draw_params(self, rng) -> None:
+        """Fill params with initial weights drawn from rng: W uniform in
+        +-1/sqrt(input dim), b zero."""
+        for name, shape in self.param_shapes().items():
+            if name.endswith("_W"):
+                scale = 1.0 / np.sqrt(shape[0])
+                self.params[name] = rng.uniform(-scale, scale, size=shape).astype(self.dtype)
+            else:
+                self.params[name] = np.zeros(shape, dtype=self.dtype)
 
     def forward_shots(self, shots, *, train=False, rng=None):
         """Fuse a ShotTable into (len(shots), fused_dim); returns (out, cache)."""
@@ -124,7 +126,7 @@ class ShotFuser:
                 )
             spec = self.encoders[mod]
             if spec.trainable:
-                act = x @ self.params[f"enc_{mod}_W"] + self.params[f"enc_{mod}_b"]
+                act = x @ self.params[f"fuser.enc_{mod}_W"] + self.params[f"fuser.enc_{mod}_b"]
                 enc = np.tanh(act)
                 enc_cache[mod] = (x, enc)
                 blocks.append(enc)
@@ -136,16 +138,17 @@ class ShotFuser:
         fused, drop_mask = dropout(fused, self.dropout_rate, train, rng)
         return fused, (enc_cache, drop_mask)
 
-    def backward(self, cache, grad_fused) -> None:
-        """Accumulate trainable-encoder gradients; raw features are leaves."""
+    def backward(self, cache, grad_fused, grads: dict) -> None:
+        """Add the trainable-encoder gradients into grads; raw features are
+        leaves."""
         enc_cache, drop_mask = cache
         if drop_mask is not None:
             grad_fused = grad_fused * drop_mask
         for mod, (x, enc) in enc_cache.items():
             d_enc = grad_fused[:, self.block_slices[mod]]
             d_act = d_enc * (1.0 - enc * enc)
-            self.grads[f"enc_{mod}_W"] += x.T @ d_act
-            self.grads[f"enc_{mod}_b"] += d_act.sum(axis=0)
+            grads[f"fuser.enc_{mod}_W"] += x.T @ d_act
+            grads[f"fuser.enc_{mod}_b"] += d_act.sum(axis=0)
 
     def encoder_specs_dict(self) -> dict:
         return {

@@ -11,7 +11,7 @@ import numpy as np
 
 from ..data.labels import boundary_labels
 from ..errors import ConfigError
-from ..nn.layers import Dense, sigmoid
+from ..nn.layers import sigmoid
 from ..nn.losses import bce_loss
 from .common import SequenceNet, TrainingHyper, fit
 
@@ -19,17 +19,17 @@ from .common import SequenceNet, TrainingHyper, fit
 class BoundaryNet(SequenceNet):
     kind = "boundary"
     config_keys = ("positive_weight",)
+    summary_width = 4  # the two flanking shots' hidden states
 
     def __init__(self, mask, dims, *, positive_weight=1.0, **kwargs):
-        super().__init__(mask, dims, **kwargs)
+        super().__init__(mask, dims, num_outputs=1, **kwargs)
         self.positive_weight = positive_weight
-        self.head = Dense(4 * self.hidden_dim, 1, dtype=self.lstm.dtype)
 
     def _head_forward(self, hidden):
         pair = np.concatenate([hidden[:, :-1], hidden[:, 1:]], axis=2)
         b_sz, tm1, dim = pair.shape
-        logits = (pair.reshape(b_sz * tm1, dim) @ self.head.W + self.head.b).reshape(b_sz, tm1)
-        return sigmoid(logits), pair
+        logits = pair.reshape(b_sz * tm1, dim) @ self.params["head.W"] + self.params["head.b"]
+        return sigmoid(logits.reshape(b_sz, tm1)), pair
 
     def forward_videos(self, videos, *, train=False, rng=None) -> list[np.ndarray]:
         """Boundary scores of each video, encoded together as one batch."""
@@ -67,9 +67,9 @@ class BoundaryNet(SequenceNet):
         loss, d_logits = bce_loss(probs, targets, valid, pos_weight=self.positive_weight)
         if backward:
             hd2 = 2 * self.hidden_dim
-            d_pair = d_logits[:, :, None] * self.head.W[None, None, :, 0]
-            self.head.gW[:, 0] += np.einsum("btk,bt->k", pair, d_logits)
-            self.head.gb += d_logits.sum()
+            d_pair = d_logits[:, :, None] * self.params["head.W"][None, None, :, 0]
+            self.grads["head.W"][:, 0] += np.einsum("btk,bt->k", pair, d_logits)
+            self.grads["head.b"] += d_logits.sum()
             d_hidden = np.zeros_like(hidden)
             d_hidden[:, :-1] += d_pair[:, :, :hd2]
             d_hidden[:, 1:] += d_pair[:, :, hd2:]

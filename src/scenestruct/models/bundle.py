@@ -5,8 +5,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from ..errors import CheckpointError, ConfigError
 from ..nn.checkpoint import load_checkpoint, save_checkpoint
 from .boundary import BoundaryNet
@@ -40,41 +38,25 @@ def checkpoint_filename(net: str, head_mode=None) -> str:
 
 
 def save_model(model, path) -> None:
-    save_checkpoint(path, model.kind, model.config_dict(), model.parameters())
-
-
-class _NoDraw:
-    """Stands in for the init rng of a net whose every parameter is then
-    overwritten from a checkpoint: zeros in place of random draws."""
-
-    @staticmethod
-    def uniform(low, high, size):
-        return np.broadcast_to(0.0, size)
+    save_checkpoint(path, model.kind, model.config_dict(), model.params)
 
 
 def load_model(path, expected_kind=None):
+    """The net a checkpoint holds, built from its config and arrays; draws
+    no random numbers."""
     kind, config, params = load_checkpoint(path)
     if expected_kind is not None and kind != expected_kind:
         raise CheckpointError(f"checkpoint {path} holds a {kind!r} model, expected {expected_kind!r}")
     if kind not in NETS_BY_KIND:
         raise CheckpointError(f"checkpoint {path} holds unknown model kind {kind!r}")
     try:
-        model = NETS_BY_KIND[kind].from_config(config, rng=_NoDraw)
+        return NETS_BY_KIND[kind].from_config(config, params)
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {path}: config lacks key {exc.args[0]!r}") from exc
+    except CheckpointError as exc:
+        raise CheckpointError(f"checkpoint {path}: {exc}") from exc
     except (AttributeError, TypeError, ValueError, ConfigError) as exc:
         raise CheckpointError(f"checkpoint {path}: config is malformed: {exc}") from exc
-    own = model.parameters()
-    if set(own) != set(params):
-        raise CheckpointError(f"checkpoint {path} parameter names do not match the model")
-    for name, value in params.items():
-        if (own[name].shape, own[name].dtype) != (value.shape, value.dtype):
-            raise CheckpointError(
-                f"checkpoint {path}: parameter {name} is {value.dtype.name} of shape "
-                f"{value.shape}, model expects {own[name].dtype.name} of shape {own[name].shape}"
-            )
-        own[name][...] = value
-    return model
 
 
 @dataclass

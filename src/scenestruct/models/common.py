@@ -5,13 +5,15 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from ..errors import ConfigError
+from ..errors import CheckpointError, ConfigError
 from ..fusion import EncoderSpec, ModalityMask, ShotFuser
 from ..nn.batching import SequenceBatch
+from ..nn.layers import dense_backward
 from ..nn.lstm import BiLstm
 from ..nn.optim import Adam
 
@@ -21,39 +23,60 @@ log = logging.getLogger(__name__)
 class SequenceNet:
     """Fused shot features -> two-layer BiLSTM -> a net-specific head.
 
-    The fuser and then the BiLSTM draw their initial weights from rng, by
-    default one seeded by seed; a subclass builds its own Dense head as
-    self.head and names the constructor arguments its config_dict records
-    in config_keys.
+    The net owns one parameter dict, params: the fuser's ("fuser.*"), the
+    BiLSTM's ("lstm.*") and then the head's ("head.W", "head.b"), a
+    summary_width * hidden_dim by num_outputs affine map. A fresh net draws
+    the fuser's and then the BiLSTM's initial weights from an rng seeded by
+    seed, and starts its head at zero: every output at the sigmoid
+    midpoint. A net given params (from a checkpoint) draws nothing
+    and copies each array once, after checking it against the shape and
+    dtype its config implies. grads, with params' names, is allocated by
+    the first zero_grads(). A subclass names the constructor arguments its
+    config_dict records in config_keys.
     """
 
     config_keys: tuple[str, ...] = ()
+    summary_width = 0  # the head's input width in units of hidden_dim
 
-    def __init__(self, mask, dims, *, hidden_dim=128, encoders=None,
-                 dropout_rate=0.5, dtype=np.float32, seed=0, rng=None):
-        if rng is None:
-            rng = np.random.default_rng(np.random.SeedSequence(seed))
+    def __init__(self, mask, dims, *, num_outputs, hidden_dim=128, encoders=None,
+                 dropout_rate=0.5, dtype=np.float32, seed=0, params=None):
         self.hidden_dim = hidden_dim
-        self.fuser = ShotFuser(mask, dims, encoders=encoders,
-                               dropout_rate=dropout_rate, dtype=dtype, rng=rng)
-        self.lstm = BiLstm(self.fuser.fused_dim, hidden_dim, rng=rng, dtype=dtype)
+        self.params: dict[str, np.ndarray] = {}
+        self.grads: dict[str, np.ndarray] | None = None
+        self.fuser = ShotFuser(mask, dims, self.params, encoders=encoders,
+                               dropout_rate=dropout_rate, dtype=dtype)
+        self.lstm = BiLstm(self.fuser.fused_dim, hidden_dim, self.params, dtype=dtype)
+        head = {"head.W": (self.summary_width * hidden_dim, num_outputs), "head.b": (num_outputs,)}
+        if params is not None:
+            self._copy_params(params, {**self.fuser.param_shapes(), **self.lstm.param_shapes(), **head})
+            return
+        rng = np.random.default_rng(np.random.SeedSequence(seed))
+        self.fuser.draw_params(rng)
+        self.lstm.draw_params(rng)
+        for name, shape in head.items():
+            self.params[name] = np.zeros(shape, dtype=self.lstm.dtype)
 
-    @staticmethod
-    def _blocks(fuser, lstm, head) -> dict:
-        return {f"{prefix}.{k}": v
-                for prefix, block in (("fuser", fuser), ("lstm", lstm), ("head", head))
-                for k, v in block.items()}
-
-    def parameters(self) -> dict:
-        return self._blocks(self.fuser.params, self.lstm.params, self.head.params())
-
-    def gradients(self) -> dict:
-        return self._blocks(self.fuser.grads, self.lstm.grads, self.head.grads())
+    def _copy_params(self, arrays: dict, shapes: dict) -> None:
+        odd = ([f"unexpected {name!r}" for name in arrays if name not in shapes]
+               + [f"missing {name!r}" for name in shapes if name not in arrays])
+        if odd:
+            raise CheckpointError(f"parameter names do not match the model: {odd[0]}")
+        dtype = self.lstm.dtype
+        for name, shape in shapes.items():
+            shape = tuple(map(operator.index, shape))  # a float width in the config is malformed
+            value = arrays[name]
+            if (value.shape, value.dtype) != (shape, dtype):
+                raise CheckpointError(
+                    f"parameter {name} is {value.dtype.name} of shape {value.shape}, "
+                    f"model expects {dtype.name} of shape {shape}")
+            # the one copy: aligned, writable and free of the file's buffer
+            self.params[name] = value.copy()
 
     def zero_grads(self) -> None:
-        self.fuser.zero_grads()
-        self.lstm.zero_grads()
-        self.head.zero_grads()
+        if self.grads is None:
+            self.grads = {name: np.zeros_like(p) for name, p in self.params.items()}
+        for g in self.grads.values():
+            g[...] = 0
 
     def config_dict(self) -> dict:
         return {
@@ -67,18 +90,18 @@ class SequenceNet:
         }
 
     @classmethod
-    def from_config(cls, config: dict, rng=None):
-        """Rebuild an untrained net from what config_dict recorded, drawing
-        its initial weights from rng if one is given. Every key config_dict
-        writes is required: a missing one raises KeyError naming it."""
+    def from_config(cls, config: dict, params: dict):
+        """Rebuild a net from what config_dict recorded and its parameter
+        arrays. Every key config_dict writes is required: a missing one
+        raises KeyError naming it."""
         mask = ModalityMask.from_names(
             config["mask"]["modalities"], include_length=config["mask"]["include_length"]
         )
         encoders = {mod: EncoderSpec(trainable=spec["trainable"], dim=spec["dim"])
                     for mod, spec in config["encoders"].items()}
         return cls(mask, config["dims"], hidden_dim=config["hidden_dim"], encoders=encoders,
-                   dropout_rate=config["dropout_rate"], dtype=np.dtype(config["dtype"]), rng=rng,
-                   **{key: config[key] for key in cls.config_keys})
+                   dropout_rate=config["dropout_rate"], dtype=np.dtype(config["dtype"]),
+                   params=params, **{key: config[key] for key in cls.config_keys})
 
     def _encode(self, shot_lists, *, train, rng):
         """Fuse each shot list and run them through the BiLSTM as one padded
@@ -92,11 +115,19 @@ class SequenceNet:
         hidden, lstm_cache = self.lstm.forward(batch)
         return hidden, batch.lengths, (batch.lengths, fuse_caches, lstm_cache)
 
+    def _head_backward(self, x, d_logits):
+        """Add the head's gradients for inputs x; returns the gradient
+        w.r.t. x."""
+        d_x, g_w, g_b = dense_backward(x, self.params["head.W"], d_logits)
+        self.grads["head.W"] += g_w
+        self.grads["head.b"] += g_b
+        return d_x
+
     def _backprop(self, cache, d_hidden) -> None:
         lengths, fuse_caches, lstm_cache = cache
-        d_input = self.lstm.backward(lstm_cache, d_hidden)
+        d_input = self.lstm.backward(lstm_cache, d_hidden, self.grads)
         for row, fuse_cache in enumerate(fuse_caches):
-            self.fuser.backward(fuse_cache, d_input[row, : lengths[row]])
+            self.fuser.backward(fuse_cache, d_input[row, : lengths[row]], self.grads)
 
 
 @dataclass
@@ -169,14 +200,15 @@ def fit(model, items, *, hyper: TrainingHyper, val_items=None) -> TrainTrace:
     """Minibatch loop with Adam and early stopping on validation loss.
 
     model.batch_loss_and_grads(batch, rng, train=True) runs forward +
-    backward on a list of items and returns (loss, count), or None when the
-    batch carries no supervision. Keeps the parameters of the best
+    backward on a list of items, adding into model.grads after
+    model.zero_grads(), and returns (loss, count), or None when the batch
+    carries no supervision. Keeps the parameters of the best
     validation epoch. Fully deterministic for a fixed hyper.seed. Non-finite
     values during training (divergence) are a ConfigError naming the epoch.
     """
     seq = np.random.SeedSequence(hyper.seed)
     shuffle_rng, dropout_rng = (np.random.default_rng(s) for s in seq.spawn(2))
-    params = model.parameters()
+    params = model.params
     adam = Adam(params, lr=hyper.lr)
     trace = TrainTrace()
     best_val = np.inf
@@ -194,7 +226,7 @@ def fit(model, items, *, hyper: TrainingHyper, val_items=None) -> TrainTrace:
                 if out is None:
                     continue
                 loss, n = out
-                adam.step(params, model.gradients())
+                adam.step(params, model.grads)
                 total += loss * n
                 count += n
             train_loss = total / count if count else float("nan")

@@ -16,7 +16,7 @@ import numpy as np
 from ..data.labels import range_spans, span_array
 from ..errors import ConfigError, DataError
 from ..metrics import tiou
-from ..nn.layers import Dense, sigmoid
+from ..nn.layers import sigmoid
 from ..nn.losses import bce_loss
 from .common import SequenceNet, TrainingHyper, fit
 
@@ -69,17 +69,17 @@ def proposal_tag_targets(proposals, video, num_tags) -> np.ndarray:
 class SegmentNet(SequenceNet):
     kind = "segment"
     config_keys = ("head_mode", "num_tags")
+    summary_width = 6  # [h_i, h_j, mean(h_i..h_j)]
 
     def __init__(self, mask, dims, *, num_tags=None, head_mode="scalar", **kwargs):
         if head_mode not in HEAD_MODES:
             raise ConfigError(f"head_mode must be one of {HEAD_MODES}, got {head_mode!r}")
         if head_mode == "per_tag" and not num_tags:
             raise ConfigError("per_tag head requires num_tags")
-        super().__init__(mask, dims, **kwargs)
+        super().__init__(mask, dims, num_outputs=1 if head_mode == "scalar" else num_tags,
+                         **kwargs)
         self.head_mode = head_mode
         self.num_tags = num_tags
-        out_dim = 1 if head_mode == "scalar" else num_tags
-        self.head = Dense(6 * self.hidden_dim, out_dim, dtype=self.lstm.dtype)
 
     @staticmethod
     def _summaries(hidden_1video, i_idx, j_idx):
@@ -96,7 +96,8 @@ class SegmentNet(SequenceNet):
     def _head_forward(self, summaries):
         # per-row reduction keeps each row's value independent of how many
         # proposals are scored together
-        logits = (summaries[:, :, None] * self.head.W[None, :, :]).sum(axis=1) + self.head.b
+        weights = self.params["head.W"]
+        logits = (summaries[:, :, None] * weights[None, :, :]).sum(axis=1) + self.params["head.b"]
         return sigmoid(logits)
 
     def _scatter_summary_grads(self, d_summary, hidden_1video, i_idx, j_idx):
@@ -151,7 +152,7 @@ class SegmentNet(SequenceNet):
         targets = targets.reshape(probs.shape)
         loss, d_logits = bce_loss(probs, targets)
         if backward:
-            d_summary = self.head.backward(stacked, d_logits)
+            d_summary = self._head_backward(stacked, d_logits)
             d_hidden = np.zeros_like(hidden)
             offset = 0
             for row, (video, i_idx, j_idx, _t) in enumerate(items):

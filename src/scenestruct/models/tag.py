@@ -12,7 +12,7 @@ import numpy as np
 
 from ..data.labels import shots_in_span
 from ..errors import ConfigError, DataError
-from ..nn.layers import Dense, sigmoid
+from ..nn.layers import assert_finite, dense_forward, sigmoid
 from ..nn.losses import bce_loss
 from .common import SequenceNet, TrainingHyper, fit
 
@@ -27,13 +27,13 @@ def multihot(tags, num_tags) -> np.ndarray:
 class TagNet(SequenceNet):
     kind = "tag"
     config_keys = ("num_tags",)
+    summary_width = 2  # one hidden state per direction
 
     def __init__(self, mask, dims, num_tags, **kwargs):
         if num_tags < 1:
             raise ConfigError(f"num_tags must be >= 1, got {num_tags}")
-        super().__init__(mask, dims, **kwargs)
+        super().__init__(mask, dims, num_outputs=num_tags, **kwargs)
         self.num_tags = num_tags
-        self.head = Dense(2 * self.hidden_dim, num_tags, dtype=self.lstm.dtype)
 
     def _summary(self, hidden, lengths):
         # forward direction at the last valid step; backward direction at step 0
@@ -41,10 +41,15 @@ class TagNet(SequenceNet):
         rows = np.arange(hidden.shape[0])
         return np.concatenate([hidden[rows, lengths - 1, :hd], hidden[:, 0, hd:]], axis=1)
 
+    def _head_forward(self, summary):
+        logits = dense_forward(summary, self.params["head.W"], self.params["head.b"])
+        assert_finite("tag head output", logits)
+        return sigmoid(logits)
+
     def forward_scenes(self, scene_shots, *, train=False, rng=None) -> np.ndarray:
         """Tag scores (n_scenes, num_tags) for shot lists encoded as one batch."""
         hidden, lengths, _cache = self._encode(scene_shots, train=train, rng=rng)
-        return sigmoid(self.head.forward(self._summary(hidden, lengths)))
+        return self._head_forward(self._summary(hidden, lengths))
 
     def forward_scene(self, video, i, j, *, train=False, rng=None) -> np.ndarray:
         """Tag scores (num_tags,) for the inclusive shot range [i, j]."""
@@ -64,12 +69,12 @@ class TagNet(SequenceNet):
             backward = train
         hidden, lengths, cache = self._encode([shots for shots, _t in items], train=train, rng=rng)
         summary = self._summary(hidden, lengths)
-        probs = sigmoid(self.head.forward(summary))
+        probs = self._head_forward(summary)
         targets = np.stack([t for _s, t in items]).astype(self.lstm.dtype)
         loss, d_logits = bce_loss(probs, targets)
         if backward:
             hd = self.hidden_dim
-            d_summary = self.head.backward(summary, d_logits)
+            d_summary = self._head_backward(summary, d_logits)
             d_hidden = np.zeros_like(hidden)
             d_hidden[np.arange(hidden.shape[0]), lengths - 1, :hd] += d_summary[:, :hd]
             d_hidden[:, 0, hd:] += d_summary[:, hd:]

@@ -1,4 +1,4 @@
-"""Dense layer, sigmoid and dropout primitives."""
+"""Affine map, sigmoid and dropout primitives."""
 
 from __future__ import annotations
 
@@ -52,38 +52,6 @@ def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.nd
 def dense_backward(x, weights, grad_y):
     """Gradients of dense_forward: returns (grad_x, grad_w, grad_b)."""
     return grad_y @ weights.T, x.T @ grad_y, grad_y.sum(axis=0)
-
-
-class Dense:
-    """Affine map y = x W + b with gradient accumulation, zero-initialised:
-    every head starts at the sigmoid midpoint (all outputs 0.5)."""
-
-    def __init__(self, in_dim, out_dim, *, dtype=np.float32):
-        self.W = np.zeros((in_dim, out_dim), dtype=dtype)
-        self.b = np.zeros(out_dim, dtype=dtype)
-        self.gW = np.zeros_like(self.W)
-        self.gb = np.zeros_like(self.b)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        y = dense_forward(x, self.W, self.b)
-        assert_finite("dense output", y)
-        return y
-
-    def backward(self, x: np.ndarray, grad_y: np.ndarray) -> np.ndarray:
-        grad_x, gw, gb = dense_backward(x, self.W, grad_y)
-        self.gW += gw
-        self.gb += gb
-        return grad_x
-
-    def params(self) -> dict:
-        return {"W": self.W, "b": self.b}
-
-    def grads(self) -> dict:
-        return {"W": self.gW, "b": self.gb}
-
-    def zero_grads(self) -> None:
-        self.gW[...] = 0
-        self.gb[...] = 0
 
 
 def dropout(x: np.ndarray, rate: float, train: bool, rng=None):

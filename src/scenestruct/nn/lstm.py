@@ -27,32 +27,33 @@ class BiLstm:
 
     num_layers = 2  # the paper's depth
 
-    def __init__(self, input_dim, hidden_dim, *, rng=None, dtype=np.float32):
-        if rng is None:
-            rng = np.random.default_rng(0)
+    def __init__(self, input_dim, hidden_dim, params, *, dtype=np.float32):
         self.input_dim = input_dim
         self.hidden_dim = hidden_dim
         self.dtype = np.dtype(dtype)
-        self.params: dict[str, np.ndarray] = {}
-        self.grads: dict[str, np.ndarray] = {}
-        scale = 1.0 / np.sqrt(hidden_dim)
-        for layer in range(self.num_layers):
-            in_dim = input_dim if layer == 0 else 2 * hidden_dim
-            for direction in DIRECTIONS:
-                prefix = f"l{layer}_{direction}_"
-                wx = rng.uniform(-scale, scale, size=(in_dim, 4 * hidden_dim))
-                wh = rng.uniform(-scale, scale, size=(hidden_dim, 4 * hidden_dim))
-                b = np.zeros(4 * hidden_dim)
-                b[hidden_dim : 2 * hidden_dim] = 1.0
-                self.params[prefix + "Wx"] = wx.astype(self.dtype)
-                self.params[prefix + "Wh"] = wh.astype(self.dtype)
-                self.params[prefix + "b"] = b.astype(self.dtype)
-        for name, p in self.params.items():
-            self.grads[name] = np.zeros_like(p)
+        self.params = params  # the owning net's dict; this layer reads its "lstm.*" entries
 
-    def zero_grads(self) -> None:
-        for g in self.grads.values():
-            g[...] = 0
+    def param_shapes(self) -> dict:
+        """Name -> shape of each parameter, in draw and checkpoint order."""
+        hd = self.hidden_dim
+        shapes = {}
+        for layer in range(self.num_layers):
+            in_dim = self.input_dim if layer == 0 else 2 * hd
+            for direction in DIRECTIONS:
+                prefix = f"lstm.l{layer}_{direction}_"
+                shapes[prefix + "Wx"] = (in_dim, 4 * hd)
+                shapes[prefix + "Wh"] = (hd, 4 * hd)
+                shapes[prefix + "b"] = (4 * hd,)
+        return shapes
+
+    def draw_params(self, rng) -> None:
+        """Fill params with initial weights drawn from rng."""
+        hd = self.hidden_dim
+        scale = 1.0 / np.sqrt(hd)
+        for name, shape in self.param_shapes().items():
+            value = (np.repeat([0.0, 1.0, 0.0, 0.0], hd) if name.endswith("_b")  # forget gate at 1
+                     else rng.uniform(-scale, scale, size=shape))
+            self.params[name] = value.astype(self.dtype)
 
     def forward(self, batch: SequenceBatch):
         """Returns (output, cache); cache is consumed by backward()."""
@@ -75,22 +76,25 @@ class BiLstm:
         cache = (layer_caches, valid)
         return layer_in, cache
 
-    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
-        """Accumulates parameter grads; returns the grad w.r.t. the input."""
+    def backward(self, cache, grad_out: np.ndarray, grads: dict) -> np.ndarray:
+        """Adds the parameter gradients into grads; returns the gradient
+        w.r.t. the input."""
         layer_caches, valid = cache
         hd = self.hidden_dim
         d = np.where(valid[:, :, None], grad_out, 0).astype(self.dtype, copy=False)
         for layer in reversed(range(self.num_layers)):
             cache_fwd, cache_bwd, layer_in = layer_caches[layer]
-            dx_fwd = self._direction_backward(cache_fwd, layer_in, valid, layer, "fwd", d[:, :, :hd])
-            dx_bwd = self._direction_backward(cache_bwd, layer_in, valid, layer, "bwd", d[:, :, hd:])
+            dx_fwd = self._direction_backward(cache_fwd, layer_in, valid, layer, "fwd",
+                                              d[:, :, :hd], grads)
+            dx_bwd = self._direction_backward(cache_bwd, layer_in, valid, layer, "bwd",
+                                              d[:, :, hd:], grads)
             d = dx_fwd + dx_bwd
         return d
 
     def _run_direction(self, x, valid, layer, direction):
         b_sz, t_max, _ = x.shape
         hd = self.hidden_dim
-        prefix = f"l{layer}_{direction}_"
+        prefix = f"lstm.l{layer}_{direction}_"
         wx = self.params[prefix + "Wx"]
         wh = self.params[prefix + "Wh"]
         bias = self.params[prefix + "b"]
@@ -123,16 +127,16 @@ class BiLstm:
             tanh_c[t] = tc
         return out, (gates, c_hat, tanh_c, h_prev, c_prev, order)
 
-    def _direction_backward(self, dir_cache, x, valid, layer, direction, d_out):
+    def _direction_backward(self, dir_cache, x, valid, layer, direction, d_out, grads):
         gates, c_hat, tanh_c, h_prev, c_prev, order = dir_cache
         b_sz, t_max, _ = x.shape
         hd = self.hidden_dim
-        prefix = f"l{layer}_{direction}_"
+        prefix = f"lstm.l{layer}_{direction}_"
         wx = self.params[prefix + "Wx"]
         wh = self.params[prefix + "Wh"]
-        g_wx = self.grads[prefix + "Wx"]
-        g_wh = self.grads[prefix + "Wh"]
-        g_b = self.grads[prefix + "b"]
+        g_wx = grads[prefix + "Wx"]
+        g_wh = grads[prefix + "Wh"]
+        g_b = grads[prefix + "b"]
         dx = np.zeros_like(x)
         dh_carry = np.zeros((b_sz, hd), dtype=self.dtype)
         dc_carry = np.zeros((b_sz, hd), dtype=self.dtype)

@@ -55,29 +55,35 @@ class GeneratorConfig:
     min_shot_s: float = 0.2
 
     def __post_init__(self):
-        check_setting(self.seed, "generator.seed", 0, integer=True)
-
-    def validate(self) -> None:
-        if self.num_videos < 0:
-            raise ConfigError("num_videos must be >= 0")
-        for name, rng_ in (("scenes_per_video", self.scenes_per_video),
-                           ("shots_per_scene", self.shots_per_scene),
-                           ("tags_per_scene", self.tags_per_scene)):
-            lo, hi = rng_
-            if lo < 1 or hi < lo:
-                raise ConfigError(f"{name} range {rng_} is empty or invalid")
+        """Check every value: a bad one is a ConfigError naming its key."""
+        for key, low in (("num_videos", 0), ("seed", 0), ("num_tags", 1),
+                         ("scene_prototype_pool", 2)):
+            check_setting(getattr(self, key), f"generator.{key}", low, integer=True)
+        for key in ("duration_mean_s", "min_scene_s", "min_shot_s"):
+            check_setting(getattr(self, key), f"generator.{key}", 0, open_low=True)
+        for key in ("duration_std_s", "prototype_scale", "min_scene_prototype_distance",
+                    "tag_zipf_exponent"):
+            check_setting(getattr(self, key), f"generator.{key}", 0)
+        if isinstance(self.noise_std, dict):
+            for mod, value in self.noise_std.items():
+                check_setting(value, f"generator.noise_std.{mod}", 0)
+        else:
+            check_setting(self.noise_std, "generator.noise_std", 0)
+        for key in ("scenes_per_video", "shots_per_scene", "tags_per_scene"):
+            pair = getattr(self, key)
+            if len(pair) != 2:
+                raise ConfigError(f"generator.{key} must be a [low, high] pair, got {list(pair)}")
+            check_setting(pair[0], f"generator.{key}[0]", 1, integer=True)
+            check_setting(pair[1], f"generator.{key}[1]", pair[0], integer=True)
         if self.tags_per_scene[1] > self.num_tags:
             raise ConfigError("tags_per_scene exceeds the tag vocabulary")
         for mod, dim in self.modalities.items():
-            if dim < 1:
-                raise ConfigError(f"modality {mod!r} has non-positive dim {dim}")
+            check_setting(dim, f"generator.modalities.{mod}", 1, integer=True)
             if self.signal.get(mod, "none") not in SIGNAL_MODES:
                 raise ConfigError(
                     f"modality {mod!r} signal must be one of {SIGNAL_MODES}, "
                     f"got {self.signal.get(mod)!r}"
                 )
-        if self.scene_prototype_pool < 2:
-            raise ConfigError("scene_prototype_pool must hold at least 2 prototypes")
         floor = self.scenes_per_video[1] * self.min_scene_s
         if floor > self.duration_mean_s + 5.0 * self.duration_std_s:
             raise ConfigError(
@@ -129,7 +135,6 @@ def _prototype_pool(rng, size, dim, scale, min_dist) -> np.ndarray:
 
 def build_corpus(cfg: GeneratorConfig) -> Corpus:
     """Generate an in-memory corpus; identical for identical configs."""
-    cfg.validate()
     rng = np.random.default_rng(cfg.seed)
     tag_probs = _tag_probs(cfg)
     tag_protos = {

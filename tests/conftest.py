@@ -11,6 +11,7 @@ from scenestruct.data.records import (
     VideoRecord,
 )
 from scenestruct.metrics import tiou
+from scenestruct.nn import BiLstm
 
 
 def make_video(video_id, bounds, feature_dim=2, modalities=("vis_r50",), scenes=None, rng=None):
@@ -25,6 +26,18 @@ def make_video(video_id, bounds, feature_dim=2, modalities=("vis_r50",), scenes=
                         {m: feats[:, k] for k, m in enumerate(modalities)}),
         scenes=scenes,
     )
+
+
+def make_lstm(input_dim, hidden_dim, rng=None, dtype=np.float32):
+    """A standalone BiLstm with its weights drawn from rng (default seed 0)."""
+    lstm = BiLstm(input_dim, hidden_dim, {}, dtype=dtype)
+    lstm.draw_params(rng or np.random.default_rng(0))
+    return lstm
+
+
+def zeros_like_params(params):
+    """A zeroed gradient dict for params, for a layer's backward to add into."""
+    return {name: np.zeros_like(p) for name, p in params.items()}
 
 
 def make_scene(start, end, tags):

@@ -38,12 +38,12 @@ from scenestruct.models import (
 )
 from scenestruct.models.common import TrainingHyper
 from scenestruct.models.tag import multihot
-from scenestruct.nn import BiLstm, SequenceBatch, bce_loss
+from scenestruct.nn import SequenceBatch, bce_loss
 from scenestruct.pipeline import LoadedPrediction, LoadedSegment, PipelineConfig, nms_temporal, predict_corpus
 from scenestruct.synth import GeneratorConfig, build_corpus
 
 import oracles
-from conftest import ap_predictions, map_inputs
+from conftest import ap_predictions, make_lstm, map_inputs, zeros_like_params
 from gradcheck import grad_check
 
 
@@ -84,8 +84,8 @@ def _max_grad_error(model, items, rng_seed):
 
     model.zero_grads()
     model.batch_loss_and_grads(items, np.random.default_rng(rng_seed), train=True)
-    analytic = {k: v.copy() for k, v in model.gradients().items()}
-    return grad_check(loss_fn, model.parameters(), analytic, eps=1e-6)
+    analytic = {k: v.copy() for k, v in model.grads.items()}
+    return grad_check(loss_fn, model.params, analytic, eps=1e-6)
 
 
 def test_criterion_1_gradient_correctness():
@@ -429,7 +429,7 @@ def test_criterion_7_cli_determinism(tmp_path):
 
 def test_criterion_8_padding_invariance():
     rng = np.random.default_rng(5)
-    lstm = BiLstm(4, 6, dtype=np.float64, rng=rng)
+    lstm = make_lstm(4, 6, rng, dtype=np.float64)
     seqs = [rng.normal(size=(n, 4)) for n in (6, 2, 4, 1)]
     batch = SequenceBatch.from_sequences(seqs)
     boundary_mask = np.zeros((4, 5), dtype=bool)
@@ -439,15 +439,15 @@ def test_criterion_8_padding_invariance():
     head_w = rng.normal(size=(12, 1))
 
     def loss_grads_probs(b):
-        lstm.zero_grads()
+        grads = zeros_like_params(lstm.params)
         out, cache = lstm.forward(b)
         logits = (out @ head_w)[:, :, 0]
         probs = 1.0 / (1.0 + np.exp(-logits[:, :-1]))
         loss, d_logits = bce_loss(probs, targets, boundary_mask)
         d_out = np.zeros_like(out)
         d_out[:, :-1] += d_logits[:, :, None] * head_w[None, None, :, 0]
-        lstm.backward(cache, d_out)
-        return loss, {k: v.copy() for k, v in lstm.grads.items()}, probs
+        lstm.backward(cache, d_out, grads)
+        return loss, grads, probs
 
     loss_a, grads_a, probs_a = loss_grads_probs(batch)
     noisy = SequenceBatch(batch.data.copy(), batch.lengths.copy())

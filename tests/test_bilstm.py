@@ -3,6 +3,7 @@ import pytest
 
 from scenestruct.nn import BiLstm, SequenceBatch
 
+from conftest import make_lstm, zeros_like_params
 from gradcheck import grad_check
 
 
@@ -14,7 +15,7 @@ def random_batch(rng, dim, lengths, dtype=np.float64):
 class TestForward:
     def test_zero_params_give_zero_outputs(self):
         # i = sigmoid(0) = 0.5 but g = tanh(0) = 0, so c = 0 and h = 0
-        lstm = BiLstm(3, 4, dtype=np.float64)
+        lstm = make_lstm(3, 4, dtype=np.float64)
         for p in lstm.params.values():
             p[...] = 0
         batch = random_batch(np.random.default_rng(0), 3, [5, 2])
@@ -22,13 +23,13 @@ class TestForward:
         assert np.array_equal(out, np.zeros_like(out))
 
     def test_output_shape_and_block_layout(self):
-        lstm = BiLstm(3, 4, dtype=np.float64)
+        lstm = make_lstm(3, 4, dtype=np.float64)
         batch = random_batch(np.random.default_rng(1), 3, [6])
         out, _ = lstm.forward(batch)
         assert out.shape == (1, 6, 8)
 
     def test_wrong_feature_dim_rejected(self):
-        lstm = BiLstm(3, 4)
+        lstm = make_lstm(3, 4)
         batch = random_batch(np.random.default_rng(1), 5, [4])
         with pytest.raises(ValueError, match="dim"):
             lstm.forward(batch)
@@ -38,7 +39,7 @@ class TestForward:
             SequenceBatch.from_sequences([np.zeros((0, 3))])
 
     def test_finite_outputs_on_large_inputs(self):
-        lstm = BiLstm(2, 3, dtype=np.float64)
+        lstm = make_lstm(2, 3, dtype=np.float64)
         seqs = [np.full((4, 2), 1e6)]
         out, _ = lstm.forward(SequenceBatch.from_sequences(seqs))
         assert np.all(np.isfinite(out))
@@ -50,22 +51,22 @@ def swap_directions(lstm: BiLstm) -> BiLstm:
     Layers above the first consume [fwd | bwd] blocks of the layer below,
     so their input-weight rows must swap blocks as well.
     """
-    swapped = BiLstm(lstm.input_dim, lstm.hidden_dim, dtype=lstm.dtype)
+    swapped = make_lstm(lstm.input_dim, lstm.hidden_dim, dtype=lstm.dtype)
     hd = lstm.hidden_dim
     for layer in range(lstm.num_layers):
         for src, dst in (("fwd", "bwd"), ("bwd", "fwd")):
             for kind in ("Wx", "Wh", "b"):
-                value = lstm.params[f"l{layer}_{src}_{kind}"].copy()
+                value = lstm.params[f"lstm.l{layer}_{src}_{kind}"].copy()
                 if kind == "Wx" and layer > 0:
                     value = np.concatenate([value[hd:], value[:hd]], axis=0)
-                swapped.params[f"l{layer}_{dst}_{kind}"][...] = value
+                swapped.params[f"lstm.l{layer}_{dst}_{kind}"][...] = value
     return swapped
 
 
 class TestReversalSymmetry:
     def test_reversing_input_swaps_direction_blocks(self):
         rng = np.random.default_rng(5)
-        lstm = BiLstm(3, 4, dtype=np.float64, rng=rng)
+        lstm = make_lstm(3, 4, rng, dtype=np.float64)
         x = rng.normal(size=(7, 3))
         out, _ = lstm.forward(SequenceBatch.from_sequences([x]))
         out_rev, _ = swap_directions(lstm).forward(SequenceBatch.from_sequences([x[::-1]]))
@@ -78,7 +79,7 @@ class TestPaddingInvariance:
     @pytest.mark.parametrize("seed", range(5))
     def test_outputs_bitwise_invariant_to_padded_values(self, seed):
         rng = np.random.default_rng(seed)
-        lstm = BiLstm(3, 4, dtype=np.float64, rng=rng)
+        lstm = make_lstm(3, 4, rng, dtype=np.float64)
         batch = random_batch(rng, 3, [5, 2, 3])
         out_a, _ = lstm.forward(batch)
         noisy = SequenceBatch(batch.data.copy(), batch.lengths.copy())
@@ -88,15 +89,15 @@ class TestPaddingInvariance:
 
     def test_gradients_bitwise_invariant_to_padded_values(self):
         rng = np.random.default_rng(11)
-        lstm = BiLstm(3, 4, dtype=np.float64, rng=rng)
+        lstm = make_lstm(3, 4, rng, dtype=np.float64)
         batch = random_batch(rng, 3, [5, 2, 3])
         d_out = rng.normal(size=(3, 5, 8)) * batch.mask[:, :, None]
 
         def grads_for(b):
-            lstm.zero_grads()
+            grads = zeros_like_params(lstm.params)
             _out, cache = lstm.forward(b)
-            dx = lstm.backward(cache, d_out)
-            return dx, {k: v.copy() for k, v in lstm.grads.items()}
+            dx = lstm.backward(cache, d_out, grads)
+            return dx, grads
 
         dx_a, grads_a = grads_for(batch)
         noisy = SequenceBatch(batch.data.copy(), batch.lengths.copy())
@@ -111,7 +112,7 @@ class TestGradients:
     @pytest.mark.parametrize("seed", range(6))
     def test_backprop_matches_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        lstm = BiLstm(3, 3, dtype=np.float64, rng=rng)
+        lstm = make_lstm(3, 3, rng, dtype=np.float64)
         batch = random_batch(rng, 3, [4, 2])
         weights = rng.normal(size=(2, 4, 6)) * batch.mask[:, :, None]
 
@@ -119,15 +120,15 @@ class TestGradients:
             out, _ = lstm.forward(batch)
             return float((out * weights).sum())
 
-        lstm.zero_grads()
+        grads = zeros_like_params(lstm.params)
         _out, cache = lstm.forward(batch)
-        lstm.backward(cache, weights)
-        err = grad_check(loss_fn, lstm.params, lstm.grads, eps=1e-6)
+        lstm.backward(cache, weights, grads)
+        err = grad_check(loss_fn, lstm.params, grads, eps=1e-6)
         assert err <= 1e-4
 
     def test_input_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(42)
-        lstm = BiLstm(2, 3, dtype=np.float64, rng=rng)
+        lstm = make_lstm(2, 3, rng, dtype=np.float64)
         x = rng.normal(size=(4, 2))
         weights = rng.normal(size=(1, 4, 6))
 
@@ -136,8 +137,7 @@ class TestGradients:
             return float((out * weights).sum())
 
         _out, cache = lstm.forward(SequenceBatch.from_sequences([x]))
-        lstm.zero_grads()
-        dx = lstm.backward(cache, weights.copy())
+        dx = lstm.backward(cache, weights.copy(), zeros_like_params(lstm.params))
         eps = 1e-6
         for t in range(4):
             for d in range(2):
@@ -151,7 +151,7 @@ class TestGradients:
 
 class TestDeterminism:
     def test_same_seed_same_parameters(self):
-        a = BiLstm(3, 4, rng=np.random.default_rng(9))
-        b = BiLstm(3, 4, rng=np.random.default_rng(9))
+        a = make_lstm(3, 4, np.random.default_rng(9))
+        b = make_lstm(3, 4, np.random.default_rng(9))
         for name in a.params:
             assert np.array_equal(a.params[name], b.params[name])

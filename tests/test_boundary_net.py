@@ -41,7 +41,7 @@ class TestForward:
 
     def test_scores_in_unit_interval(self):
         net = small_net()
-        for name, p in net.parameters().items():
+        for name, p in net.params.items():
             p[...] = np.random.default_rng(1).normal(size=p.shape)
         video = make_video("v", [0.0, 1.0, 2.0, 3.0, 4.5], feature_dim=4)
         scores = net.forward_video(video)
@@ -158,8 +158,8 @@ class TestTraining:
         mask = ModalityMask.from_names(["vis_r50"])
         m1, _ = train_boundary(videos, [], mask, corpus.manifest.modality_dims, hyper)
         m2, _ = train_boundary(videos, [], mask, corpus.manifest.modality_dims, hyper)
-        for name, p in m1.parameters().items():
-            assert np.array_equal(p, m2.parameters()[name]), name
+        for name, p in m1.params.items():
+            assert np.array_equal(p, m2.params[name]), name
 
 
 class TestPositiveWeight:

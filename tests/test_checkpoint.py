@@ -173,7 +173,7 @@ class TestModelCheckpoints:
     def test_round_trip_preserves_outputs(self, tmp_path, build):
         model = build()
         rng = np.random.default_rng(9)
-        for p in model.parameters().values():
+        for p in model.params.values():
             p[...] = rng.normal(size=p.shape).astype(p.dtype) * 0.3
         path = tmp_path / "model.ckpt"
         save_model(model, path)
@@ -206,16 +206,49 @@ class TestModelCheckpoints:
 
         monkeypatch.setattr(np.random, "default_rng", no_rng)
         loaded = load_model(path)
-        own = loaded.parameters()
-        assert list(own) == list(model.parameters())
-        for name, value in model.parameters().items():
+        own = loaded.params
+        assert list(own) == list(model.params)
+        for name, value in model.params.items():
             assert own[name].dtype == value.dtype
             assert own[name].tobytes() == value.tobytes()
-            assert own[name].flags.writeable
+            flags = own[name].flags
+            # one copy of the file's bytes: none is a view of its buffer
+            assert flags.writeable and flags.aligned and flags.c_contiguous and flags.owndata
+        assert loaded.grads is None  # gradients are made only for training
+
+    def test_first_zero_grads_allocates_gradients_like_parameters(self):
+        model = SegmentNet(MASK, DIMS, hidden_dim=4, seed=5, head_mode="per_tag", num_tags=3,
+                           encoders={"audio": EncoderSpec(trainable=True, dim=3)})
+        assert model.grads is None
+        model.zero_grads()
+        assert list(model.grads) == list(model.params)
+        for name, p in model.params.items():
+            assert (model.grads[name].shape, model.grads[name].dtype) == (p.shape, p.dtype)
+            assert not model.grads[name].any()
+        first = dict(model.grads)
+        model.grads["head.b"][...] = 1.0
+        model.zero_grads()
+        assert all(model.grads[name] is first[name] for name in first)  # zeroed in place
+        assert not model.grads["head.b"].any()
+
+    @pytest.mark.parametrize("edit, fault", [
+        (lambda params: params.update({"head.extra": np.zeros(2, dtype=np.float32)}),
+         "unexpected 'head.extra'"),
+        (lambda params: params.pop("lstm.l1_bwd_Wh"), "missing 'lstm.l1_bwd_Wh'"),
+    ], ids=["extra", "missing"])
+    def test_parameter_name_mismatch_names_the_parameter(self, tmp_path, edit, fault):
+        model = TagNet(MASK, DIMS, 3, hidden_dim=4)
+        params = dict(model.params)
+        edit(params)
+        path = tmp_path / "tag.ckpt"
+        save_checkpoint(path, "tag", model.config_dict(), params)
+        with pytest.raises(CheckpointError, match=re.escape(
+                f"checkpoint {path}: parameter names do not match the model: {fault}")):
+            load_model(path)
 
     def test_parameter_shape_mismatch_rejected(self, tmp_path):
         model = TagNet(MASK, DIMS, 3, hidden_dim=4)
-        params = {**model.parameters(), "head.b": np.zeros(4, dtype=np.float32)}
+        params = {**model.params, "head.b": np.zeros(4, dtype=np.float32)}
         path = tmp_path / "tag.ckpt"
         save_checkpoint(path, "tag", model.config_dict(), params)
         with pytest.raises(CheckpointError, match=re.escape(
@@ -243,20 +276,20 @@ class TestModelCheckpoints:
         config = model.config_dict()
         edit(config)
         path = tmp_path / "tag.ckpt"
-        save_checkpoint(path, "tag", config, model.parameters())
+        save_checkpoint(path, "tag", config, model.params)
         with pytest.raises(CheckpointError, match=f"tag.ckpt.*{message}"):
             load_model(path)
 
     def test_list_config_rejected(self, tmp_path):
         model = TagNet(MASK, DIMS, 3, hidden_dim=4)
         path = tmp_path / "tag.ckpt"
-        save_checkpoint(path, "tag", list(model.config_dict()), model.parameters())
+        save_checkpoint(path, "tag", list(model.config_dict()), model.params)
         with pytest.raises(CheckpointError, match="tag.ckpt.*'config' object"):
             load_model(path)
 
     def test_parameter_dtype_mismatch_rejected(self, tmp_path):
         model = TagNet(MASK, DIMS, 3, hidden_dim=4)
-        params = {k: v.astype(np.float64) for k, v in model.parameters().items()}
+        params = {k: v.astype(np.float64) for k, v in model.params.items()}
         path = tmp_path / "tag.ckpt"
         save_checkpoint(path, "tag", model.config_dict(), params)
         with pytest.raises(CheckpointError, match="tag.ckpt.*float64.*expects float32"):

@@ -115,9 +115,11 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, section, values, detail", [
         (["train", "--net", "tag"], "split", {"seed": -1}, "split.seed must be an integer >= 0, got -1"),
         (["generate"], "generator", {"seed": -1}, "generator.seed must be an integer >= 0, got -1"),
+        (["generate"], "generator", {"num_videos": "x"},
+         "generator.num_videos must be an integer >= 0, got 'x'"),
         (["predict"], "pipeline", {"threshold_b": "x"},
          "pipeline.threshold_b must be a finite number in (0, 1), got 'x'"),
-    ], ids=["split-seed", "generator-seed", "threshold-b"])
+    ], ids=["split-seed", "generator-seed", "generator-num-videos", "threshold-b"])
     def test_bad_section_value_exits_2_naming_key(self, tmp_path, capsys, command, section,
                                                   values, detail):
         doc = json.loads(base_config(tmp_path).read_text())

@@ -80,6 +80,13 @@ class TestLoading:
             ("split", "seed", "an integer >= 0", (-1, 0.5, True)),
             ("split", "val_fraction", "a finite number in (0, 1)", (0, 1, math.nan, "x", True)),
             ("generator", "seed", "an integer >= 0", (-1, "7", True)),
+            ("generator", "num_videos", "an integer >= 0", (-1, "x", 2.5, True)),
+            ("generator", "num_tags", "an integer >= 1", (0, 2.5, "8", True)),
+            ("generator", "scene_prototype_pool", "an integer >= 2", (1, 2.5)),
+            ("generator", "duration_mean_s", "a finite number > 0", (0, -1.0, "x", math.nan)),
+            ("generator", "min_shot_s", "a finite number > 0", (0, "x")),
+            ("generator", "duration_std_s", "a finite number >= 0", (-1, "x", math.inf)),
+            ("generator", "noise_std", "a finite number >= 0", (-0.1, "x", math.nan, True)),
             ("pipeline", "threshold_b", "a finite number in (0, 1)", (0, 1, math.nan, "x", True)),
             ("pipeline", "nms_tiou", "a finite number in [0, 1)", (-0.1, 1, math.inf, "x", True)),
         ]
@@ -92,6 +99,23 @@ class TestLoading:
         path.write_text(json.dumps({section: {key: value}}))
         with pytest.raises(ConfigError, match=re.escape(
                 f"{section}.{key} must be {rule}, got {value!r}")):
+            load_experiment_config(path)
+
+    @pytest.mark.parametrize("values, message", [
+        ({"noise_std": {"audio": -1}}, "generator.noise_std.audio must be a finite number >= 0, "
+                                       "got -1"),
+        ({"modalities": {"audio": 0}}, "generator.modalities.audio must be an integer >= 1, got 0"),
+        ({"scenes_per_video": [0, 2]}, "generator.scenes_per_video[0] must be an integer >= 1, "
+                                       "got 0"),
+        ({"shots_per_scene": [3, 2]}, "generator.shots_per_scene[1] must be an integer >= 3, "
+                                      "got 2"),
+        ({"tags_per_scene": [1, 2, 3]}, "generator.tags_per_scene must be a [low, high] pair, "
+                                        "got [1, 2, 3]"),
+    ], ids=["noise-dict", "modality-dim", "range-low", "range-order", "range-length"])
+    def test_bad_generator_entry_names_key(self, tmp_path, values, message):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"generator": values}))
+        with pytest.raises(ConfigError, match=re.escape(message)):
             load_experiment_config(path)
 
     @pytest.mark.parametrize("section", ["pipeline", "training"])

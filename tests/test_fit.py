@@ -20,16 +20,12 @@ class StubModel:
     def __init__(self, val_losses=(), supervise=True):
         self.w = np.zeros(1)
         self.g = np.zeros(1)
+        self.params = {"w": self.w}
+        self.grads = {"w": self.g}
         self.val_losses = list(val_losses)
         self.supervise = supervise
         self.val_calls = []
         self.seen_w = []
-
-    def parameters(self):
-        return {"w": self.w}
-
-    def gradients(self):
-        return {"w": self.g}
 
     def zero_grads(self):
         self.g[...] = 0.0

@@ -54,8 +54,8 @@ def check_model(model, items, *, rng_seed=1234, eps=1e-6):
     model.zero_grads()
     rng = np.random.default_rng(rng_seed)
     model.batch_loss_and_grads(items, rng, train=True)
-    analytic = {k: v.copy() for k, v in model.gradients().items()}
-    return grad_check(loss_fn, model.parameters(), analytic, eps=eps)
+    analytic = {k: v.copy() for k, v in model.grads.items()}
+    return grad_check(loss_fn, model.params, analytic, eps=eps)
 
 
 def boundary_items(corpus):
@@ -118,14 +118,14 @@ def test_trained_parameters_stay_finite_after_steps():
     model = BoundaryNet(MASK, corpus.manifest.modality_dims, **net_kwargs(0, 0.5))
     from scenestruct.nn import Adam
 
-    params = model.parameters()
+    params = model.params
     adam = Adam(params, lr=0.01)
     rng = np.random.default_rng(0)
     items = boundary_items(corpus)
     for _ in range(5):
         model.zero_grads()
         model.batch_loss_and_grads(items, rng, train=True)
-        adam.step(params, model.gradients())
+        adam.step(params, model.grads)
     for name, p in params.items():
         assert np.all(np.isfinite(p)), name
 

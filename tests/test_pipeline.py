@@ -39,7 +39,7 @@ def nets(seed=0, num_tags=3, head_mode="scalar"):
     segment = SegmentNet(MASK, DIMS, seed=seed + 1, num_tags=num_tags, head_mode=head_mode, **common)
     tag = TagNet(MASK, DIMS, num_tags, seed=seed + 2, **common)
     for net in (boundary, segment, tag):
-        for p in net.parameters().values():
+        for p in net.params.values():
             p[...] = rng.normal(size=p.shape) * 0.4
     return boundary, segment, tag
 
@@ -120,8 +120,8 @@ def three_shot_video(seed=1):
 class TestRunPipeline:
     def test_mode_a_all_below_threshold_single_segment(self):
         boundary, _seg, tag = nets()
-        for p in boundary.head.params().values():
-            p[...] = 0  # all scores 0.5 < 0.65
+        for name in ("head.W", "head.b"):
+            boundary.params[name][...] = 0  # all scores 0.5 < 0.65
         video = three_shot_video()
         pred = run_pipeline(video, ModelBundle(boundary=boundary, tag=tag), PipelineConfig(mode="a"))
         assert len(pred.segments) == 1
@@ -174,7 +174,7 @@ class TestRunPipeline:
         video = make_video("v", [0.0, 1.0, 1.0000005, 2.5, 4.0], feature_dim=4,
                            rng=np.random.default_rng(1))
         boundary, segment, tag = nets(seed=3)
-        boundary.head.b[...] = 10.0  # every boundary cuts
+        boundary.params["head.b"][...] = 10.0  # every boundary cuts
         pred_a = run_pipeline(video, ModelBundle(boundary=boundary, tag=tag), PipelineConfig(mode="a"))
         pred_d = run_pipeline(video, ModelBundle(boundary=boundary, segment=segment, tag=tag),
                               PipelineConfig(mode="d"))

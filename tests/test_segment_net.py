@@ -152,7 +152,7 @@ class TestForward:
     def test_proposal_order_equivariance(self):
         net = small_net(seed=5)
         rng = np.random.default_rng(2)
-        for name, p in net.parameters().items():
+        for name, p in net.params.items():
             p[...] = rng.normal(size=p.shape) * 0.3
         video = make_video("v", [0.0, 1.0, 2.0, 3.0], feature_dim=4)
         proposals = enumerate_proposals(3)

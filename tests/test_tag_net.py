@@ -45,7 +45,7 @@ class TestForward:
     def test_scores_strictly_inside_unit_interval(self):
         net = small_net(seed=3)
         rng = np.random.default_rng(0)
-        for p in net.parameters().values():
+        for p in net.params.values():
             p[...] = rng.normal(size=p.shape)
         video = make_video("v", [0.0, 1.0, 2.0], feature_dim=4, modalities=("audio",))
         scores = net.forward_scene(video, 1, 2)
@@ -60,7 +60,7 @@ class TestForward:
     def test_batch_independence(self):
         net = small_net(seed=4)
         rng = np.random.default_rng(1)
-        for p in net.parameters().values():
+        for p in net.params.values():
             p[...] = rng.normal(size=p.shape) * 0.5
         videos = [
             make_video(f"v{k}", [0.0, 1.0, 2.0, 3.0][: k + 2], feature_dim=4,
