@@ -109,17 +109,13 @@ def _parse_encoders(doc) -> dict:
     return out
 
 
-def _build(cls, doc: dict, where: str, tuple_keys=()):
+def _build(cls, doc: dict, where: str):
     import dataclasses
 
     names = {f.name for f in dataclasses.fields(cls)}
     _check_keys(doc, names, where)
-    kwargs = dict(doc)
-    for key in tuple_keys:
-        if key in kwargs:
-            kwargs[key] = tuple(kwargs[key])
     try:
-        return cls(**kwargs)
+        return cls(**doc)
     except TypeError as exc:
         raise ConfigError(f"bad {where} section: {exc}") from exc
 
@@ -154,12 +150,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     if "split" in doc:
         cfg.split = _build(SplitConfig, doc["split"], "split")
     if doc.get("generator") is not None:
-        cfg.generator = _build(
-            GeneratorConfig,
-            doc["generator"],
-            "generator",
-            tuple_keys=("scenes_per_video", "shots_per_scene", "tags_per_scene"),
-        )
+        cfg.generator = _build(GeneratorConfig, doc["generator"], "generator")
     if "ablate" in doc:
         _check_keys(doc["ablate"], {"net", "masks"}, "ablate")
         cfg.ablate_net = doc["ablate"].get("net", "tag")

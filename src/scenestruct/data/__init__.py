@@ -1,7 +1,7 @@
 """Corpus schema, IO, ground-truth alignment and time/index conversions."""
 
 from .corpus_io import load_corpus, save_corpus
-from .labels import boundary_labels, interior_boundaries, span_from_shots
+from .labels import boundary_labels, interior_boundaries
 from .records import (
     CANONICAL_MODALITIES,
     Corpus,
@@ -24,5 +24,4 @@ __all__ = [
     "interior_boundaries",
     "load_corpus",
     "save_corpus",
-    "span_from_shots",
 ]

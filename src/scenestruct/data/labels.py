@@ -12,18 +12,16 @@ DEFAULT_BOUNDARY_TOL_S = 0.5
 
 
 def interior_boundaries(spans, end_s, *, start_s=0.0, edge_tol=1e-6, merge_tol=1e-9):
-    """Unique segment endpoints strictly inside (start_s, end_s), sorted.
+    """Unique endpoints of (N, 2) [start_s, end_s] rows strictly inside
+    (start_s, end_s), sorted.
 
     Endpoints within edge_tol of the video start or end are dropped; points
     closer than merge_tol are merged (a shared join between two abutting
     segments counts once).
     """
-    points = []
-    for span in spans:
-        points.extend((span.start_s, span.end_s))
-    points = sorted(p for p in points if p > start_s + edge_tol and p < end_s - edge_tol)
+    points = np.sort(np.asarray(spans, dtype=np.float64).ravel())
     merged = []
-    for p in points:
+    for p in points[(points > start_s + edge_tol) & (points < end_s - edge_tol)].tolist():
         if not merged or p - merged[-1] > merge_tol:
             merged.append(p)
     return merged
@@ -47,7 +45,7 @@ def boundary_labels(video: VideoRecord, tol_s=DEFAULT_BOUNDARY_TOL_S) -> np.ndar
         return labels
     shot_bounds = video.shots.ends[:-1]
     gt_bounds = interior_boundaries(
-        (s.span for s in video.scenes),
+        span_array(s.span for s in video.scenes),
         video.shots.ends[-1],
         start_s=video.shots.starts[0],
     )
@@ -57,14 +55,6 @@ def boundary_labels(video: VideoRecord, tol_s=DEFAULT_BOUNDARY_TOL_S) -> np.ndar
         if dist[nearest] < tol_s:
             labels[nearest] = 1.0
     return labels
-
-
-def span_from_shots(video: VideoRecord, i: int, j: int) -> SegmentSpan:
-    """Time span of the inclusive 1-based shot range [i, j]."""
-    m = video.num_shots
-    if not 1 <= i <= j <= m:
-        raise IndexError(f"shot range ({i}, {j}) out of range for {m} shots")
-    return SegmentSpan(video.shots.starts.item(i - 1), video.shots.ends.item(j - 1))
 
 
 def range_spans(video: VideoRecord, ranges) -> np.ndarray:

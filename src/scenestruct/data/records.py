@@ -71,6 +71,23 @@ class VideoRecord:
         return len(self.shots)
 
 
+@dataclass(eq=False)
+class StructuredPrediction:
+    """One video's predicted scenes as rows: segments (K, 2) float64
+    [start_s, end_s], scene_scores (K,) with NaN where a segment has no
+    confidence, and tag_scores (K, num_tags) with NaN where a tag is not
+    scored (column k - 1 holds tag id k)."""
+
+    video_id: str
+    segments: np.ndarray
+    scene_scores: np.ndarray
+    tag_scores: np.ndarray
+
+    def __post_init__(self):
+        self.segments, self.scene_scores, self.tag_scores = (
+            np.asarray(x, dtype=np.float64) for x in (self.segments, self.scene_scores, self.tag_scores))
+
+
 @dataclass
 class CorpusManifest:
     modality_dims: dict[str, int]

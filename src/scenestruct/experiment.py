@@ -112,7 +112,7 @@ def run_evaluate(cfg: ExperimentConfig, predictions_path=None, video_ids=None):
     if video_ids is not None:
         corpus = Corpus(manifest=corpus.manifest, videos=[corpus.video(v) for v in video_ids])
     predictions_path = Path(predictions_path or cfg.paths.predictions)
-    predictions = read_predictions(predictions_path)
+    predictions = read_predictions(predictions_path, corpus.manifest.num_tags)
     try:
         report = evaluate(predictions, corpus)
     except DataError as exc:
@@ -154,7 +154,7 @@ def boundary_f1_on_videos(model, videos, threshold_b) -> float:
         scores = model.forward_video(video)
         scene_ranges = boundaries_to_scenes(scores, threshold_b)
         pred_bounds = [video.shots.ends[j - 1] for _i, j in scene_ranges[:-1]]
-        gt_bounds = interior_boundaries((s.span for s in video.scenes), video.duration_s)
+        gt_bounds = interior_boundaries(span_array(s.span for s in video.scenes), video.duration_s)
         tp += match_boundaries(pred_bounds, gt_bounds)
         n_pred += len(pred_bounds)
         n_gt += len(gt_bounds)

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .data.labels import interior_boundaries, span_array
-from .data.records import Corpus
+from .data.records import Corpus, StructuredPrediction
 from .errors import DataError
 
 TIOU_THRESHOLDS = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75, 0.80, 0.85, 0.90, 0.95)
@@ -44,21 +44,36 @@ def rank_predictions(scores, spans) -> np.ndarray:
     return np.lexsort((spans[:, 1], spans[:, 0], -np.asarray(scores)))
 
 
-def average_precision(preds, num_gts) -> list[float]:
+def average_precision(scores, pairs, num_gts) -> list[float]:
     """AP of one class at each threshold of TIOU_THRESHOLDS.
 
-    preds: one (score, start_s, end_s, candidates) per prediction, where
-    candidates lists the (ground-truth index, tIoU > 0) pairs it may match:
-    the class's ground truths in its own video. The predictions are ranked
-    once (rank_predictions); at each threshold each in turn takes the
-    unmatched candidate of best tIoU >= the threshold (first on ties). AP
-    sums precision at each true-positive rank divided by num_gts.
+    scores: (N,) prediction scores, NaN where there is no prediction, ranked
+    by descending score with ties in list order (evaluate lists spans by
+    earlier start, then earlier end, as rank_predictions breaks ties).
+    pairs: (C, 3) rows of (prediction index, ground-truth index, tIoU > 0),
+    the candidates each prediction may match: the class's ground truths in
+    its own video. At each threshold each prediction with a candidate in
+    turn takes the unmatched candidate of best tIoU >= the threshold (first
+    listed on ties). AP sums precision at each true-positive rank divided
+    by num_gts.
     """
     if not num_gts:
         raise ValueError("average_precision needs at least one ground truth")
-    cols = np.array([p[:3] for p in preds], dtype=np.float64).reshape(-1, 3)
-    order = rank_predictions(cols[:, 0], cols[:, 1:]).tolist()
-    hits = [(rank, preds[idx][3]) for rank, idx in enumerate(order, start=1) if preds[idx][3]]
+    scored = np.flatnonzero(~np.isnan(scores))
+    # descending score with ties in list order, from two quicksorts (NumPy's
+    # stable sort is several times slower past a few thousand entries): the
+    # second sorts distinct (score level, list position) keys
+    order = np.argsort(-scores[scored])
+    ranked = scores[scored][order]
+    level = np.cumsum(np.r_[True, ranked[1:] != ranked[:-1]])
+    order = order[np.argsort(level * len(scored) + order)]
+    ranks = np.zeros(len(scores), dtype=np.intp)  # 1-based; 0 where there is no prediction
+    ranks[scored[order]] = np.arange(1, len(scored) + 1)
+    hits: dict[int, list] = {}  # rank -> its (ground-truth index, tIoU) candidates, as listed
+    for rank, (_idx, gt_idx, t) in zip(ranks[pairs[:, 0].astype(np.intp)].tolist(), pairs.tolist()):
+        if rank:
+            hits.setdefault(rank, []).append((gt_idx, t))
+    hits = sorted(hits.items())
     aps = []
     for thresh in TIOU_THRESHOLDS:
         matched = set()
@@ -82,8 +97,8 @@ def average_precision(preds, num_gts) -> list[float]:
 def avg_map(preds_by_class, num_gts_by_class):
     """Average of mAP over the tIoU threshold sweep.
 
-    preds_by_class maps a class to its average_precision predictions and
-    num_gts_by_class to its ground-truth count. Returns (avg,
+    preds_by_class maps a class to its average_precision (scores, pairs)
+    and num_gts_by_class to its ground-truth count. Returns (avg,
     per_threshold, per_class); per-class values are averaged over the
     sweep. Classes without ground truths are excluded.
     """
@@ -91,7 +106,7 @@ def avg_map(preds_by_class, num_gts_by_class):
     totals = [0.0] * len(TIOU_THRESHOLDS)
     per_class = {}
     for k in classes:
-        aps = average_precision(preds_by_class.get(k, []), num_gts_by_class[k])
+        aps = average_precision(*preds_by_class[k], num_gts_by_class[k])
         totals = [total + ap for total, ap in zip(totals, aps)]
         per_class[k] = sum(aps) / len(TIOU_THRESHOLDS)
     per_threshold = {thresh: total / len(classes) if classes else 0.0
@@ -234,22 +249,14 @@ class MetricReport:
                 writer.writerow(["per_class", k, v])
 
 
-def _segment_tag_scores(segment) -> dict:
-    scores = segment.tag_scores
-    if isinstance(scores, dict):
-        return scores
-    return {k + 1: float(v) for k, v in enumerate(scores)}
-
-
 def evaluate(predictions, corpus: Corpus) -> MetricReport:
-    """Score structured predictions against corpus ground truth.
+    """Score StructuredPredictions against corpus ground truth.
 
-    predictions: per-video objects with .video_id and .segments, where each
-    segment has .span and .tag_scores (dense vector or tag id -> score map).
     Every predicted video must exist in the corpus and carry annotations,
-    and every predicted tag id must lie in 1..num_tags. Each video's
+    and its tag_scores must have one column per corpus tag. Each video's
     (segments x scenes) tIoU matrix is computed once and serves the scene
-    matching and every class's AP.
+    matching and every class's AP; each class's predictions are every
+    segment's column of tag scores, ranked once.
     """
     num_tags = corpus.manifest.num_tags
     preds_by_video = {}
@@ -257,43 +264,51 @@ def evaluate(predictions, corpus: Corpus) -> MetricReport:
         video = corpus.video(pred.video_id)
         if video.scenes is None:
             raise DataError(f"video {pred.video_id!r} has no ground truth to evaluate against")
+        if pred.tag_scores.shape[1] != num_tags:
+            raise DataError(f"video {pred.video_id!r}: {pred.tag_scores.shape[1]} tag score "
+                            f"columns for {num_tags} tags")
         preds_by_video[pred.video_id] = pred
 
-    preds_by_class: dict[int, list] = {k: [] for k in range(1, num_tags + 1)}
-    num_gts = dict.fromkeys(preds_by_class, 0)
+    no_prediction = StructuredPrediction("", np.empty((0, 2)), np.empty(0), np.empty((0, num_tags)))
+    spans, tag_scores = [no_prediction.segments], [no_prediction.tag_scores]  # video by video
+    pairs = []  # (class, segment, ground-truth index, tIoU) of each candidate pair
+    num_gts = dict.fromkeys(range(1, num_tags + 1), 0)
+    offset = 0
     b_tp = b_pred = b_gt = 0
     s_tp = s_pred = s_gt = 0
     for video in corpus.videos:
         if video.scenes is None:
             continue
-        gt_spans = [scene.span for scene in video.scenes]
-        class_gts: dict[int, list] = {}  # class -> (ground-truth index, scene row)
-        for row, scene in enumerate(video.scenes):
+        gt_spans = span_array(scene.span for scene in video.scenes)
+        pred = preds_by_video.get(video.video_id, no_prediction)
+        tious = tiou(*pred.segments.T, *gt_spans.T)
+        scene_gts = []  # per scene: (class, ground-truth index) of each of its tags
+        for scene in video.scenes:
+            scene_gts.append([(k, num_gts[k]) for k in scene.tags])
             for k in scene.tags:
-                class_gts.setdefault(k, []).append((num_gts[k], row))
                 num_gts[k] += 1
-        pred = preds_by_video.get(video.video_id)
-        segments = pred.segments if pred is not None else []
-        pred_spans = [segment.span for segment in segments]
-        tious = tiou(*span_array(pred_spans).T, *span_array(gt_spans).T)
-        for segment, row in zip(segments, tious.tolist()):
-            candidates = {k: [(gt_idx, row[col]) for gt_idx, col in gts if row[col] > 0]
-                          for k, gts in class_gts.items()}
-            span = segment.span
-            for k, score in _segment_tag_scores(segment).items():
-                if k not in preds_by_class:
-                    raise DataError(f"video {video.video_id!r}: predicted tag id {k} "
-                                    f"is outside 1..{num_tags}")
-                preds_by_class[k].append((score, span.start_s, span.end_s, candidates.get(k, [])))
-        pred_bounds = interior_boundaries(pred_spans, video.duration_s)
+        rows, cols = np.nonzero(tious > 0)
+        for row, col, t in zip(rows.tolist(), cols.tolist(), tious[rows, cols].tolist()):
+            for k, gt_idx in scene_gts[col]:
+                pairs.append((k, offset + row, gt_idx, t))
+        spans.append(pred.segments)
+        tag_scores.append(pred.tag_scores)
+        offset += len(pred.segments)
+        pred_bounds = interior_boundaries(pred.segments, video.duration_s)
         gt_bounds = interior_boundaries(gt_spans, video.duration_s)
         b_tp += match_boundaries(pred_bounds, gt_bounds)
         b_pred += len(pred_bounds)
         b_gt += len(gt_bounds)
         s_tp += match_scenes(tious)
-        s_pred += len(pred_spans)
+        s_pred += len(pred.segments)
         s_gt += len(gt_spans)
 
+    spans, pairs = np.concatenate(spans), np.array(pairs).reshape(-1, 4)
+    # segments listed by earlier start, then earlier end, as rank_predictions breaks ties
+    by_span = np.lexsort((spans[:, 1], spans[:, 0]))
+    pairs[:, 1] = np.argsort(by_span)[pairs[:, 1].astype(np.intp)]
+    columns = np.concatenate(tag_scores)[by_span].T
+    preds_by_class = {k: (columns[k - 1], pairs[pairs[:, 0] == k, 1:]) for k in num_gts}
     avg, per_threshold, per_class = avg_map(preds_by_class, num_gts)
     b_res = f1_from_counts(b_tp, b_pred, b_gt)
     s_res = f1_from_counts(s_tp, s_pred, s_gt)

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .data.labels import range_spans, span_from_shots
-from .data.records import Corpus, SegmentSpan, VideoRecord
+from .data.labels import range_spans
+from .data.records import Corpus, SegmentSpan, StructuredPrediction, VideoRecord
 from .errors import ConfigError, DataError
 from .metrics import rank_predictions, tiou
 from .models.boundary import boundaries_to_scenes
@@ -53,19 +53,6 @@ class PipelineConfig:
 
     def as_dict(self) -> dict:
         return asdict(self)
-
-
-@dataclass
-class PredictedSegment:
-    span: SegmentSpan
-    scene_score: float | None
-    tag_scores: np.ndarray  # fused per-tag scores, length num_tags
-
-
-@dataclass
-class StructuredPrediction:
-    video_id: str
-    segments: list[PredictedSegment] = field(default_factory=list)
 
 
 def nms_temporal(spans, scores, nms_tiou) -> list[int]:
@@ -116,17 +103,15 @@ def run_pipeline(video: VideoRecord, bundle: ModelBundle, cfg: PipelineConfig) -
     else:
         ranges, scores = segment_proposals(video, bundle.segment, cfg.nms_tiou,
                                            cfg.max_duration_shots)
-    segments = []
-    for row, (i, j) in enumerate(ranges):
-        span = span_from_shots(video, i, j)
-        if "tag" not in needs:
-            segments.append(PredictedSegment(span, None, scores[row]))
-        elif scores is None:
-            segments.append(PredictedSegment(span, None, bundle.tag.forward_scene(video, i, j)))
-        else:
-            conf = float(scores[row])
-            segments.append(PredictedSegment(span, conf, conf * bundle.tag.forward_scene(video, i, j)))
-    return StructuredPrediction(video.video_id, segments)
+    if "tag" in needs:
+        tags = np.stack([bundle.tag.forward_scene(video, i, j) for i, j in np.asarray(ranges).tolist()])
+    else:  # mode c: the per-tag segment scores are the tag scores
+        tags, scores = scores, None
+    spans = range_spans(video, ranges)
+    if scores is None:
+        return StructuredPrediction(video.video_id, spans, np.full(len(spans), np.nan), tags)
+    # fused in the tag net's dtype; the record widens it to float64
+    return StructuredPrediction(video.video_id, spans, scores, scores.astype(tags.dtype)[:, None] * tags)
 
 
 def predict_corpus(corpus: Corpus, bundle: ModelBundle, cfg: PipelineConfig,
@@ -141,42 +126,19 @@ def predict_corpus(corpus: Corpus, bundle: ModelBundle, cfg: PipelineConfig,
 
 
 def write_predictions(predictions, path) -> None:
-    """One JSON line per video; tag lists sorted by descending fused score
-    (ascending id on ties)."""
+    """One JSON line per video; each segment lists its scored tags by
+    descending score (ascending id on ties), and a NaN scene score is null."""
     with Path(path).open("w", encoding="utf-8") as fh:
         for pred in predictions:
-            doc = {
-                "video_id": pred.video_id,
-                "segments": [
-                    {
-                        "start_s": seg.span.start_s,
-                        "end_s": seg.span.end_s,
-                        "scene_score": seg.scene_score,
-                        "tags": [
-                            {"id": tag_id, "score": float(score)}
-                            for tag_id, score in sorted(
-                                ((k + 1, float(v)) for k, v in enumerate(seg.tag_scores)),
-                                key=lambda kv: (-kv[1], kv[0]),
-                            )
-                        ],
-                    }
-                    for seg in pred.segments
-                ],
-            }
-            fh.write(json.dumps(doc) + "\n")
-
-
-@dataclass
-class LoadedSegment:
-    span: SegmentSpan
-    scene_score: float | None
-    tag_scores: dict  # tag id -> fused score (may be a subset of the vocabulary)
-
-
-@dataclass
-class LoadedPrediction:
-    video_id: str
-    segments: list[LoadedSegment]
+            segments = []
+            for (start, end), conf, row in zip(pred.segments.tolist(), pred.scene_scores.tolist(),
+                                               pred.tag_scores.tolist()):
+                tags = sorted(((k + 1, v) for k, v in enumerate(row) if not math.isnan(v)),
+                              key=lambda kv: (-kv[1], kv[0]))
+                segments.append({"start_s": start, "end_s": end,
+                                 "scene_score": None if math.isnan(conf) else conf,
+                                 "tags": [{"id": k, "score": v} for k, v in tags]})
+            fh.write(json.dumps({"video_id": pred.video_id, "segments": segments}) + "\n")
 
 
 def _finite(value, what: str) -> float:
@@ -185,29 +147,42 @@ def _finite(value, what: str) -> float:
     return float(value)
 
 
-def _tag_id(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise DataError(f"tag id must be an integer, got {value!r}")
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise DataError(f"malformed prediction: {what} must be a list, got {value!r}")
     return value
 
 
-def _parse_prediction(line: str) -> LoadedPrediction:
-    """One predictions line; any missing, mistyped or non-finite field is a DataError."""
+def _parse_prediction(line: str):
+    """One predictions line as its video_id, (K, 2) spans, (K,) scene scores
+    and the segment row, tag id and score of each tag entry; a missing,
+    mistyped or non-finite field is a DataError."""
     try:
         doc = json.loads(line)
         if not isinstance(doc, dict):
             raise DataError(f"a prediction must be a JSON object, got {type(doc).__name__}")
-        segments = [
-            LoadedSegment(
-                span=SegmentSpan(_finite(seg["start_s"], "start_s"), _finite(seg["end_s"], "end_s")),
-                scene_score=None if seg.get("scene_score") is None
-                else _finite(seg["scene_score"], "scene_score"),
-                tag_scores={_tag_id(t["id"]): _finite(t["score"], "tag score")
-                            for t in seg.get("tags", [])},
-            )
-            for seg in doc["segments"]
-        ]
-        return LoadedPrediction(video_id=str(doc["video_id"]), segments=segments)
+        video_id, segments = doc["video_id"], _list(doc["segments"], "segments")
+        if not isinstance(video_id, str):
+            raise DataError(f"video_id must be a string, got {video_id!r}")
+        spans = np.empty((len(segments), 2))
+        scene_scores = np.full(len(segments), np.nan)
+        rows, ids, scores = [], [], []
+        for row, seg in enumerate(segments):
+            span = SegmentSpan(_finite(seg["start_s"], "start_s"), _finite(seg["end_s"], "end_s"))
+            spans[row] = span.start_s, span.end_s
+            if seg.get("scene_score") is not None:
+                scene_scores[row] = _finite(seg["scene_score"], "scene_score")
+            tags = _list(seg.get("tags", []), "tags")
+            rows += [row] * len(tags)
+            ids += [tag["id"] for tag in tags]
+            scores += [tag["score"] for tag in tags]
+        wrong = [k for k in ids if type(k) is not int]  # a bool is not an id
+        if wrong:
+            raise DataError(f"tag id must be an integer, got {wrong[0]!r}")
+        wrong = [v for v in scores if type(v) not in (int, float) or not math.isfinite(v)]
+        if wrong:
+            raise DataError(f"tag score must be a finite number, got {wrong[0]!r}")
+        return video_id, spans, scene_scores, rows, ids, scores
     except json.JSONDecodeError as exc:
         raise DataError(f"not valid JSON: {exc}") from exc
     except KeyError as exc:
@@ -216,7 +191,10 @@ def _parse_prediction(line: str) -> LoadedPrediction:
         raise DataError(f"malformed prediction: {exc}") from exc
 
 
-def read_predictions(path) -> list[LoadedPrediction]:
+def read_predictions(path, num_tags: int) -> list[StructuredPrediction]:
+    """The predictions file as records with num_tags tag columns; a tag id
+    outside 1..num_tags or listed twice in a segment, or a second line for a
+    video, is a DataError."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"predictions file not found: {path}")
@@ -227,12 +205,20 @@ def read_predictions(path) -> list[LoadedPrediction]:
             if not line:
                 continue
             try:
-                pred = _parse_prediction(line)
+                video_id, spans, scene_scores, rows, ids, scores = _parse_prediction(line)
             except DataError as exc:
                 raise DataError(f"predictions {path} line {line_no}: {exc}") from exc
-            seen = first_line.setdefault(pred.video_id, line_no)
+            outside = [tag_id for tag_id in ids if not 1 <= tag_id <= num_tags]
+            if outside:
+                raise DataError(f"predictions {path}: video {video_id!r}: predicted tag id "
+                                f"{outside[0]} is outside 1..{num_tags} (line {line_no})")
+            tag_scores = np.full((len(spans), num_tags), np.nan)
+            tag_scores[np.array(rows, dtype=np.intp), np.array(ids, dtype=np.intp) - 1] = scores
+            if np.count_nonzero(~np.isnan(tag_scores)) < len(ids):
+                raise DataError(f"predictions {path} line {line_no}: a segment lists a tag id twice")
+            seen = first_line.setdefault(video_id, line_no)
             if seen != line_no:
-                raise DataError(f"predictions {path} line {line_no}: video {pred.video_id!r} "
+                raise DataError(f"predictions {path} line {line_no}: video {video_id!r} "
                                 f"was already predicted on line {seen}")
-            out.append(pred)
+            out.append(StructuredPrediction(video_id, spans, scene_scores, tag_scores))
     return out

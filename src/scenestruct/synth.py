@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .data.corpus_io import RECORDS_FILE, save_corpus
-from .data.records import Corpus, CorpusManifest, SceneAnnotation, SegmentSpan, ShotTable, VideoRecord
+from .data.records import (CANONICAL_MODALITIES, Corpus, CorpusManifest, SceneAnnotation,
+                           SegmentSpan, ShotTable, VideoRecord)
 from .errors import ConfigError
 from .models.common import check_setting
 
@@ -71,13 +72,21 @@ class GeneratorConfig:
             check_setting(self.noise_std, "generator.noise_std", 0)
         for key in ("scenes_per_video", "shots_per_scene", "tags_per_scene"):
             pair = getattr(self, key)
-            if len(pair) != 2:
-                raise ConfigError(f"generator.{key} must be a [low, high] pair, got {list(pair)}")
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise ConfigError(f"generator.{key} must be a [low, high] pair, got {pair!r}")
             check_setting(pair[0], f"generator.{key}[0]", 1, integer=True)
             check_setting(pair[1], f"generator.{key}[1]", pair[0], integer=True)
+            setattr(self, key, tuple(pair))
         if self.tags_per_scene[1] > self.num_tags:
             raise ConfigError("tags_per_scene exceeds the tag vocabulary")
+        for key in ("modalities", "signal"):
+            if not isinstance(getattr(self, key), dict):
+                raise ConfigError(f"generator.{key} must be a JSON object, "
+                                  f"got {getattr(self, key)!r}")
         for mod, dim in self.modalities.items():
+            if mod not in CANONICAL_MODALITIES:
+                raise ConfigError(f"generator.modalities.{mod}: unknown modality, "
+                                  f"expected one of {CANONICAL_MODALITIES}")
             check_setting(dim, f"generator.modalities.{mod}", 1, integer=True)
             if self.signal.get(mod, "none") not in SIGNAL_MODES:
                 raise ConfigError(

@@ -8,6 +8,7 @@ from scenestruct.data.records import (
     SceneAnnotation,
     SegmentSpan,
     ShotTable,
+    StructuredPrediction,
     VideoRecord,
 )
 from scenestruct.metrics import tiou
@@ -50,14 +51,17 @@ def tiou_of_spans(a_spans, b_spans):
 
 
 def ap_predictions(preds, gts):
-    """average_precision's predictions for (group, span, score) triples
-    against (group, span) ground truths: a prediction's candidates are the
-    ground truths of its group with tIoU > 0."""
+    """average_precision's (scores, pairs) for (group, span, score) triples
+    against (group, span) ground truths. The predictions are listed by
+    earlier start, then earlier end (a stable sort, as evaluate lists them);
+    a prediction's candidates are the ground truths of its group with
+    tIoU > 0."""
+    preds = sorted(preds, key=lambda p: (p[1].start_s, p[1].end_s))
     tious = tiou_of_spans([s for _g, s, _score in preds], [s for _g, s in gts])
-    return [(score, s.start_s, s.end_s,
-             [(g, tious[p, g]) for g, (gt_group, _s) in enumerate(gts)
-              if gt_group == group and tious[p, g] > 0])
-            for p, (group, s, score) in enumerate(preds)]
+    pairs = [(p, g, tious[p, g]) for p, (group, _s, _score) in enumerate(preds)
+             for g, (gt_group, _gs) in enumerate(gts) if gt_group == group and tious[p, g] > 0]
+    return (np.array([score for _g, _s, score in preds], dtype=np.float64),
+            np.array(pairs, dtype=np.float64).reshape(-1, 3))
 
 
 def map_inputs(preds_by_class, gts_by_class):
@@ -65,6 +69,17 @@ def map_inputs(preds_by_class, gts_by_class):
     and (group, span) ground truths."""
     return ({k: ap_predictions(preds_by_class.get(k, []), gts) for k, gts in gts_by_class.items()},
             {k: len(gts) for k, gts in gts_by_class.items()})
+
+
+def make_prediction(video_id, segments, num_tags):
+    """A StructuredPrediction of (start_s, end_s, {tag id: score}) segments:
+    unlisted tags are NaN (not scored), and no segment has a confidence."""
+    tag_scores = np.full((len(segments), num_tags), np.nan)
+    for row, (_start, _end, scores) in enumerate(segments):
+        for tag_id, score in scores.items():
+            tag_scores[row, tag_id - 1] = score
+    spans = np.array([(start, end) for start, end, _ in segments]).reshape(-1, 2)
+    return StructuredPrediction(video_id, spans, np.full(len(segments), np.nan), tag_scores)
 
 
 @pytest.fixture

@@ -39,11 +39,11 @@ from scenestruct.models import (
 from scenestruct.models.common import TrainingHyper
 from scenestruct.models.tag import multihot
 from scenestruct.nn import SequenceBatch, bce_loss
-from scenestruct.pipeline import LoadedPrediction, LoadedSegment, PipelineConfig, nms_temporal, predict_corpus
+from scenestruct.pipeline import PipelineConfig, nms_temporal, predict_corpus
 from scenestruct.synth import GeneratorConfig, build_corpus
 
 import oracles
-from conftest import ap_predictions, make_lstm, map_inputs, zeros_like_params
+from conftest import ap_predictions, make_lstm, make_prediction, map_inputs, zeros_like_params
 from gradcheck import grad_check
 
 
@@ -175,15 +175,7 @@ def _instances_to_package_form(instances):
         videos.append(
             make_video(vid, bounds, scenes=[make_scene(s, e, t) for s, e, t in inst["gt"]])
         )
-        preds.append(
-            LoadedPrediction(
-                video_id=vid,
-                segments=[
-                    LoadedSegment(span=SegmentSpan(s, e), scene_score=None, tag_scores=dict(sc))
-                    for s, e, sc in inst["pred"]
-                ],
-            )
-        )
+        preds.append(make_prediction(vid, inst["pred"], 6))
     corpus = Corpus(manifest=CorpusManifest({"vis_r50": 2}, 6), videos=videos)
     return corpus, preds
 
@@ -257,7 +249,7 @@ def test_criterion_4_hand_worked_fixtures():
 
     gts = [("v", SegmentSpan(0, 2)), ("v", SegmentSpan(10, 12))]
     preds = [("v", SegmentSpan(0, 2), 0.9), ("v", SegmentSpan(5, 7), 0.8), ("v", SegmentSpan(10, 12), 0.7)]
-    ap = average_precision(ap_predictions(preds, gts), len(gts))[0]  # at tIoU 0.50
+    ap = average_precision(*ap_predictions(preds, gts), len(gts))[0]  # at tIoU 0.50
     checks.append(("hit-miss-hit AP = 0.8333", abs(ap - 5.0 / 6.0) < 1e-12))
 
     checks.append(("M=1 proposals", enumerate_proposals(1).tolist() == [[1, 1]]))
@@ -363,9 +355,7 @@ def test_criterion_6_mode_ordering(reference_runs):
         for mode in "abcd":
             finals[mode].append(run.reports[mode].final)
         for pred_a, pred_d in zip(run.predictions["a"], run.predictions["d"]):
-            spans_a = [seg.span for seg in pred_a.segments]
-            spans_d = [seg.span for seg in pred_d.segments]
-            if spans_a != spans_d:
+            if not np.array_equal(pred_a.segments, pred_d.segments):
                 span_identity = False
     mean = {mode: float(np.mean(values)) for mode, values in finals.items()}
     per_seed_ok = sum(

@@ -119,7 +119,10 @@ class TestExitCodes:
          "generator.num_videos must be an integer >= 0, got 'x'"),
         (["predict"], "pipeline", {"threshold_b": "x"},
          "pipeline.threshold_b must be a finite number in (0, 1), got 'x'"),
-    ], ids=["split-seed", "generator-seed", "generator-num-videos", "threshold-b"])
+        (["generate"], "generator", {"scenes_per_video": 5},
+         "generator.scenes_per_video must be a [low, high] pair, got 5"),
+    ], ids=["split-seed", "generator-seed", "generator-num-videos", "threshold-b",
+            "generator-int-range"])
     def test_bad_section_value_exits_2_naming_key(self, tmp_path, capsys, command, section,
                                                   values, detail):
         doc = json.loads(base_config(tmp_path).read_text())

@@ -111,7 +111,13 @@ class TestLoading:
                                       "got 2"),
         ({"tags_per_scene": [1, 2, 3]}, "generator.tags_per_scene must be a [low, high] pair, "
                                         "got [1, 2, 3]"),
-    ], ids=["noise-dict", "modality-dim", "range-low", "range-order", "range-length"])
+        ({"scenes_per_video": 5}, "generator.scenes_per_video must be a [low, high] pair, got 5"),
+        ({"signal": "x"}, "generator.signal must be a JSON object, got 'x'"),
+        ({"modalities": "x"}, "generator.modalities must be a JSON object, got 'x'"),
+        ({"modalities": {"vis_r50": 16, "smell": 4}},
+         "generator.modalities.smell: unknown modality, expected one of ('vis_r50', "),
+    ], ids=["noise-dict", "modality-dim", "range-low", "range-order", "range-length",
+            "range-int", "signal-text", "modalities-text", "unknown-modality"])
     def test_bad_generator_entry_names_key(self, tmp_path, values, message):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"generator": values}))
@@ -144,10 +150,9 @@ class TestEvaluateErrors:
     def test_video_without_ground_truth_rejected(self, tiny_manifest):
         from scenestruct.data.records import Corpus
         from scenestruct.metrics import evaluate
-        from scenestruct.pipeline import LoadedPrediction
-        from conftest import make_video
+        from conftest import make_prediction, make_video
 
         video = make_video("v0", [0.0, 2.0])  # no scenes
         corpus = Corpus(manifest=tiny_manifest, videos=[video])
         with pytest.raises(DataError, match="ground truth"):
-            evaluate([LoadedPrediction(video_id="v0", segments=[])], corpus)
+            evaluate([make_prediction("v0", [], 3)], corpus)

@@ -13,10 +13,9 @@ from scenestruct.data import (
     interior_boundaries,
     load_corpus,
     save_corpus,
-    span_from_shots,
 )
 from scenestruct.data.corpus_io import FORMAT_TAG
-from scenestruct.data.labels import shots_in_span
+from scenestruct.data.labels import range_spans, shots_in_span
 from scenestruct.data.records import Corpus, CorpusManifest
 from scenestruct.errors import DataError
 from scenestruct.synth import GeneratorConfig, build_corpus
@@ -441,20 +440,20 @@ class TestBoundaryLabels:
 class TestSpanConversions:
     def test_first_shot(self):
         video = make_video("v", [0.0, 2.0, 5.0, 6.0])
-        assert span_from_shots(video, 1, 1) == SegmentSpan(0.0, 2.0)
+        assert range_spans(video, [(1, 1)]).tolist() == [[0.0, 2.0]]
 
     def test_whole_video(self):
         video = make_video("v", [0.0, 2.0, 5.0, 6.0])
-        assert span_from_shots(video, 1, 3) == SegmentSpan(0.0, 6.0)
+        assert range_spans(video, [(1, 3)]).tolist() == [[0.0, 6.0]]
 
     def test_hand_lookup(self):
         video = make_video("v", [0.0, 2.0, 5.0, 6.0])
-        assert span_from_shots(video, 2, 3) == SegmentSpan(2.0, 6.0)
+        assert range_spans(video, [(2, 3)]).tolist() == [[2.0, 6.0]]
 
     def test_out_of_range(self):
         video = make_video("v", [0.0, 2.0])
         with pytest.raises(IndexError):
-            span_from_shots(video, 1, 2)
+            range_spans(video, [(1, 2)])
 
     def test_misaligned_span_rejected(self):
         video = make_video("v", [0.0, 2.0, 5.0])
@@ -471,7 +470,7 @@ class TestSpanConversions:
         video = make_video("v", bounds)
         i = data.draw(st.integers(min_value=1, max_value=n))
         j = data.draw(st.integers(min_value=i, max_value=n))
-        assert shot_span_indices(video, span_from_shots(video, i, j)) == (i, j)
+        assert shot_span_indices(video, SegmentSpan(*range_spans(video, [(i, j)])[0])) == (i, j)
 
 
 def timeline_and_span(data):
@@ -520,9 +519,9 @@ class TestSpanOracles:
 
 class TestInteriorBoundaries:
     def test_excludes_video_edges_and_merges_joins(self):
-        spans = [SegmentSpan(0.0, 2.0), SegmentSpan(2.0, 5.0), SegmentSpan(5.0, 6.0)]
+        spans = np.array([[0.0, 2.0], [2.0, 5.0], [5.0, 6.0]])
         assert interior_boundaries(spans, 6.0) == [2.0, 5.0]
 
     def test_gapped_annotations_keep_both_edges(self):
-        spans = [SegmentSpan(0.0, 2.0), SegmentSpan(3.0, 6.0)]
+        spans = np.array([[0.0, 2.0], [3.0, 6.0]])
         assert interior_boundaries(spans, 6.0) == [2.0, 3.0]

@@ -15,10 +15,9 @@ from scenestruct.metrics import (
     tagging_map,
     tiou,
 )
-from scenestruct.pipeline import LoadedPrediction, LoadedSegment
 
 import oracles
-from conftest import ap_predictions, make_scene, make_video, map_inputs, tiou_of_spans
+from conftest import ap_predictions, make_prediction, make_scene, make_video, map_inputs, tiou_of_spans
 
 span = SegmentSpan
 
@@ -29,7 +28,7 @@ def span_tiou(a, b):
 
 def ap_at(preds, gts, thresh):
     """AP at one threshold of (group, span, score) against (group, span)."""
-    return average_precision(ap_predictions(preds, gts), len(gts))[TIOU_THRESHOLDS.index(thresh)]
+    return average_precision(*ap_predictions(preds, gts), len(gts))[TIOU_THRESHOLDS.index(thresh)]
 
 
 class TestTiou:
@@ -102,9 +101,9 @@ class TestAveragePrecision:
             ("v", span(2 * i + rng.integers(0, 2) * 0.5, 2 * i + 1.5), round(s, 3))
             for i, s in enumerate(rng.integers(1, 64, size=6) / 64.0)
         ]
-        base = average_precision(ap_predictions(preds, gts), len(gts))
+        base = average_precision(*ap_predictions(preds, gts), len(gts))
         scaled = [(v, s, score / 4.0 + 1.0) for v, s, score in preds]
-        after = average_precision(ap_predictions(scaled, gts), len(gts))
+        after = average_precision(*ap_predictions(scaled, gts), len(gts))
         assert base == after
 
 
@@ -280,15 +279,7 @@ def _corpus_and_predictions(instances):
                 scenes=[make_scene(s, e, tags) for s, e, tags in inst["gt"]],
             )
         )
-        preds.append(
-            LoadedPrediction(
-                video_id=vid,
-                segments=[
-                    LoadedSegment(span=span(s, e), scene_score=None, tag_scores=dict(scores))
-                    for s, e, scores in inst["pred"]
-                ],
-            )
-        )
+        preds.append(make_prediction(vid, inst["pred"], num_tags))
     manifest = CorpusManifest(modality_dims={"vis_r50": 2}, num_tags=num_tags)
     return Corpus(manifest=manifest, videos=videos), preds
 
@@ -320,11 +311,9 @@ class TestEvaluate:
     def test_ground_truth_verbatim_scores_one(self, tiny_corpus):
         preds = []
         for video in tiny_corpus.videos:
-            segments = [
-                LoadedSegment(span=s.span, scene_score=None, tag_scores={k: 1.0 for k in s.tags})
-                for s in video.scenes
-            ]
-            preds.append(LoadedPrediction(video_id=video.video_id, segments=segments))
+            segments = [(s.span.start_s, s.span.end_s, {k: 1.0 for k in s.tags})
+                        for s in video.scenes]
+            preds.append(make_prediction(video.video_id, segments, 3))
         report = evaluate(preds, tiny_corpus)
         assert report.avg_map == 1.0
         assert report.b_f1 == 1.0
@@ -337,29 +326,22 @@ class TestEvaluate:
         assert report.b_f1 == 0.0
 
     def test_final_is_product(self, tiny_corpus):
-        preds = [
-            LoadedPrediction(
-                video_id="v0",
-                segments=[LoadedSegment(span=span(0.0, 4.2), scene_score=None, tag_scores={1: 0.9})],
-            )
-        ]
+        preds = [make_prediction("v0", [(0.0, 4.2, {1: 0.9})], 3)]
         report = evaluate(preds, tiny_corpus)
         assert report.final == pytest.approx(report.avg_map * report.b_f1, abs=1e-15)
 
     def test_unknown_video_rejected(self, tiny_corpus):
         from scenestruct.errors import DataError
 
-        preds = [LoadedPrediction(video_id="nope", segments=[])]
+        preds = [make_prediction("nope", [], 3)]
         with pytest.raises(DataError, match="nope"):
             evaluate(preds, tiny_corpus)
 
-    @pytest.mark.parametrize("tag_id", [0, 4, 99])
-    def test_tag_id_outside_vocabulary_names_video_and_id(self, tiny_corpus, tag_id):
+    def test_tag_columns_must_match_the_vocabulary(self, tiny_corpus):
         from scenestruct.errors import DataError
 
-        segment = LoadedSegment(span=span(0.0, 4.0), scene_score=None, tag_scores={tag_id: 0.5})
-        with pytest.raises(DataError, match=f"video 'v0': predicted tag id {tag_id} "):
-            evaluate([LoadedPrediction(video_id="v0", segments=[segment])], tiny_corpus)
+        with pytest.raises(DataError, match="video 'v0': 4 tag score columns for 3 tags"):
+            evaluate([make_prediction("v0", [(0.0, 4.0, {4: 0.5})], 4)], tiny_corpus)
 
     def test_matches_reference_evaluator_on_random_instances(self):
         rng = np.random.default_rng(123)
@@ -374,12 +356,7 @@ class TestEvaluate:
             assert report.final == pytest.approx(expected["final"], abs=1e-9)
 
     def test_determinism(self, tiny_corpus):
-        preds = [
-            LoadedPrediction(
-                video_id="v0",
-                segments=[LoadedSegment(span=span(0.0, 4.0), scene_score=0.5, tag_scores={1: 0.7, 2: 0.7})],
-            )
-        ]
+        preds = [make_prediction("v0", [(0.0, 4.0, {1: 0.7, 2: 0.7})], 3)]
         a = evaluate(preds, tiny_corpus).as_dict()
         b = evaluate(preds, tiny_corpus).as_dict()
         assert a == b

@@ -10,12 +10,13 @@ import numpy as np
 
 from scenestruct import experiment, pipeline
 from scenestruct.data.labels import boundary_labels
+from scenestruct.data.records import Corpus, CorpusManifest
 from scenestruct.fusion import ModalityMask, ShotFuser
 from scenestruct.models import boundary, bundle, segment, tag
 from scenestruct.nn.lstm import BiLstm
 from scenestruct.nn.optim import Adam
 
-from conftest import make_scene, make_video
+from conftest import make_prediction, make_scene, make_video
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -79,16 +80,25 @@ def test_counters_find_their_arguments():
                        scenes=[make_scene(0.0, 2.0, {1}), make_scene(2.0, 3.0, {2})])
     net = boundary.BoundaryNet(ModalityMask.from_names(["vis_r50"]), {"vis_r50": 3},
                                hidden_dim=2)
+    corpus = Corpus(CorpusManifest({"vis_r50": 3}, 2), [video])
+    spans = np.array([[0.0, 2.0], [1.0, 3.0], [2.0, 3.0]])
     undo = tracing.instrument(tracer)
     try:
         net.forward_video(video)
         net.zero_grads()
         net.batch_loss_and_grads([(video, boundary_labels(video))], np.random.default_rng(0))
+        kept = pipeline.nms_temporal(spans, [0.9, 0.8, 0.7], 0.0)
+        experiment.evaluate([make_prediction("v", [(0.0, 2.0, {1: 0.9}), (2.0, 3.0, {2: 0.7})], 2)],
+                            corpus)
     finally:
         undo()
     assert tracer.counts["setup.nn.lstm.valid_steps"] == 2 * video.num_shots
     assert tracer.counts["setup.fusion.rows"] == 2 * video.num_shots
+    assert kept == [0, 2]
+    assert tracer.counts["setup.pipeline.proposals"] == 3
+    assert tracer.counts["setup.pipeline.segments_kept"] == 2
+    assert tracer.counts["setup.metrics.segments_scored"] == 2
     names = {span[0] for span in tracer.spans}
     assert {"models.boundary.forward_video", "models.boundary.batch_loss_and_grads",
             "nn.lstm.forward", "nn.lstm.backward", "fusion.forward", "fusion.backward",
-            "nn.losses.bce"} <= names
+            "nn.losses.bce", "pipeline.nms", "metrics.evaluate"} <= names

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenestruct.data.labels import range_spans, span_array, span_from_shots
+from scenestruct.data.labels import range_spans
 from scenestruct.data.records import Corpus, CorpusManifest, SegmentSpan
 from scenestruct.errors import CheckpointError, ConfigError, DataError
 from scenestruct.fusion import ModalityMask
-from scenestruct.metrics import tiou
+from scenestruct.metrics import evaluate, tiou
 from scenestruct.models import BoundaryNet, ModelBundle, SegmentNet, TagNet, enumerate_proposals, save_model
 from scenestruct.models.boundary import boundaries_to_scenes
 from scenestruct.models.bundle import MODE_REQUIREMENTS, checkpoint_filename, load_bundle
 from scenestruct.pipeline import (
+    MODES,
     PipelineConfig,
     nms_temporal,
     predict_corpus,
@@ -124,10 +125,9 @@ class TestRunPipeline:
             boundary.params[name][...] = 0  # all scores 0.5 < 0.65
         video = three_shot_video()
         pred = run_pipeline(video, ModelBundle(boundary=boundary, tag=tag), PipelineConfig(mode="a"))
-        assert len(pred.segments) == 1
-        assert pred.segments[0].span == span(0.0, 4.0)
-        assert pred.segments[0].scene_score is None
-        assert pred.segments[0].tag_scores.shape == (3,)
+        assert pred.segments.tolist() == [[0.0, 4.0]]
+        assert np.isnan(pred.scene_scores).all()
+        assert pred.tag_scores.shape == (1, 3)
 
     def test_modes_a_and_d_emit_identical_spans(self):
         boundary, segment, tag = nets(seed=3)
@@ -138,9 +138,8 @@ class TestRunPipeline:
         pred_d = run_pipeline(
             video, ModelBundle(boundary=boundary, segment=segment, tag=tag), cfg_d
         )
-        assert [s.span for s in pred_a.segments] == [s.span for s in pred_d.segments]
-        for seg_d in pred_d.segments:
-            assert seg_d.scene_score is not None
+        assert np.array_equal(pred_a.segments, pred_d.segments)
+        assert not np.isnan(pred_d.scene_scores).any()
 
     def test_mode_b_fuses_confidence_times_tags(self):
         _b, segment, tag = nets(seed=5)
@@ -150,24 +149,23 @@ class TestRunPipeline:
         # recompute both factor streams independently through the public api
         proposals = enumerate_proposals(video.num_shots)
         confidences = segment.forward_video(video, proposals)
-        assert pred.segments
-        for seg in pred.segments:
-            i, j = oracles.shot_span_indices(video, seg.span)
+        assert len(pred.segments)
+        for row, seg in enumerate(pred.segments):
+            i, j = oracles.shot_span_indices(video, span(*seg))
             idx = proposals.tolist().index([i, j])
             expected = confidences[idx] * tag.forward_scene(video, i, j)
-            assert np.array_equal(seg.tag_scores, expected)
-            assert seg.scene_score == confidences[idx]
+            assert np.array_equal(pred.tag_scores[row], expected)
+            assert pred.scene_scores[row] == confidences[idx]
 
     def test_mode_c_emits_per_tag_scores(self):
         _b, segment, _t = nets(seed=7, head_mode="per_tag")
         video = three_shot_video()
         cfg = PipelineConfig(mode="c", nms_tiou=0.0)
         pred = run_pipeline(video, ModelBundle(segment=segment), cfg)
-        assert pred.segments
-        for seg in pred.segments:
-            assert seg.scene_score is None
-            assert seg.tag_scores.shape == (3,)
-        assert not off_diagonal_tious(span_array(seg.span for seg in pred.segments)).any()
+        assert len(pred.segments)
+        assert np.isnan(pred.scene_scores).all()
+        assert pred.tag_scores.shape == (len(pred.segments), 3)
+        assert not off_diagonal_tious(pred.segments).any()
 
     def test_mode_d_scores_its_shot_ranges_like_mode_a_cuts_them(self):
         # a 5e-7 s shot sits inside the 1e-6 s tolerance of a time-span lookup
@@ -179,18 +177,18 @@ class TestRunPipeline:
         pred_d = run_pipeline(video, ModelBundle(boundary=boundary, segment=segment, tag=tag),
                               PipelineConfig(mode="d"))
         ranges = [(k, k) for k in range(1, 5)]
-        assert [s.span for s in pred_a.segments] == [span_from_shots(video, i, j) for i, j in ranges]
-        assert [s.span for s in pred_d.segments] == [s.span for s in pred_a.segments]
-        for (i, j), seg in zip(ranges, pred_d.segments):
-            assert seg.scene_score == segment.forward_video(video, [(i, j)])[0]
-            assert np.array_equal(seg.tag_scores, seg.scene_score * tag.forward_scene(video, i, j))
+        assert pred_a.segments.tolist() == [[video.shots.starts[i - 1], video.shots.ends[j - 1]]
+                                            for i, j in ranges]
+        assert np.array_equal(pred_d.segments, pred_a.segments)
+        for (i, j), conf, tags in zip(ranges, pred_d.scene_scores, pred_d.tag_scores):
+            assert conf == segment.forward_video(video, [(i, j)])[0]
+            assert np.array_equal(tags, conf * tag.forward_scene(video, i, j))
 
     def test_single_shot_video_mode_a(self):
         boundary, _seg, tag = nets()
         video = make_video("v", [0.0, 2.0], feature_dim=4)
         pred = run_pipeline(video, ModelBundle(boundary=boundary, tag=tag), PipelineConfig(mode="a"))
-        assert len(pred.segments) == 1
-        assert pred.segments[0].span == span(0.0, 2.0)
+        assert pred.segments.tolist() == [[0.0, 2.0]]
 
     def test_fusion_monotone_in_scene_score(self):
         boundary, segment, tag = nets(seed=9)
@@ -198,17 +196,17 @@ class TestRunPipeline:
         cfg = PipelineConfig(mode="d", threshold_b=0.5)
         bundle = ModelBundle(boundary=boundary, segment=segment, tag=tag)
         pred = run_pipeline(video, bundle, cfg)
-        assert pred.segments
-        for seg in pred.segments:
-            i, j = oracles.shot_span_indices(video, seg.span)
+        assert len(pred.segments)
+        for seg, conf, tags in zip(pred.segments, pred.scene_scores, pred.tag_scores):
+            i, j = oracles.shot_span_indices(video, span(*seg))
             t = tag.forward_scene(video, i, j)
-            assert np.array_equal(seg.tag_scores, seg.scene_score * t)
+            assert np.array_equal(tags, conf * t)
             # scaling the confidence by a power of two scales every fused
             # score exactly and never reorders tags within the segment
             for lam in (0.5, 0.25):
-                scaled = (lam * seg.scene_score) * t
-                assert np.array_equal(scaled, lam * seg.tag_scores)
-                assert np.array_equal(np.argsort(-scaled), np.argsort(-seg.tag_scores))
+                scaled = (lam * conf) * t
+                assert np.array_equal(scaled, lam * tags)
+                assert np.array_equal(np.argsort(-scaled), np.argsort(-tags))
 
 
 REQUIREMENT_ROWS = [(mode, net, head) for mode, needs in MODE_REQUIREMENTS.items()
@@ -225,7 +223,7 @@ class TestModeTable:
         have = {"boundary": boundary, "tag": tag, "segment": heads[needs.get("segment", "scalar")]}
         bundle = {name: have[name] for name in needs}
         video, cfg = three_shot_video(), PipelineConfig(mode=mode)
-        assert run_pipeline(video, ModelBundle(**bundle), cfg).segments
+        assert len(run_pipeline(video, ModelBundle(**bundle), cfg).segments)
 
         with pytest.raises(ConfigError, match=net):
             run_pipeline(video, ModelBundle(**{**bundle, net: None}), cfg)
@@ -268,18 +266,24 @@ class TestPredictCorpus:
         assert (tmp_path / "a.jsonl").read_bytes() == (tmp_path / "b.jsonl").read_bytes()
 
     def test_round_trip_read(self, tmp_path):
-        boundary, _s, tag = nets(seed=2)
+        """In every mode the file read back is the in-memory record, array
+        for array, and scores the same."""
+        boundary, scalar, tag = nets(seed=2)
+        _b, per_tag, _t = nets(seed=2, head_mode="per_tag")
         corpus = self.corpus()
-        out = tmp_path / "p.jsonl"
-        preds = predict_corpus(corpus, ModelBundle(boundary=boundary, tag=tag),
-                               PipelineConfig(mode="a", threshold_b=0.5), out_path=out)
-        loaded = read_predictions(out)
-        assert [p.video_id for p in loaded] == [p.video_id for p in preds]
-        for mem, disk in zip(preds, loaded):
-            for seg_m, seg_d in zip(mem.segments, disk.segments):
-                assert seg_d.span == seg_m.span
-                for k, score in seg_d.tag_scores.items():
-                    assert score == float(seg_m.tag_scores[k - 1])
+        for mode in MODES:
+            needs = MODE_REQUIREMENTS[mode]
+            have = {"boundary": boundary, "tag": tag,
+                    "segment": per_tag if needs.get("segment") == "per_tag" else scalar}
+            out = tmp_path / f"{mode}.jsonl"
+            preds = predict_corpus(corpus, ModelBundle(**{net: have[net] for net in needs}),
+                                   PipelineConfig(mode=mode, threshold_b=0.5), out_path=out)
+            loaded = read_predictions(out, 3)
+            assert [p.video_id for p in loaded] == [p.video_id for p in preds]
+            for mem, disk in zip(preds, loaded):
+                for field in ("segments", "scene_scores", "tag_scores"):
+                    assert np.array_equal(getattr(disk, field), getattr(mem, field), equal_nan=True)
+            assert evaluate(loaded, corpus).as_dict() == evaluate(preds, corpus).as_dict()
 
     def test_tag_lists_sorted_descending(self, tmp_path):
         boundary, _s, tag = nets(seed=4)
@@ -329,14 +333,28 @@ class TestMalformedPredictions:
         (json.dumps(prediction_doc(tags=[{"id": 1, "score": math.inf}])), "tag score must be a finite"),
         (json.dumps(prediction_doc(end_s="4.0")), "end_s must be a finite number"),
         ("{not json", "not valid JSON"),
+        (json.dumps(prediction_doc(tags=[{"id": 1, "score": 0.9}, {"id": 1, "score": 0.1}])),
+         "a segment lists a tag id twice"),
+        (json.dumps({"video_id": "v0", "segments": {}}), "segments must be a list, got {}"),
+        (json.dumps(prediction_doc(tags={})), "tags must be a list, got {}"),
+        (json.dumps({"video_id": 7, "segments": []}), "video_id must be a string, got 7"),
     ], ids=["no-segments", "no-video-id", "no-end", "list", "int-tags", "text-tag-id",
-            "bool-tag-id", "nan-scene-score", "inf-tag-score", "text-end", "bad-json"])
+            "bool-tag-id", "nan-scene-score", "inf-tag-score", "text-end", "bad-json",
+            "duplicate-tag-id", "dict-segments", "dict-tags", "int-video-id"])
     def test_names_file_and_line(self, tmp_path, line, detail):
         path = tmp_path / "p.jsonl"
         path.write_text(json.dumps(prediction_doc()) + "\n" + line + "\n")
         with pytest.raises(DataError, match=re.escape(f"predictions {path} line 2: ")) as info:
-            read_predictions(path)
+            read_predictions(path, 3)
         assert detail in str(info.value)
+
+    @pytest.mark.parametrize("tag_id", [0, 4, 99])
+    def test_tag_id_outside_vocabulary_names_video_and_id(self, tmp_path, tag_id):
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps(prediction_doc(tags=[{"id": tag_id, "score": 0.5}])) + "\n")
+        with pytest.raises(DataError, match=re.escape(
+                f"predictions {path}: video 'v0': predicted tag id {tag_id} is outside 1..3 (line 1)")):
+            read_predictions(path, 3)
 
     def test_second_line_for_a_video_rejected(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -345,4 +363,4 @@ class TestMalformedPredictions:
                         + json.dumps(lines[2]) + "\n")
         with pytest.raises(DataError, match=re.escape(
                 f"predictions {path} line 4: video 'v0' was already predicted on line 1")):
-            read_predictions(path)
+            read_predictions(path, 3)

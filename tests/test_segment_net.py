@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenestruct.data.labels import span_from_shots
 from scenestruct.errors import ConfigError, DataError
 from scenestruct.fusion import ModalityMask
 from scenestruct.models import SegmentNet, enumerate_proposals, proposal_tag_targets, proposal_targets, train_segment
@@ -105,9 +104,9 @@ class TestProposalTargets:
         proposals = enumerate_proposals(n)
         ours = proposal_targets(proposals, video)
         for idx, (i, j) in enumerate(proposals):
-            span = span_from_shots(video, i, j)
+            start, end = video.shots.starts[i - 1], video.shots.ends[j - 1]
             expected = max(
-                (oracles.naive_tiou(span.start_s, span.end_s, s.span.start_s, s.span.end_s)
+                (oracles.naive_tiou(start, end, s.span.start_s, s.span.end_s)
                  for s in scenes),
                 default=0.0,
             )
