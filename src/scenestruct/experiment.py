@@ -132,16 +132,18 @@ def run_evaluate(cfg: ExperimentConfig, predictions_path=None, video_ids=None):
 def tagging_map_on_gt_scenes(model, videos) -> float:
     """Segment-free tagging mAP of a TagNet over ground-truth scenes.
 
-    Scenes are scored one at a time so the ranking cannot depend on how
-    they would be batched.
+    Each video's scenes are scored in one forward_scenes call; a scene's
+    scores have the bits of that scene scored alone, so the ranking does
+    not depend on which scenes share the call.
     """
     scene_preds = []
     for video in videos:
-        for scene in video.scenes or ():
-            shots = shots_in_span(video, scene.span)
-            if shots:
-                probs = model.forward_scenes([shots])[0]
-                scene_preds.append((scene.tags, {k + 1: float(v) for k, v in enumerate(probs)}))
+        scenes = [(scene.tags, shots) for scene in video.scenes or ()
+                  if (shots := shots_in_span(video, scene.span))]
+        if scenes:
+            probs = model.forward_scenes([shots for _tags, shots in scenes])
+            scene_preds += [(tags, {k + 1: float(v) for k, v in enumerate(row)})
+                            for (tags, _shots), row in zip(scenes, probs)]
     return tagging_map(scene_preds, model.num_tags)
 
 

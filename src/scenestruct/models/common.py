@@ -104,8 +104,9 @@ class SequenceNet:
                    params=params, **{key: config[key] for key in cls.config_keys})
 
     def _encode(self, shot_lists, *, train, rng):
-        """Fuse each shot list and run them through the BiLSTM as one padded
-        batch. Returns (hidden, lengths, cache) for _backprop."""
+        """Training encode: fuse each shot list and run them through
+        BiLstm.forward as one padded batch. Returns (hidden, lengths, cache)
+        for _backprop."""
         fused, fuse_caches = [], []
         for shots in shot_lists:
             f, cache = self.fuser.forward_shots(shots, train=train, rng=rng)
@@ -114,6 +115,14 @@ class SequenceNet:
         batch = SequenceBatch.from_sequences(fused)
         hidden, lstm_cache = self.lstm.forward(batch)
         return hidden, batch.lengths, (batch.lengths, fuse_caches, lstm_cache)
+
+    def _infer(self, shot_lists):
+        """Inference encode: fuse each shot list (no dropout) and run them
+        through BiLstm.infer as one padded batch. Returns (hidden, lengths);
+        each row has the bits of its shot list encoded alone."""
+        batch = SequenceBatch.from_sequences(
+            [self.fuser.forward_shots(shots)[0] for shots in shot_lists])
+        return self.lstm.infer(batch), batch.lengths
 
     def _head_backward(self, x, d_logits):
         """Add the head's gradients for inputs x; returns the gradient

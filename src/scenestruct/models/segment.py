@@ -113,7 +113,7 @@ class SegmentNet(SequenceNet):
         d_hidden += np.cumsum(diff[:-1], axis=0)
         return d_hidden
 
-    def forward_video(self, video, proposals, *, train=False, rng=None):
+    def forward_video(self, video, proposals):
         """Scores for an (N, 2) array of (i, j) proposals: (N,) or (N, num_tags)."""
         proposals = np.asarray(proposals, dtype=np.intp).reshape(-1, 2)
         i_idx, j_idx = proposals.T
@@ -127,7 +127,7 @@ class SegmentNet(SequenceNet):
         if not len(proposals):
             shape = (0,) if self.head_mode == "scalar" else (0, self.num_tags)
             return np.zeros(shape, dtype=self.lstm.dtype)
-        hidden, _lengths, _cache = self._encode([video.shots], train=train, rng=rng)
+        hidden, _lengths = self._infer([video.shots])
         scores = self._head_forward(self._summaries(hidden[0], i_idx, j_idx))
         return scores[:, 0] if self.head_mode == "scalar" else scores
 

@@ -12,7 +12,7 @@ import numpy as np
 
 from ..data.labels import shots_in_span
 from ..errors import ConfigError, DataError
-from ..nn.layers import assert_finite, dense_forward, sigmoid
+from ..nn.layers import assert_finite, dense_forward, rowwise_matmul, sigmoid
 from ..nn.losses import bce_loss
 from .common import SequenceNet, TrainingHyper, fit
 
@@ -22,6 +22,14 @@ def multihot(tags, num_tags) -> np.ndarray:
     for tag in tags:
         out[tag - 1] = 1.0
     return out
+
+
+def scene_shots(video, i, j):
+    """The shots of the inclusive 1-based range [i, j]; a range outside the
+    video is a DataError."""
+    if not 1 <= i <= j <= video.num_shots:
+        raise DataError(f"scene range ({i}, {j}) out of range for video {video.video_id!r}")
+    return video.shots[i - 1 : j]
 
 
 class TagNet(SequenceNet):
@@ -41,23 +49,20 @@ class TagNet(SequenceNet):
         rows = np.arange(hidden.shape[0])
         return np.concatenate([hidden[rows, lengths - 1, :hd], hidden[:, 0, hd:]], axis=1)
 
-    def _head_forward(self, summary):
-        logits = dense_forward(summary, self.params["head.W"], self.params["head.b"])
+    def _probs(self, logits):
         assert_finite("tag head output", logits)
         return sigmoid(logits)
 
-    def forward_scenes(self, scene_shots, *, train=False, rng=None) -> np.ndarray:
-        """Tag scores (n_scenes, num_tags) for shot lists encoded as one batch."""
-        hidden, lengths, _cache = self._encode(scene_shots, train=train, rng=rng)
-        return self._head_forward(self._summary(hidden, lengths))
+    def forward_scenes(self, shot_lists) -> np.ndarray:
+        """Tag scores (n_scenes, num_tags) for shot lists encoded as one
+        batch; each row has the bits of its shot list scored alone."""
+        hidden, lengths = self._infer(shot_lists)
+        logits = rowwise_matmul(self._summary(hidden, lengths), self.params["head.W"])
+        return self._probs(logits + self.params["head.b"])
 
-    def forward_scene(self, video, i, j, *, train=False, rng=None) -> np.ndarray:
+    def forward_scene(self, video, i, j) -> np.ndarray:
         """Tag scores (num_tags,) for the inclusive shot range [i, j]."""
-        if not 1 <= i <= j <= video.num_shots:
-            raise DataError(
-                f"scene range ({i}, {j}) out of range for video {video.video_id!r}"
-            )
-        return self.forward_scenes([video.shots[i - 1 : j]], train=train, rng=rng)[0]
+        return self.forward_scenes([scene_shots(video, i, j)])[0]
 
     def batch_loss_and_grads(self, items, rng, *, train=True, backward=None):
         """items: (shots, target) pairs with target of shape (num_tags,).
@@ -69,7 +74,7 @@ class TagNet(SequenceNet):
             backward = train
         hidden, lengths, cache = self._encode([shots for shots, _t in items], train=train, rng=rng)
         summary = self._summary(hidden, lengths)
-        probs = self._head_forward(summary)
+        probs = self._probs(dense_forward(summary, self.params["head.W"], self.params["head.b"]))
         targets = np.stack([t for _s, t in items]).astype(self.lstm.dtype)
         loss, d_logits = bce_loss(probs, targets)
         if backward:

@@ -1,4 +1,4 @@
-"""Affine map, sigmoid and dropout primitives."""
+"""Affine map, row-wise product, sigmoid and dropout primitives."""
 
 from __future__ import annotations
 
@@ -47,6 +47,14 @@ def dense_forward(x: np.ndarray, weights: np.ndarray, bias: np.ndarray) -> np.nd
             f"weights shape {weights.shape}"
         )
     return x @ weights + bias
+
+
+def rowwise_matmul(a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """a @ w as one vector-matrix product per row of a: (..., K) by (..., K, N)
+    to (..., N), leading axes broadcast. A row's result has the bits of the
+    same product on that row alone, however many rows are computed together;
+    a plain batched GEMM gives no such guarantee."""
+    return np.matmul(a[..., None, :], w)[..., 0, :]
 
 
 def dense_backward(x, weights, grad_y):

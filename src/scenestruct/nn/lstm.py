@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .batching import SequenceBatch
-from .layers import assert_finite, sigmoid
+from .layers import assert_finite, rowwise_matmul, sigmoid
 
 DIRECTIONS = ("fwd", "bwd")
 
@@ -55,15 +55,20 @@ class BiLstm:
                      else rng.uniform(-scale, scale, size=shape))
             self.params[name] = value.astype(self.dtype)
 
-    def forward(self, batch: SequenceBatch):
-        """Returns (output, cache); cache is consumed by backward()."""
+    def _input(self, batch: SequenceBatch) -> np.ndarray:
+        """The batch data with padded steps zeroed, in this layer's dtype."""
         if batch.data.shape[2] != self.input_dim:
             raise ValueError(
                 f"batch feature dim {batch.data.shape[2]} does not match "
                 f"lstm input dim {self.input_dim}"
             )
+        return np.where(batch.mask[:, :, None], batch.data, 0).astype(self.dtype, copy=False)
+
+    def forward(self, batch: SequenceBatch):
+        """Training forward: returns (output, cache); cache is consumed by
+        backward()."""
+        x = self._input(batch)
         valid = batch.mask
-        x = np.where(valid[:, :, None], batch.data, 0).astype(self.dtype, copy=False)
         layer_caches = []
         layer_in = x
         for layer in range(self.num_layers):
@@ -75,6 +80,45 @@ class BiLstm:
             layer_in = out
         cache = (layer_caches, valid)
         return layer_in, cache
+
+    def infer(self, batch: SequenceBatch) -> np.ndarray:
+        """Inference forward: forward()'s output, with no cache kept.
+
+        Each row has the bits of forward() on that row alone, whatever else
+        shares the batch: every product runs one row at a time
+        (rowwise_matmul), each layer projects all steps' inputs before its
+        recurrence, and step k advances the fwd direction at t = k and the
+        bwd direction at t = T-1-k together, with gates summed in forward()'s
+        order, (x Wx + h Wh) + b.
+        """
+        x = self._input(batch)
+        b_sz, t_max, _ = x.shape
+        hd = self.hidden_dim
+        valid = batch.mask[:, :, None]
+        step_valid = np.stack([valid, valid[:, ::-1]])  # (2, B, T, 1), in step order
+        for layer in range(self.num_layers):
+            wx, wh, bias = ([self.params[f"lstm.l{layer}_{direction}_{name}"]
+                             for direction in DIRECTIONS] for name in ("Wx", "Wh", "b"))
+            # (2, B, T, 4H): each direction's input projection, in step order
+            xw = np.stack([rowwise_matmul(x, wx[0]), rowwise_matmul(x, wx[1])[:, ::-1]])
+            wh = np.stack(wh)[:, None]  # (2, 1, H, 4H)
+            bias = np.stack(bias)[:, None]  # (2, 1, 4H)
+            h = np.zeros((2, b_sz, hd), dtype=self.dtype)
+            c = np.zeros((2, b_sz, hd), dtype=self.dtype)
+            out = np.empty((2, b_sz, t_max, hd), dtype=self.dtype)
+            for k in range(t_max):
+                z = xw[:, :, k] + rowwise_matmul(h, wh) + bias
+                gates = sigmoid(z)  # i, f and o are read from it; g takes tanh
+                c_new = (gates[..., hd : 2 * hd] * c
+                         + gates[..., :hd] * np.tanh(z[..., 2 * hd : 3 * hd]))
+                h_new = gates[..., 3 * hd :] * np.tanh(c_new)
+                m = step_valid[:, :, k]
+                h = np.where(m, h_new, 0)
+                c = np.where(m, c_new, 0)
+                out[:, :, k] = h
+            x = np.concatenate([out[0], out[1, :, ::-1]], axis=2)
+            assert_finite(f"lstm layer {layer} output", x)
+        return x
 
     def backward(self, cache, grad_out: np.ndarray, grads: dict) -> np.ndarray:
         """Adds the parameter gradients into grads; returns the gradient

@@ -32,6 +32,7 @@ from .models.boundary import boundaries_to_scenes
 from .models.bundle import MODE_REQUIREMENTS, ModelBundle
 from .models.common import check_setting
 from .models.segment import enumerate_proposals
+from .models.tag import scene_shots
 
 MODES = tuple(MODE_REQUIREMENTS)
 
@@ -104,7 +105,8 @@ def run_pipeline(video: VideoRecord, bundle: ModelBundle, cfg: PipelineConfig) -
         ranges, scores = segment_proposals(video, bundle.segment, cfg.nms_tiou,
                                            cfg.max_duration_shots)
     if "tag" in needs:
-        tags = np.stack([bundle.tag.forward_scene(video, i, j) for i, j in np.asarray(ranges).tolist()])
+        tags = bundle.tag.forward_scenes([scene_shots(video, i, j)
+                                          for i, j in np.asarray(ranges).tolist()])
     else:  # mode c: the per-tag segment scores are the tag scores
         tags, scores = scores, None
     spans = range_spans(video, ranges)

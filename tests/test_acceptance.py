@@ -459,9 +459,27 @@ def test_criterion_8_padding_invariance():
     net = BoundaryNet(ModalityMask.from_names(["vis_r50"]),
                       corpus.manifest.modality_dims, hidden_dim=4, dropout_rate=0.0,
                       dtype=np.float64, seed=1)
+    for name in ("head.W", "head.b"):  # a zero head would score every boundary 0.5
+        net.params[name][...] = rng.normal(size=net.params[name].shape)
     solo = [net.forward_video(v) for v in corpus.videos]
     batch = net.forward_videos(corpus.videos)
     batch_equal = all(np.array_equal(batch[row], solo[row]) for row in range(len(solo)))
+    # and so at the shipped shape (vis_r50 + image + length = 33, H=16) and the
+    # paper's (vis_r50 + length = 2049, H=128), float32
+    for dims, hidden in (({"vis_r50": 16, "image": 16}, 16), ({"vis_r50": 2048}, 128)):
+        corpus = build_corpus(GeneratorConfig(
+            num_videos=12, seed=4, modalities=dims, signal=dict.fromkeys(dims, "scene"),
+            num_tags=2, scenes_per_video=(2, 5), shots_per_scene=(1, 4), tags_per_scene=(1, 1),
+            duration_mean_s=30.0, duration_std_s=5.0,
+        ))
+        net = BoundaryNet(ModalityMask.from_names(list(dims)), corpus.manifest.modality_dims,
+                          hidden_dim=hidden, seed=1)
+        for name in ("head.W", "head.b"):
+            net.params[name][...] = rng.normal(size=net.params[name].shape) * 0.1
+        solo = [net.forward_video(v) for v in corpus.videos]
+        batch = net.forward_videos(corpus.videos)
+        batch_equal = batch_equal and all(
+            np.array_equal(batch[row], solo[row]) for row in range(len(solo)))
 
     ok = loss_equal and grads_equal and preds_equal and batch_equal
     report(8, ok, f"loss equal: {loss_equal}; grads equal: {grads_equal}; "

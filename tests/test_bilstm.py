@@ -63,6 +63,42 @@ def swap_directions(lstm: BiLstm) -> BiLstm:
     return swapped
 
 
+# (input dim, hidden dim, dtype): a tiny float64 net, the shipped shape and the
+# paper's segmentation (vis_r50 + length) and tagging (vis_i3 + length) shapes
+INFER_SHAPES = [(3, 4, np.float64), (33, 16, np.float32), (2049, 128, np.float32),
+                (1025, 128, np.float32)]
+
+
+class TestInfer:
+    @pytest.mark.parametrize("dim, hidden, dtype", INFER_SHAPES)
+    def test_each_row_equals_forward_on_that_row_alone(self, dim, hidden, dtype):
+        rng = np.random.default_rng(dim)
+        lstm = make_lstm(dim, hidden, rng, dtype=dtype)
+        for b_sz in (1, 7, 64):
+            lengths = rng.integers(1, 7, size=b_sz)
+            batch = random_batch(rng, dim, lengths, dtype=dtype)
+            batch.data[~batch.mask] = rng.normal(size=batch.data.shape)[~batch.mask] * 1e6
+            out = lstm.infer(batch)
+            assert out.shape == (b_sz, lengths.max(), 2 * hidden)
+            for row, n in enumerate(lengths):
+                alone, _ = lstm.forward(SequenceBatch(batch.data[row : row + 1, :n],
+                                                      lengths[row : row + 1]))
+                assert np.array_equal(out[row, :n], alone[0]), (b_sz, row)
+                assert not out[row, n:].any()
+
+    def test_wrong_feature_dim_rejected(self):
+        lstm = make_lstm(3, 4)
+        with pytest.raises(ValueError, match="dim"):
+            lstm.infer(random_batch(np.random.default_rng(1), 5, [4]))
+
+    def test_non_finite_output_rejected(self):
+        lstm = make_lstm(3, 4, dtype=np.float64)
+        batch = random_batch(np.random.default_rng(2), 3, [4, 2])
+        batch.data[1, 0, 2] = np.nan
+        with pytest.raises(FloatingPointError, match="lstm layer 0 output"):
+            lstm.infer(batch)
+
+
 class TestReversalSymmetry:
     def test_reversing_input_swaps_direction_blocks(self):
         rng = np.random.default_rng(5)

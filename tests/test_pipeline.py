@@ -129,6 +129,19 @@ class TestRunPipeline:
         assert np.isnan(pred.scene_scores).all()
         assert pred.tag_scores.shape == (1, 3)
 
+    def test_mode_a_tags_each_scene_as_if_scored_alone(self):
+        # one forward_scenes call tags all of a video's scenes; each row must
+        # keep the bits of that scene's own forward_scene call
+        boundary, _seg, tag = nets(seed=11)
+        video = make_video("v", list(np.arange(25.0)), feature_dim=4,
+                           rng=np.random.default_rng(4))
+        pred = run_pipeline(video, ModelBundle(boundary=boundary, tag=tag),
+                            PipelineConfig(mode="a", threshold_b=0.5))
+        ranges = [oracles.shot_span_indices(video, span(*seg)) for seg in pred.segments]
+        assert len({j - i for i, j in ranges}) > 1  # scenes of different lengths share the call
+        for row, (i, j) in enumerate(ranges):
+            assert np.array_equal(pred.tag_scores[row], tag.forward_scene(video, i, j))
+
     def test_modes_a_and_d_emit_identical_spans(self):
         boundary, segment, tag = nets(seed=3)
         video = three_shot_video()

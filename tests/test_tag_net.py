@@ -71,6 +71,23 @@ class TestForward:
         probs_joint = net.forward_scenes(scene_shots)
         for idx, shots in enumerate(scene_shots):
             assert np.array_equal(probs_joint[idx], net.forward_scenes([shots])[0])
+        # the shipped tag net (vis_i3 + audio + length = 33, H=16, 8 tags) and
+        # the paper's (vis_i3 + length = 1025, H=128, 82 tags), float32,
+        # with up to 64 scenes of 1 to 6 shots in one call
+        for modalities, dim, hidden, num_tags in ((("vis_i3", "audio"), 16, 16, 8),
+                                                  (("vis_i3",), 1024, 128, 82)):
+            net = TagNet(ModalityMask.from_names(modalities), dict.fromkeys(modalities, dim),
+                         num_tags, hidden_dim=hidden, seed=5)
+            for name in ("head.W", "head.b"):
+                net.params[name][...] = rng.normal(size=net.params[name].shape) * 0.1
+            video = make_video("v", list(np.arange(200.0)), feature_dim=dim,
+                               modalities=modalities, rng=rng)
+            for count in (2, 64):
+                starts = rng.integers(1, video.num_shots - 5, size=count)
+                ranges = [(i, i + n - 1) for i, n in zip(starts, rng.integers(1, 7, size=count))]
+                probs_joint = net.forward_scenes([video.shots[i - 1 : j] for i, j in ranges])
+                for row, (i, j) in enumerate(ranges):
+                    assert np.array_equal(probs_joint[row], net.forward_scene(video, i, j)), (i, j)
 
 
 class TestMultihot:
