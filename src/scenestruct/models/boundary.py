@@ -11,7 +11,7 @@ import numpy as np
 
 from ..data.labels import boundary_labels
 from ..errors import ConfigError
-from ..nn.layers import rowwise_matmul, sigmoid
+from ..nn.layers import sigmoid
 from ..nn.losses import bce_loss
 from .common import SequenceNet, TrainingHyper, fit
 
@@ -25,25 +25,19 @@ class BoundaryNet(SequenceNet):
         super().__init__(mask, dims, num_outputs=1, **kwargs)
         self.positive_weight = positive_weight
 
-    @staticmethod
-    def _pairs(hidden):
-        return np.concatenate([hidden[:, :-1], hidden[:, 1:]], axis=2)
-
     def _head_forward(self, hidden):
-        # training scores all pairs with one GEMM; forward_videos takes one
-        # product per pair
-        pair = self._pairs(hidden)
+        pair = np.concatenate([hidden[:, :-1], hidden[:, 1:]], axis=2)
         b_sz, tm1, dim = pair.shape
         logits = pair.reshape(b_sz * tm1, dim) @ self.params["head.W"] + self.params["head.b"]
         return sigmoid(logits.reshape(b_sz, tm1)), pair
 
     def forward_videos(self, videos) -> list[np.ndarray]:
         """Boundary scores of each video, encoded together as one batch;
-        each video's scores have the bits of that video scored alone."""
+        each video's scores have the bits of that video scored alone, since
+        the head runs on each video's own rows."""
         hidden, _lengths = self._infer([v.shots for v in videos])
-        logits = rowwise_matmul(self._pairs(hidden), self.params["head.W"])[..., 0]
-        probs = sigmoid(logits + self.params["head.b"])
-        return [probs[row, : video.num_shots - 1] for row, video in enumerate(videos)]
+        return [self._head_forward(hidden[row:row + 1, : video.num_shots])[0][0]
+                for row, video in enumerate(videos)]
 
     def forward_video(self, video) -> np.ndarray:
         """Boundary scores b_1..b_{M-1}; empty for single-shot videos."""
