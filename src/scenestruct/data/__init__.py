@@ -6,8 +6,7 @@ from .records import (
     CANONICAL_MODALITIES,
     Corpus,
     CorpusManifest,
-    SceneAnnotation,
-    SegmentSpan,
+    SceneTable,
     ShotTable,
     VideoRecord,
 )
@@ -16,8 +15,7 @@ __all__ = [
     "CANONICAL_MODALITIES",
     "Corpus",
     "CorpusManifest",
-    "SceneAnnotation",
-    "SegmentSpan",
+    "SceneTable",
     "ShotTable",
     "VideoRecord",
     "boundary_labels",

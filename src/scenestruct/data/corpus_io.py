@@ -23,7 +23,7 @@ import numpy as np
 
 from .. import binfile
 from ..errors import DataError
-from .records import Corpus, CorpusManifest, SceneAnnotation, SegmentSpan, ShotTable, VideoRecord
+from .records import Corpus, CorpusManifest, SceneTable, ShotTable, VideoRecord
 
 FORMAT_TAG = "scenestruct-corpus-v2"
 RECORDS_FILE = "records.bin"
@@ -67,16 +67,33 @@ def load_manifest(path) -> CorpusManifest:
     )
 
 
-def _scene_tags(tags) -> frozenset[int]:
-    if not isinstance(tags, list) or any(isinstance(t, bool) or not isinstance(t, int) for t in tags):
-        raise DataError(f"malformed scene tags {tags!r}: expected a JSON list of integers")
-    return frozenset(tags)
-
-
 def _number(value, what: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise DataError(f"{what} must be a number, got {value!r}")
     return float(value)
+
+
+def _scene_table(vid: str, scene_docs, num_tags: int) -> SceneTable:
+    """A video's scene objects as one table; a tag id that is not an
+    integer in 1..num_tags, or is listed twice in one scene, is a DataError."""
+    spans, cells = [], []  # cells: flat indices of the (K, num_tags) tag matrix
+    for row, doc in enumerate(scene_docs):
+        spans.append((_number(doc["start_s"], "scene start_s"),
+                      _number(doc["end_s"], "scene end_s")))
+        tags = doc["tags"]
+        if not isinstance(tags, list) or any(isinstance(t, bool) or not isinstance(t, int)
+                                             for t in tags):
+            raise DataError(f"malformed scene tags {tags!r}: expected a JSON list of integers")
+        for tag in tags:  # before the matrix is filled: id 0 would fill the previous row
+            if not 1 <= tag <= num_tags:
+                raise DataError(f"video {vid!r}: unknown tag id {tag} "
+                                f"(vocabulary has {num_tags} tags)")
+        if len(set(tags)) < len(tags):
+            raise DataError(f"video {vid!r}: a scene lists a tag id twice")
+        cells += [row * num_tags + tag - 1 for tag in tags]
+    matrix = np.zeros(len(spans) * num_tags, dtype=bool)
+    matrix[cells] = True
+    return SceneTable(spans, matrix.reshape(-1, num_tags))
 
 
 def _parse_video(doc, manifest: CorpusManifest, records: binfile.BinFile) -> VideoRecord:
@@ -102,16 +119,9 @@ def _parse_video(doc, manifest: CorpusManifest, records: binfile.BinFile) -> Vid
         features = {name: records.view(feature_docs[name], COLUMN_DTYPE,
                                        f"video {vid!r} column {name!r}", (len(starts), dim))
                     for name, dim in manifest.modality_dims.items()}
-        scenes = None
-        if doc["scenes"] is not None:
-            scenes = [
-                SceneAnnotation(
-                    span=SegmentSpan(_number(s["start_s"], "scene start_s"),
-                                     _number(s["end_s"], "scene end_s")),
-                    tags=_scene_tags(s["tags"]),
-                )
-                for s in doc["scenes"]
-            ]
+        scenes = doc["scenes"]
+        if scenes is not None:
+            scenes = _scene_table(vid, scenes, manifest.num_tags)
         return VideoRecord(video_id=vid, duration_s=duration,
                            shots=ShotTable(starts, ends, features), scenes=scenes)
     except KeyError as exc:
@@ -151,20 +161,12 @@ def validate_video(video: VideoRecord, manifest: CorpusManifest) -> None:
         raise DataError(f"video {vid!r}: last shot ends at {shots.ends[-1]}, "
                         f"duration is {video.duration_s}")
     if video.scenes is not None:
-        video.scenes.sort(key=lambda s: (s.span.start_s, s.span.end_s))
-        for scene in video.scenes:
-            for tag in scene.tags:
-                if not 1 <= tag <= manifest.num_tags:
-                    raise DataError(
-                        f"video {vid!r}: unknown tag id {tag} "
-                        f"(vocabulary has {manifest.num_tags} tags)"
-                    )
-        for a, b in zip(video.scenes, video.scenes[1:]):
-            if b.span.start_s < a.span.end_s - 1e-9:
-                raise DataError(
-                    f"video {vid!r}: scenes [{a.span.start_s}, {a.span.end_s}] and "
-                    f"[{b.span.start_s}, {b.span.end_s}] overlap"
-                )
+        spans = video.scenes.spans
+        overlap = spans[1:, 0] < spans[:-1, 1] - 1e-9
+        if overlap.any():
+            (a_start, a_end), (b_start, b_end) = spans[np.argmax(overlap):][:2].tolist()
+            raise DataError(f"video {vid!r}: scenes [{a_start}, {a_end}] and "
+                            f"[{b_start}, {b_end}] overlap")
 
 
 def load_corpus(manifest_path, records_path) -> Corpus:
@@ -213,8 +215,8 @@ def save_corpus(corpus: Corpus, manifest_path, records_path) -> None:
             "video_id": video.video_id,
             "duration_s": video.duration_s,
             "scenes": None if video.scenes is None else [
-                {"start_s": s.span.start_s, "end_s": s.span.end_s, "tags": sorted(s.tags)}
-                for s in video.scenes
+                {"start_s": start, "end_s": end, "tags": (np.flatnonzero(row) + 1).tolist()}
+                for (start, end), row in zip(video.scenes.spans.tolist(), video.scenes.tags)
             ],
             "starts": layout.add(shots.starts, COLUMN_DTYPE),
             "ends": layout.add(shots.ends, COLUMN_DTYPE),

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import DataError
-from .records import SegmentSpan, ShotTable, VideoRecord
+from .records import ShotTable, VideoRecord
 
 # Default alignment tolerance, mirroring the 0.5 s boundary-F1 tolerance.
 DEFAULT_BOUNDARY_TOL_S = 0.5
@@ -44,11 +44,8 @@ def boundary_labels(video: VideoRecord, tol_s=DEFAULT_BOUNDARY_TOL_S) -> np.ndar
     if m < 2:
         return labels
     shot_bounds = video.shots.ends[:-1]
-    gt_bounds = interior_boundaries(
-        span_array(s.span for s in video.scenes),
-        video.shots.ends[-1],
-        start_s=video.shots.starts[0],
-    )
+    gt_bounds = interior_boundaries(video.scenes.spans, video.shots.ends[-1],
+                                    start_s=video.shots.starts[0])
     for g in gt_bounds:
         dist = np.abs(shot_bounds - g)
         nearest = int(np.argmin(dist))  # argmin takes the earliest on ties
@@ -65,13 +62,8 @@ def range_spans(video: VideoRecord, ranges) -> np.ndarray:
                             video.shots.ends[ranges[:, 1] - 1]])
 
 
-def span_array(spans) -> np.ndarray:
-    """(N, 2) [start_s, end_s] rows of SegmentSpan objects."""
-    return np.array([(s.start_s, s.end_s) for s in spans], dtype=np.float64).reshape(-1, 2)
-
-
-def shots_in_span(video: VideoRecord, span: SegmentSpan) -> ShotTable:
-    """The shots lying inside span (edges within 1e-6 s count), selected by
-    time so that gaps between annotated scenes are tolerated."""
+def shots_in_span(video: VideoRecord, start_s, end_s) -> ShotTable:
+    """The shots lying inside [start_s, end_s] (edges within 1e-6 s count),
+    selected by time so that gaps between annotated scenes are tolerated."""
     shots = video.shots
-    return shots[(shots.starts >= span.start_s - 1e-6) & (shots.ends <= span.end_s + 1e-6)]
+    return shots[(shots.starts >= start_s - 1e-6) & (shots.ends <= end_s + 1e-6)]

@@ -14,18 +14,14 @@ from ..errors import DataError
 CANONICAL_MODALITIES = ("vis_r50", "vis_i3", "image", "audio", "text")
 
 
-@dataclass(frozen=True)
-class SegmentSpan:
-    """Half-open temporal interval [start_s, end_s) in seconds."""
-
-    start_s: float
-    end_s: float
-
-    def __post_init__(self):
-        if not (self.end_s > self.start_s and math.isfinite(self.end_s - self.start_s)):
-            raise DataError(
-                f"segment span must be finite with end > start, got [{self.start_s}, {self.end_s}]"
-            )
+def check_spans(spans) -> np.ndarray:
+    """spans as a (K, 2) float64 array of [start_s, end_s] rows; a row that
+    is not finite with end > start is a DataError."""
+    spans = np.asarray(spans, dtype=np.float64).reshape(-1, 2)
+    for start, end in spans.tolist():
+        if not 0 < end - start < math.inf:  # NaN where a time is NaN, or both are inf
+            raise DataError(f"segment span must be finite with end > start, got [{start}, {end}]")
+    return spans
 
 
 class ShotTable:
@@ -51,20 +47,35 @@ class ShotTable:
                          {name: col[rows] for name, col in self.features.items()})
 
 
-@dataclass
-class SceneAnnotation:
-    span: SegmentSpan
-    tags: frozenset[int]
+class SceneTable:
+    """One video's ground-truth scenes by row: (K, 2) float64 spans
+    [start_s, end_s] sorted by start, then end, and a (K, num_tags) bool tag
+    matrix whose column k - 1 holds tag id k, as in StructuredPrediction."""
+
+    def __init__(self, spans, tags):
+        spans = check_spans(spans)
+        tags = np.asarray(tags, dtype=bool)
+        if tags.ndim != 2 or len(tags) != len(spans):
+            raise DataError(f"scene tags must be a (K, num_tags) matrix for {len(spans)} "
+                            f"spans, got shape {tags.shape}")
+        rows = spans.tolist()
+        if rows != sorted(rows):  # a stable sort: equal spans keep their order
+            order = sorted(range(len(rows)), key=rows.__getitem__)
+            spans, tags = spans[order], tags[order]
+        self.spans, self.tags = spans, tags
+
+    def __len__(self) -> int:
+        return len(self.spans)
 
 
 @dataclass
 class VideoRecord:
-    """Ordered shot sequence with an optional ground-truth scene list."""
+    """Ordered shot sequence with optional ground-truth scenes."""
 
     video_id: str
     duration_s: float
     shots: ShotTable
-    scenes: list[SceneAnnotation] | None = None
+    scenes: SceneTable | None = None
 
     @property
     def num_shots(self) -> int:
@@ -105,6 +116,10 @@ class Corpus:
         self._by_id = {v.video_id: v for v in self.videos}
         if len(self._by_id) != len(self.videos):
             raise DataError("duplicate video_id in corpus")
+        for v in self.videos:
+            if v.scenes is not None and v.scenes.tags.shape[1] != self.manifest.num_tags:
+                raise DataError(f"video {v.video_id!r}: {v.scenes.tags.shape[1]} scene tag columns "
+                                f"for {self.manifest.num_tags} tags")
 
     def video(self, video_id: str) -> VideoRecord:
         try:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ExperimentConfig, write_resolved_config
 from .data.corpus_io import load_corpus
-from .data.labels import interior_boundaries, range_spans, shots_in_span, span_array
+from .data.labels import interior_boundaries, range_spans, shots_in_span
 from .data.records import Corpus
 from .errors import ConfigError, DataError
 from .metrics import evaluate, f1_from_counts, match_boundaries, match_scenes, tagging_map, tiou
@@ -130,21 +130,23 @@ def run_evaluate(cfg: ExperimentConfig, predictions_path=None, video_ids=None):
 
 
 def tagging_map_on_gt_scenes(model, videos) -> float:
-    """Segment-free tagging mAP of a TagNet over ground-truth scenes.
+    """Segment-free tagging mAP of a TagNet over ground-truth scenes that
+    hold shots.
 
     Each video's scenes are scored in one forward_scenes call; a scene's
     scores have the bits of that scene scored alone, so the ranking does
     not depend on which scenes share the call.
     """
-    scene_preds = []
+    scores, tags = [np.empty((0, model.num_tags))], [np.empty((0, model.num_tags), dtype=bool)]
     for video in videos:
-        scenes = [(scene.tags, shots) for scene in video.scenes or ()
-                  if (shots := shots_in_span(video, scene.span))]
-        if scenes:
-            probs = model.forward_scenes([shots for _tags, shots in scenes])
-            scene_preds += [(tags, {k + 1: float(v) for k, v in enumerate(row)})
-                            for (tags, _shots), row in zip(scenes, probs)]
-    return tagging_map(scene_preds, model.num_tags)
+        if video.scenes is None:
+            continue
+        shot_lists = [shots_in_span(video, *span) for span in video.scenes.spans.tolist()]
+        kept = [row for row, shots in enumerate(shot_lists) if shots]
+        if kept:
+            scores.append(model.forward_scenes([shot_lists[row] for row in kept]))
+            tags.append(video.scenes.tags[kept])
+    return tagging_map(np.concatenate(scores), np.concatenate(tags))
 
 
 def boundary_f1_on_videos(model, videos, threshold_b) -> float:
@@ -156,7 +158,7 @@ def boundary_f1_on_videos(model, videos, threshold_b) -> float:
         scores = model.forward_video(video)
         scene_ranges = boundaries_to_scenes(scores, threshold_b)
         pred_bounds = [video.shots.ends[j - 1] for _i, j in scene_ranges[:-1]]
-        gt_bounds = interior_boundaries(span_array(s.span for s in video.scenes), video.duration_s)
+        gt_bounds = interior_boundaries(video.scenes.spans, video.duration_s)
         tp += match_boundaries(pred_bounds, gt_bounds)
         n_pred += len(pred_bounds)
         n_gt += len(gt_bounds)
@@ -170,8 +172,7 @@ def scene_f1_on_videos(model, videos, nms_tiou, max_duration_shots=None) -> floa
         if video.scenes is None:
             continue
         ranges, _scores = segment_proposals(video, model, nms_tiou, max_duration_shots)
-        tp += match_scenes(tiou(*range_spans(video, ranges).T,
-                                *span_array(s.span for s in video.scenes).T))
+        tp += match_scenes(tiou(*range_spans(video, ranges).T, *video.scenes.spans.T))
         n_pred += len(ranges)
         n_gt += len(video.scenes)
     return f1_from_counts(tp, n_pred, n_gt).f1

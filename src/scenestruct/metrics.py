@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data.labels import interior_boundaries, span_array
+from .data.labels import interior_boundaries
 from .data.records import Corpus, StructuredPrediction
 from .errors import DataError
 
@@ -184,30 +184,24 @@ def scene_f1(tious) -> float:
     return f1_from_counts(match_scenes(tious), *tious.shape).f1
 
 
-def tagging_map(scene_preds, num_tags) -> float:
+def tagging_map(scores, tags) -> float:
     """Segment-free tagging mAP on ground-truth scenes.
 
-    scene_preds: list of (tags, scores) where tags is the ground-truth tag
-    set of the scene and scores maps tag id -> predicted score (missing ids
-    count as no prediction). Classes without positives are excluded; score
-    ties keep the input order.
+    scores: (S, T) predicted scores, NaN where a tag is not scored; tags:
+    the (S, T) bool ground-truth matrix (column k - 1 holds tag id k). Each
+    class ranks its scored scenes by descending score, ties in row order,
+    and sums precision at each positive in rank order. Classes without
+    positives are excluded.
     """
-    aps = []
-    for k in range(1, num_tags + 1):
-        ranked = sorted(
-            (idx for idx, (_tags, scores) in enumerate(scene_preds) if k in scores),
-            key=lambda idx: (-scene_preds[idx][1][k], idx),
-        )
-        n_pos = sum(1 for tags, _scores in scene_preds if k in tags)
-        if n_pos == 0:
-            continue
-        tp = 0
-        ap = 0.0
-        for rank, idx in enumerate(ranked, start=1):
-            if k in scene_preds[idx][0]:
-                tp += 1
-                ap += tp / rank
-        aps.append(ap / n_pos)
+    scores, tags = np.asarray(scores, dtype=np.float64), np.asarray(tags, dtype=bool)
+    order = np.argsort(-scores, axis=0, kind="stable")  # NaN (not scored) sorts last
+    cols = np.arange(scores.shape[1])
+    hits = tags[order, cols] & ~np.isnan(scores[order, cols])
+    ranks = np.arange(1, len(scores) + 1)[:, None]
+    precision = np.where(hits, np.cumsum(hits, axis=0) / ranks, 0.0)
+    # cumsum adds in rank order, as a running sum would; np.sum would pair terms
+    totals = np.cumsum(np.vstack([np.zeros(len(cols)), precision]), axis=0)[-1]
+    aps = [ap / n for ap, n in zip(totals.tolist(), tags.sum(axis=0).tolist()) if n]
     return sum(aps) / len(aps) if aps else 0.0
 
 
@@ -271,43 +265,42 @@ def evaluate(predictions, corpus: Corpus) -> MetricReport:
 
     no_prediction = StructuredPrediction("", np.empty((0, 2)), np.empty(0), np.empty((0, num_tags)))
     spans, tag_scores = [no_prediction.segments], [no_prediction.tag_scores]  # video by video
-    pairs = []  # (class, segment, ground-truth index, tIoU) of each candidate pair
-    num_gts = dict.fromkeys(range(1, num_tags + 1), 0)
+    pairs = [np.empty((0, 4))]  # (class, segment, ground-truth index, tIoU) of each candidate pair
+    seen = np.zeros(num_tags, dtype=np.intp)  # ground truths of each class in earlier videos
     offset = 0
     b_tp = b_pred = b_gt = 0
     s_tp = s_pred = s_gt = 0
     for video in corpus.videos:
-        if video.scenes is None:
+        scenes = video.scenes
+        if scenes is None:
             continue
-        gt_spans = span_array(scene.span for scene in video.scenes)
         pred = preds_by_video.get(video.video_id, no_prediction)
-        tious = tiou(*pred.segments.T, *gt_spans.T)
-        scene_gts = []  # per scene: (class, ground-truth index) of each of its tags
-        for scene in video.scenes:
-            scene_gts.append([(k, num_gts[k]) for k in scene.tags])
-            for k in scene.tags:
-                num_gts[k] += 1
+        tious = tiou(*pred.segments.T, *scenes.spans.T)
+        # each class numbers its ground truths in (video, scene) order
+        gt_index = seen + np.cumsum(scenes.tags, axis=0) - 1
+        seen += scenes.tags.sum(axis=0)
         rows, cols = np.nonzero(tious > 0)
-        for row, col, t in zip(rows.tolist(), cols.tolist(), tious[rows, cols].tolist()):
-            for k, gt_idx in scene_gts[col]:
-                pairs.append((k, offset + row, gt_idx, t))
+        pair, k = np.nonzero(scenes.tags[cols])  # each class's pairs keep row-major order
+        rows, cols = rows[pair], cols[pair]
+        pairs.append(np.column_stack([k + 1, offset + rows, gt_index[cols, k], tious[rows, cols]]))
         spans.append(pred.segments)
         tag_scores.append(pred.tag_scores)
         offset += len(pred.segments)
         pred_bounds = interior_boundaries(pred.segments, video.duration_s)
-        gt_bounds = interior_boundaries(gt_spans, video.duration_s)
+        gt_bounds = interior_boundaries(scenes.spans, video.duration_s)
         b_tp += match_boundaries(pred_bounds, gt_bounds)
         b_pred += len(pred_bounds)
         b_gt += len(gt_bounds)
         s_tp += match_scenes(tious)
         s_pred += len(pred.segments)
-        s_gt += len(gt_spans)
+        s_gt += len(scenes)
 
-    spans, pairs = np.concatenate(spans), np.array(pairs).reshape(-1, 4)
+    spans, pairs = np.concatenate(spans), np.concatenate(pairs)
     # segments listed by earlier start, then earlier end, as rank_predictions breaks ties
     by_span = np.lexsort((spans[:, 1], spans[:, 0]))
     pairs[:, 1] = np.argsort(by_span)[pairs[:, 1].astype(np.intp)]
     columns = np.concatenate(tag_scores)[by_span].T
+    num_gts = dict(enumerate(seen.tolist(), start=1))
     preds_by_class = {k: (columns[k - 1], pairs[pairs[:, 0] == k, 1:]) for k in num_gts}
     avg, per_threshold, per_class = avg_map(preds_by_class, num_gts)
     b_res = f1_from_counts(b_tp, b_pred, b_gt)

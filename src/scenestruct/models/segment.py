@@ -13,7 +13,7 @@ import logging
 
 import numpy as np
 
-from ..data.labels import range_spans, span_array
+from ..data.labels import range_spans
 from ..errors import ConfigError, DataError
 from ..metrics import tiou
 from ..nn.layers import sigmoid
@@ -43,8 +43,7 @@ def _best_scene(proposals, video):
     row (argmax: the first scene on ties)."""
     if video.scenes is None:
         raise DataError(f"video {video.video_id!r} has no scenes for proposal targets")
-    tious = tiou(*range_spans(video, proposals).T,
-                 *span_array(scene.span for scene in video.scenes).T)
+    tious = tiou(*range_spans(video, proposals).T, *video.scenes.spans.T)
     # a zero column keeps argmax defined for a video without scenes
     tious = np.pad(tious, ((0, 0), (0, 1)))
     best = tious.argmax(axis=1)
@@ -56,13 +55,12 @@ def proposal_targets(proposals, video) -> np.ndarray:
     return _best_scene(proposals, video)[0]
 
 
-def proposal_tag_targets(proposals, video, num_tags) -> np.ndarray:
+def proposal_tag_targets(proposals, video) -> np.ndarray:
     """Per-tag targets: the best-tIoU scene's tag indicators scaled by that
     tIoU (first scene wins ties); all-zero rows for disjoint proposals."""
     best_t, best = _best_scene(proposals, video)
-    indicators = np.zeros((len(video.scenes) + 1, num_tags))
-    for row, scene in enumerate(video.scenes):
-        indicators[row, [k - 1 for k in scene.tags]] = 1.0
+    indicators = np.zeros((len(video.scenes) + 1, video.scenes.tags.shape[1]))  # last: no scene
+    indicators[:-1] = video.scenes.tags
     return indicators[best] * best_t[:, None]
 
 
@@ -166,7 +164,7 @@ class SegmentNet(SequenceNet):
         return loss, int(targets.size)
 
 
-def _prepare_items(videos, num_tags, head_mode, max_duration_shots):
+def _prepare_items(videos, head_mode, max_duration_shots):
     items = []
     for video in videos:
         if video.scenes is None:
@@ -176,7 +174,7 @@ def _prepare_items(videos, num_tags, head_mode, max_duration_shots):
         if head_mode == "scalar":
             targets = proposal_targets(proposals, video)
         else:
-            targets = proposal_tag_targets(proposals, video, num_tags)
+            targets = proposal_tag_targets(proposals, video)
         items.append((video, proposals[:, 0], proposals[:, 1], targets))
     return items
 
@@ -185,11 +183,11 @@ def train_segment(train_videos, val_videos, mask, dims, hyper: TrainingHyper,
                   *, num_tags=None, encoders=None):
     """Fit a SegmentNet against soft tIoU targets over enumerated proposals."""
     head_mode = hyper.segment_head
-    items = _prepare_items(train_videos, num_tags, head_mode, hyper.max_duration_shots)
+    items = _prepare_items(train_videos, head_mode, hyper.max_duration_shots)
     if not items:
         raise ConfigError("segment training requires videos with scene annotations")
     model = SegmentNet(mask, dims, hidden_dim=hyper.hidden_dim, num_tags=num_tags,
                        head_mode=head_mode, encoders=encoders, dropout_rate=hyper.dropout,
                        seed=hyper.seed)
-    val_items = _prepare_items(val_videos, num_tags, head_mode, hyper.max_duration_shots)
+    val_items = _prepare_items(val_videos, head_mode, hyper.max_duration_shots)
     return model, fit(model, items, hyper=hyper, val_items=val_items)

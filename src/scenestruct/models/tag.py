@@ -17,13 +17,6 @@ from ..nn.losses import bce_loss
 from .common import SequenceNet, TrainingHyper, fit
 
 
-def multihot(tags, num_tags) -> np.ndarray:
-    out = np.zeros(num_tags, dtype=np.float64)
-    for tag in tags:
-        out[tag - 1] = 1.0
-    return out
-
-
 def scene_shots(video, i, j):
     """The shots of the inclusive 1-based range [i, j]; a range outside the
     video is a DataError."""
@@ -87,22 +80,26 @@ class TagNet(SequenceNet):
         return loss, int(targets.size)
 
 
-def _scene_items(videos, num_tags):
+def _scene_items(videos):
+    """(shots, multi-hot target) of each ground-truth scene that holds shots."""
     items = []
     for video in videos:
-        for scene in video.scenes or ():
-            shots = shots_in_span(video, scene.span)
+        if video.scenes is None:
+            continue
+        targets = video.scenes.tags.astype(np.float64)
+        for (start, end), target in zip(video.scenes.spans.tolist(), targets):
+            shots = shots_in_span(video, start, end)
             if shots:
-                items.append((shots, multihot(scene.tags, num_tags)))
+                items.append((shots, target))
     return items
 
 
 def train_tag(train_videos, val_videos, mask, dims, num_tags, hyper: TrainingHyper,
               *, encoders=None):
     """Fit a TagNet on ground-truth scenes with multi-hot tag targets."""
-    items = _scene_items(train_videos, num_tags)
+    items = _scene_items(train_videos)
     if not items:
         raise ConfigError("tag training requires videos with scene annotations")
     model = TagNet(mask, dims, num_tags, hidden_dim=hyper.hidden_dim, encoders=encoders,
                    dropout_rate=hyper.dropout, seed=hyper.seed)
-    return model, fit(model, items, hyper=hyper, val_items=_scene_items(val_videos, num_tags))
+    return model, fit(model, items, hyper=hyper, val_items=_scene_items(val_videos))

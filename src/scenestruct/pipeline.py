@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .data.labels import range_spans
-from .data.records import Corpus, SegmentSpan, StructuredPrediction, VideoRecord
+from .data.records import Corpus, StructuredPrediction, VideoRecord, check_spans
 from .errors import ConfigError, DataError
 from .metrics import rank_predictions, tiou
 from .models.boundary import boundaries_to_scenes
@@ -166,18 +166,18 @@ def _parse_prediction(line: str):
         video_id, segments = doc["video_id"], _list(doc["segments"], "segments")
         if not isinstance(video_id, str):
             raise DataError(f"video_id must be a string, got {video_id!r}")
-        spans = np.empty((len(segments), 2))
+        spans = []
         scene_scores = np.full(len(segments), np.nan)
         rows, ids, scores = [], [], []
         for row, seg in enumerate(segments):
-            span = SegmentSpan(_finite(seg["start_s"], "start_s"), _finite(seg["end_s"], "end_s"))
-            spans[row] = span.start_s, span.end_s
+            spans.append((_finite(seg["start_s"], "start_s"), _finite(seg["end_s"], "end_s")))
             if seg.get("scene_score") is not None:
                 scene_scores[row] = _finite(seg["scene_score"], "scene_score")
             tags = _list(seg.get("tags", []), "tags")
             rows += [row] * len(tags)
             ids += [tag["id"] for tag in tags]
             scores += [tag["score"] for tag in tags]
+        spans = check_spans(spans)
         wrong = [k for k in ids if type(k) is not int]  # a bool is not an id
         if wrong:
             raise DataError(f"tag id must be an integer, got {wrong[0]!r}")

@@ -19,8 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .data.corpus_io import RECORDS_FILE, save_corpus
-from .data.records import (CANONICAL_MODALITIES, Corpus, CorpusManifest, SceneAnnotation,
-                           SegmentSpan, ShotTable, VideoRecord)
+from .data.records import (CANONICAL_MODALITIES, Corpus, CorpusManifest, SceneTable, ShotTable,
+                           VideoRecord)
 from .errors import ConfigError
 from .models.common import check_setting
 
@@ -83,10 +83,15 @@ class GeneratorConfig:
             if not isinstance(getattr(self, key), dict):
                 raise ConfigError(f"generator.{key} must be a JSON object, "
                                   f"got {getattr(self, key)!r}")
+        # a misspelt signal or noise_std key would leave its modality at the default
+        noise = self.noise_std if isinstance(self.noise_std, dict) else {}
+        for key, entries in (("modalities", self.modalities), ("signal", self.signal),
+                             ("noise_std", noise)):
+            for mod in entries:
+                if mod not in CANONICAL_MODALITIES:
+                    raise ConfigError(f"generator.{key}.{mod}: unknown modality, "
+                                      f"expected one of {CANONICAL_MODALITIES}")
         for mod, dim in self.modalities.items():
-            if mod not in CANONICAL_MODALITIES:
-                raise ConfigError(f"generator.modalities.{mod}: unknown modality, "
-                                  f"expected one of {CANONICAL_MODALITIES}")
             check_setting(dim, f"generator.modalities.{mod}", 1, integer=True)
             if self.signal.get(mod, "none") not in SIGNAL_MODES:
                 raise ConfigError(
@@ -182,22 +187,21 @@ def build_corpus(cfg: GeneratorConfig) -> Corpus:
             )
         scene_lens = _split_interval(duration, n_scenes, cfg.min_scene_s, rng)
         scene_bounds = np.concatenate([[0.0], np.cumsum(scene_lens)])
-        scenes = []
+        scene_tags = np.zeros((n_scenes, cfg.num_tags), dtype=bool)
         starts = []
         columns = {mod: [] for mod in cfg.modalities}
         prev_pool_pick: dict[str, int] = {}
         for s_idx in range(n_scenes):
             start, end = float(scene_bounds[s_idx]), float(scene_bounds[s_idx + 1])
             n_tags = int(rng.integers(cfg.tags_per_scene[0], cfg.tags_per_scene[1] + 1))
-            tags = frozenset(int(t) + 1 for t in rng.choice(
-                cfg.num_tags, size=n_tags, replace=False, p=tag_probs))
-            scenes.append(SceneAnnotation(span=SegmentSpan(start, end), tags=tags))
+            picked = rng.choice(cfg.num_tags, size=n_tags, replace=False, p=tag_probs)
+            scene_tags[s_idx, picked] = True
 
             scene_protos = {}
             for mod in cfg.modalities:
                 mode = cfg.signal.get(mod, "none")
                 if mode == "tag":
-                    scene_protos[mod] = tag_protos[mod][[t - 1 for t in sorted(tags)]].mean(axis=0)
+                    scene_protos[mod] = tag_protos[mod][scene_tags[s_idx]].mean(axis=0)
                 elif mode == "scene":
                     # consecutive scenes never reuse a pool entry, so the
                     # feature jump at every boundary is at least the pool's
@@ -227,7 +231,7 @@ def build_corpus(cfg: GeneratorConfig) -> Corpus:
             duration_s=float(scene_bounds[-1]),
             shots=ShotTable(edges[:-1], edges[1:],
                             {mod: np.concatenate(cols) for mod, cols in columns.items()}),
-            scenes=scenes,
+            scenes=SceneTable(np.column_stack([scene_bounds[:-1], scene_bounds[1:]]), scene_tags),
         ))
     manifest = CorpusManifest(
         modality_dims=dict(cfg.modalities),
@@ -242,20 +246,15 @@ def build_corpus(cfg: GeneratorConfig) -> Corpus:
 def corpus_stats(corpus: Corpus) -> dict:
     """Exact counts and moments of a corpus."""
     durations = np.array([v.duration_s for v in corpus.videos], dtype=np.float64)
-    tag_counts = {k: 0 for k in range(1, corpus.manifest.num_tags + 1)}
-    scene_count = 0
-    for video in corpus.videos:
-        for scene in video.scenes or []:
-            scene_count += 1
-            for t in scene.tags:
-                tag_counts[t] += 1
+    tags = np.concatenate([np.zeros((0, corpus.manifest.num_tags), dtype=bool)]
+                          + [v.scenes.tags for v in corpus.videos if v.scenes is not None])
     return {
         "video_count": len(corpus.videos),
         "shot_count": int(sum(v.num_shots for v in corpus.videos)),
-        "scene_count": scene_count,
+        "scene_count": len(tags),
         "duration_mean_s": float(durations.mean()) if len(durations) else 0.0,
         "duration_std_s": float(durations.std()) if len(durations) else 0.0,
-        "tag_counts": {str(k): v for k, v in tag_counts.items()},
+        "tag_counts": {str(k): n for k, n in enumerate(tags.sum(axis=0).tolist(), start=1)},
     }
 
 

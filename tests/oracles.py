@@ -270,19 +270,20 @@ def naive_shots_in_span(starts, ends, span_start, span_end):
 
 
 def shot_span_indices(video, span, tol_s=1e-6):
-    """Inverse of span_from_shots: the 1-based shot range whose edges match
-    the span; the last matching shot wins on either edge. Raises DataError
+    """Inverse of range_spans: the 1-based shot range whose edges match the
+    (start_s, end_s) span; the last matching shot wins on either edge. Raises DataError
     when the span is not aligned with shot boundaries. A test helper, not
     an oracle: naive_shot_span_indices below is its oracle."""
     import numpy as np
 
     from scenestruct.errors import DataError
 
-    starts = np.flatnonzero(np.abs(video.shots.starts - span.start_s) <= tol_s)
-    ends = np.flatnonzero(np.abs(video.shots.ends - span.end_s) <= tol_s)
+    start_s, end_s = span
+    starts = np.flatnonzero(np.abs(video.shots.starts - start_s) <= tol_s)
+    ends = np.flatnonzero(np.abs(video.shots.ends - end_s) <= tol_s)
     if not starts.size or not ends.size or starts[-1] > ends[-1]:
         raise DataError(
-            f"video {video.video_id!r}: span [{span.start_s}, {span.end_s}] "
+            f"video {video.video_id!r}: span [{start_s}, {end_s}] "
             f"is not aligned with shot boundaries"
         )
     return int(starts[-1]) + 1, int(ends[-1]) + 1

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from scenestruct.data.labels import boundary_labels, shots_in_span
-from scenestruct.data.records import Corpus, SegmentSpan
+from scenestruct.data.records import Corpus
 from scenestruct.experiment import split_corpus, tagging_map_on_gt_scenes
 from scenestruct.fusion import EncoderSpec, ModalityMask
 from scenestruct.metrics import (
@@ -37,7 +37,6 @@ from scenestruct.models import (
     train_tag,
 )
 from scenestruct.models.common import TrainingHyper
-from scenestruct.models.tag import multihot
 from scenestruct.nn import SequenceBatch, bce_loss
 from scenestruct.pipeline import PipelineConfig, nms_temporal, predict_corpus
 from scenestruct.synth import GeneratorConfig, build_corpus
@@ -106,14 +105,14 @@ def test_criterion_1_gradient_correctness():
                 targets = (
                     proposal_targets(proposals, video)
                     if head == "scalar"
-                    else proposal_tag_targets(proposals, video, 2)
+                    else proposal_tag_targets(proposals, video)
                 )
                 rows.append((video, i_idx, j_idx, targets))
             s_items[head] = rows
         t_items = []
         for video in corpus.videos:
-            for scene in video.scenes:
-                t_items.append((shots_in_span(video, scene.span), multihot(scene.tags, 2)))
+            for (start, end), row in zip(video.scenes.spans, video.scenes.tags):
+                t_items.append((shots_in_span(video, start, end), row.astype(np.float64)))
 
         models = [
             (BoundaryNet(GRAD_MASK, dims, seed=seed, **kwargs), b_items),
@@ -165,16 +164,14 @@ def _random_instance(rng, max_segments=8, max_classes=6):
 
 
 def _instances_to_package_form(instances):
-    from conftest import make_scene, make_video
+    from conftest import make_video
     from scenestruct.data.records import CorpusManifest
 
     videos, preds = [], []
     for v_idx, inst in enumerate(instances):
         vid = f"v{v_idx}"
         bounds = sorted({0.0, inst["duration"]} | {p for s, e, _ in inst["gt"] for p in (s, e)})
-        videos.append(
-            make_video(vid, bounds, scenes=[make_scene(s, e, t) for s, e, t in inst["gt"]])
-        )
+        videos.append(make_video(vid, bounds, scenes=inst["gt"], num_tags=6))
         preds.append(make_prediction(vid, inst["pred"], 6))
     corpus = Corpus(manifest=CorpusManifest({"vis_r50": 2}, 6), videos=videos)
     return corpus, preds
@@ -199,10 +196,10 @@ def test_criterion_2_metric_oracle_equivalence():
     for _ in range(200):
         a_start = float(rng.integers(0, 20))
         b_start = float(rng.integers(0, 20))
-        a = SegmentSpan(a_start, a_start + float(rng.integers(1, 9)))
-        b = SegmentSpan(b_start, b_start + float(rng.integers(1, 9)))
-        ours = tiou([a.start_s], [a.end_s], [b.start_s], [b.end_s])[0, 0]
-        worst = max(worst, abs(ours - oracles.naive_tiou(a.start_s, a.end_s, b.start_s, b.end_s)))
+        a_end = a_start + float(rng.integers(1, 9))
+        b_end = b_start + float(rng.integers(1, 9))
+        ours = tiou([a_start], [a_end], [b_start], [b_end])[0, 0]
+        worst = max(worst, abs(ours - oracles.naive_tiou(a_start, a_end, b_start, b_end)))
     elapsed = time.monotonic() - t0
     ok = worst <= 1e-9 and elapsed <= 60.0
     report(2, ok, f"{n_instances} randomized corpora, worst metric deviation {worst:.2e}, {elapsed:.0f}s")
@@ -243,12 +240,11 @@ def test_criterion_4_hand_worked_fixtures():
     res = boundary_f1([5.3, 9.4, 12.0], [5.0, 10.0])
     checks.append(("boundary f1 = 0.4", abs(res.f1 - 0.4) < 1e-12))
 
-    avg, _t, _c = avg_map(*map_inputs({1: [("v", SegmentSpan(0, 7), 1.0)]},
-                                      {1: [("v", SegmentSpan(0, 10))]}))
+    avg, _t, _c = avg_map(*map_inputs({1: [("v", (0, 7), 1.0)]}, {1: [("v", (0, 10))]}))
     checks.append(("single-prediction sweep avg mAP = 0.5", abs(avg - 0.5) < 1e-12))
 
-    gts = [("v", SegmentSpan(0, 2)), ("v", SegmentSpan(10, 12))]
-    preds = [("v", SegmentSpan(0, 2), 0.9), ("v", SegmentSpan(5, 7), 0.8), ("v", SegmentSpan(10, 12), 0.7)]
+    gts = [("v", (0, 2)), ("v", (10, 12))]
+    preds = [("v", (0, 2), 0.9), ("v", (5, 7), 0.8), ("v", (10, 12), 0.7)]
     ap = average_precision(*ap_predictions(preds, gts), len(gts))[0]  # at tIoU 0.50
     checks.append(("hit-miss-hit AP = 0.8333", abs(ap - 5.0 / 6.0) < 1e-12))
 

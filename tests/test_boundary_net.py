@@ -10,7 +10,7 @@ from scenestruct.models import BoundaryNet, boundaries_to_scenes, train_boundary
 from scenestruct.models.common import TrainingHyper
 from scenestruct.synth import GeneratorConfig, build_corpus
 
-from conftest import make_scene, make_video
+from conftest import make_video
 
 MASK = ModalityMask.from_names(["vis_r50"])
 DIMS = {"vis_r50": 4}
@@ -107,7 +107,7 @@ def planted_corpus(n_videos=24, seed=3):
 class TestTraining:
     def test_constant_zero_targets_collapse(self):
         video = make_video(
-            "v", [0.0, 1.0, 2.0, 3.0], feature_dim=4, scenes=[make_scene(0.0, 3.0, {1})]
+            "v", [0.0, 1.0, 2.0, 3.0], feature_dim=4, scenes=[(0.0, 3.0, {1})]
         )
         hyper = TrainingHyper(epochs=50, batch_size=4, dropout=0.0, hidden_dim=4, seed=0, patience=50)
         model, trace = train_boundary([video], [], MASK, DIMS, hyper)
@@ -119,7 +119,7 @@ class TestTraining:
             "v",
             [0.0, 1.0, 2.0, 3.0],
             feature_dim=4,
-            scenes=[make_scene(0.0, 1.0, {1}), make_scene(1.0, 3.0, {1})],
+            scenes=[(0.0, 1.0, {1}), (1.0, 3.0, {1})],
         )
         # labels are (1, 0): one positive, one negative
         net = small_net()
@@ -166,7 +166,7 @@ class TestPositiveWeight:
     def test_weight_scales_positive_term(self):
         video = make_video(
             "v", [0.0, 1.0, 2.0, 3.0], feature_dim=4,
-            scenes=[make_scene(0.0, 1.0, {1}), make_scene(1.0, 3.0, {1})],
+            scenes=[(0.0, 1.0, {1}), (1.0, 3.0, {1})],
         )
         items = [(video, boundary_labels(video))]
         plain = small_net()

@@ -173,9 +173,11 @@ class TestExitCodes:
          ": num_tags must be a positive integer"),
         ("corpus/records.bin", lambda raw: raw.replace(b'"tags": [', b'"tags": ["12", ', 1),
          " video 1: malformed scene tags ['12'"),
+        ("corpus/records.bin", lambda raw: raw.replace(b'"tags": [', b'"tags": [1, 1, ', 1),
+         " video 1: video 'synth-00000': a scene lists a tag id twice"),
     ], ids=["prediction-no-segments", "prediction-nan-score", "prediction-tag-id",
             "prediction-duplicate-video", "manifest-list-modalities", "manifest-text-num-tags",
-            "records-text-tag"])
+            "records-text-tag", "records-repeated-tag"])
     def test_malformed_evaluate_input_exits_3(self, tmp_path, capsys, name, rewrite, detail):
         cfg = base_config(tmp_path)
         assert main(["generate", "--config", str(cfg)]) == 0
@@ -224,12 +226,12 @@ class TestExitCodes:
                     "video_id": video.video_id,
                     "segments": [
                         {
-                            "start_s": s.span.start_s,
-                            "end_s": s.span.end_s,
+                            "start_s": start,
+                            "end_s": end,
                             "scene_score": None,
-                            "tags": [{"id": k, "score": 1.0} for k in sorted(s.tags)],
+                            "tags": [{"id": int(k) + 1, "score": 1.0} for k in np.flatnonzero(row)],
                         }
-                        for s in video.scenes
+                        for (start, end), row in zip(video.scenes.spans.tolist(), video.scenes.tags)
                     ],
                 }
                 fh.write(json.dumps(doc) + "\n")

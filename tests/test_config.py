@@ -116,8 +116,13 @@ class TestLoading:
         ({"modalities": "x"}, "generator.modalities must be a JSON object, got 'x'"),
         ({"modalities": {"vis_r50": 16, "smell": 4}},
          "generator.modalities.smell: unknown modality, expected one of ('vis_r50', "),
+        ({"modalities": {"vis_r50": 4}, "signal": {"vis_r5": "scene"}},
+         "generator.signal.vis_r5: unknown modality, expected one of ('vis_r50', "),
+        ({"noise_std": {"smell": 0.1}},
+         "generator.noise_std.smell: unknown modality, expected one of ('vis_r50', "),
     ], ids=["noise-dict", "modality-dim", "range-low", "range-order", "range-length",
-            "range-int", "signal-text", "modalities-text", "unknown-modality"])
+            "range-int", "signal-text", "modalities-text", "unknown-modality", "unknown-signal",
+            "unknown-noise"])
     def test_bad_generator_entry_names_key(self, tmp_path, values, message):
         path = tmp_path / "c.json"
         path.write_text(json.dumps({"generator": values}))

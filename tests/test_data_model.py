@@ -7,20 +7,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from scenestruct.data import (
-    SegmentSpan,
-    boundary_labels,
-    interior_boundaries,
-    load_corpus,
-    save_corpus,
-)
+from scenestruct.data import boundary_labels, interior_boundaries, load_corpus, save_corpus
 from scenestruct.data.corpus_io import FORMAT_TAG
 from scenestruct.data.labels import range_spans, shots_in_span
 from scenestruct.data.records import Corpus, CorpusManifest
 from scenestruct.errors import DataError
+from scenestruct.metrics import evaluate
 from scenestruct.synth import GeneratorConfig, build_corpus
 
-from conftest import make_scene, make_video
+from conftest import make_prediction, make_video
 from oracles import naive_shot_span_indices, naive_shots_in_span, shot_span_indices
 
 
@@ -86,7 +81,8 @@ class TestLoadCorpus:
         manifest, records = write_corpus_files(tmp_path, MANIFEST, [doc])
         corpus = load_corpus(manifest, records)
         assert corpus.video("v0").num_shots == 1
-        assert corpus.video("v0").scenes[0].tags == frozenset({1})
+        assert corpus.video("v0").scenes.spans.tolist() == [[0.0, 2.0]]
+        assert corpus.video("v0").scenes.tags.tolist() == [[True, False, False]]
 
     def test_dimension_mismatch_names_modality(self, tmp_path):
         doc = video_doc(dim=3)
@@ -114,10 +110,34 @@ class TestLoadCorpus:
             load_corpus(manifest, records)
 
     def test_unknown_tag_id_rejected(self, tmp_path):
-        doc = video_doc(shots=((0.0, 2.0),), scenes=[{"start_s": 0.0, "end_s": 2.0, "tags": [4]}])
-        manifest, records = write_corpus_files(tmp_path, MANIFEST, [doc])
-        with pytest.raises(DataError, match="tag id 4"):
-            load_corpus(manifest, records)
+        """0 and -1 too: as matrix columns they would index from the end."""
+        for tag in (4, 0, -1):
+            doc = video_doc(shots=((0.0, 2.0),),
+                            scenes=[{"start_s": 0.0, "end_s": 2.0, "tags": [tag]}])
+            manifest, records = write_corpus_files(tmp_path, MANIFEST, [doc])
+            with pytest.raises(DataError, match=re.escape(
+                    f"video 1: video 'v0': unknown tag id {tag} (vocabulary has 3 tags)")):
+                load_corpus(manifest, records)
+
+    def test_scenes_load_in_start_order(self, tmp_path):
+        """Scenes listed out of order load sorted by (start, end) with their
+        tags, and score as the corpus listed in order does."""
+        shots = ((0.0, 2.0), (2.0, 4.0), (4.0, 6.0))
+        listed = [{"start_s": 0.0, "end_s": 4.0, "tags": [1]},
+                  {"start_s": 4.0, "end_s": 6.0, "tags": [3, 2]}]
+        reports = []
+        for name, scenes in (("in-order", listed), ("reversed", listed[::-1])):
+            (tmp_path / name).mkdir()
+            manifest, records = write_corpus_files(tmp_path / name, MANIFEST,
+                                                   [video_doc(shots=shots, scenes=scenes)])
+            corpus = load_corpus(manifest, records)
+            table = corpus.video("v0").scenes
+            assert table.spans.tolist() == [[0.0, 4.0], [4.0, 6.0]]
+            assert table.tags.tolist() == [[True, False, False], [False, True, True]]
+            preds = [make_prediction("v0", [(0.0, 4.5, {1: 0.9, 2: 0.2}),
+                                            (4.0, 6.0, {2: 0.8, 3: 0.8})], 3)]
+            reports.append(evaluate(preds, corpus).as_dict())
+        assert reports[0] == reports[1]
 
     def test_missing_modality_rejected(self, tmp_path):
         doc = {**video_doc(), "features": {}}
@@ -197,8 +217,9 @@ class TestMalformedRecords:
         (tagged([True]), "malformed scene tags [True]"),
         ({**TWO_SHOTS, "features": {"audio": [[0.5, 0.5]] * 2}},
          "video 'v0' has feature columns ['audio'], the manifest's modalities are ['vis_r50']"),
+        (tagged([1, 1]), "video 'v0': a scene lists a tag id twice"),
     ], ids=["no-video-id", "no-shots", "list", "ragged-feature", "text-feature", "text-tag",
-            "string-tags", "float-tag", "bool-tag", "shot-lacks-modality"])
+            "string-tags", "float-tag", "bool-tag", "shot-lacks-modality", "repeated-tag"])
     def test_names_file_and_line(self, tmp_path, doc, detail):
         manifest, records = write_corpus_files(tmp_path, MANIFEST, [video_doc("ok"), doc])
         with pytest.raises(DataError, match=re.escape(f"{records} video 2: ")) as info:
@@ -290,7 +311,7 @@ class TestMalformedRecords:
 
     def test_truncated_file_rejected(self, tmp_path):
         manifest, records = tmp_path / "m.json", tmp_path / "r.bin"
-        video = make_video("v0", [0.0, 1.0, 2.0], scenes=[make_scene(0.0, 2.0, {1})])
+        video = make_video("v0", [0.0, 1.0, 2.0], scenes=[(0.0, 2.0, {1})])
         save_corpus(Corpus(CorpusManifest({"vis_r50": 2}, 3), [video]), manifest, records)
         raw = records.read_bytes()
         records.write_bytes(raw[:-1])
@@ -333,7 +354,7 @@ class TestRoundTrip:
         video = make_video(
             "v0",
             [0.0, 1.25, 3.5, 6.0],
-            scenes=[make_scene(0.0, 3.5, {1, 2}), make_scene(3.5, 6.0, {3})],
+            scenes=[(0.0, 3.5, {1, 2}), (3.5, 6.0, {3})],
             rng=rng,
         )
         corpus = Corpus(manifest=CorpusManifest({"vis_r50": 2}, 3), videos=[video])
@@ -344,11 +365,11 @@ class TestRoundTrip:
         assert np.array_equal(reloaded.shots.starts, video.shots.starts)
         assert np.array_equal(reloaded.shots.ends, video.shots.ends)
         assert np.array_equal(reloaded.shots.features["vis_r50"], video.shots.features["vis_r50"])
-        assert [s.span for s in reloaded.scenes] == [s.span for s in video.scenes]
-        assert [s.tags for s in reloaded.scenes] == [s.tags for s in video.scenes]
+        assert np.array_equal(reloaded.scenes.spans, video.scenes.spans)
+        assert np.array_equal(reloaded.scenes.tags, video.scenes.tags)
 
     def test_double_save_is_byte_identical(self, tmp_path):
-        video = make_video("v0", [0.0, 2.0, 4.0], scenes=[make_scene(0.0, 4.0, {1})])
+        video = make_video("v0", [0.0, 2.0, 4.0], scenes=[(0.0, 4.0, {1})])
         corpus = Corpus(manifest=CorpusManifest({"vis_r50": 2}, 3), videos=[video])
         save_corpus(corpus, tmp_path / "m1.json", tmp_path / "r1.bin")
         loaded = load_corpus(tmp_path / "m1.json", tmp_path / "r1.bin")
@@ -389,37 +410,37 @@ class TestRoundTrip:
 class TestBoundaryLabels:
     def test_aligned_scenes_mark_exact_joins(self):
         video = make_video(
-            "v", [0.0, 2.0, 4.0, 6.0], scenes=[make_scene(0.0, 4.0, {1}), make_scene(4.0, 6.0, {2})]
+            "v", [0.0, 2.0, 4.0, 6.0], scenes=[(0.0, 4.0, {1}), (4.0, 6.0, {2})]
         )
         assert np.array_equal(boundary_labels(video), np.array([0.0, 1.0]))
 
     def test_single_scene_gives_all_zeros(self):
-        video = make_video("v", [0.0, 2.0, 4.0], scenes=[make_scene(0.0, 4.0, {1})])
+        video = make_video("v", [0.0, 2.0, 4.0], scenes=[(0.0, 4.0, {1})])
         assert np.array_equal(boundary_labels(video), np.zeros(1))
 
     def test_nearest_boundary_within_tolerance(self):
         # shot boundaries at 2 and 4; GT boundary 3.7 is 0.3 from 4, 1.7 from 2
         video = make_video(
-            "v", [0.0, 2.0, 4.0, 6.0], scenes=[make_scene(0.0, 3.7, {1}), make_scene(3.7, 6.0, {2})]
+            "v", [0.0, 2.0, 4.0, 6.0], scenes=[(0.0, 3.7, {1}), (3.7, 6.0, {2})]
         )
         assert np.array_equal(boundary_labels(video), np.array([0.0, 1.0]))
 
     def test_outside_tolerance_gives_no_label(self):
         video = make_video(
-            "v", [0.0, 2.0, 4.0, 6.0], scenes=[make_scene(0.0, 3.0, {1}), make_scene(3.0, 6.0, {2})]
+            "v", [0.0, 2.0, 4.0, 6.0], scenes=[(0.0, 3.0, {1}), (3.0, 6.0, {2})]
         )
         # GT at 3.0 is exactly 1.0 from both shot boundaries
         assert np.array_equal(boundary_labels(video), np.zeros(2))
 
     def test_equidistant_tie_marks_earlier_only(self):
         video = make_video(
-            "v", [0.0, 2.0, 4.0, 6.0], scenes=[make_scene(0.0, 3.0, {1}), make_scene(3.0, 6.0, {2})]
+            "v", [0.0, 2.0, 4.0, 6.0], scenes=[(0.0, 3.0, {1}), (3.0, 6.0, {2})]
         )
         labels = boundary_labels(video, tol_s=1.5)
         assert np.array_equal(labels, np.array([1.0, 0.0]))
 
     def test_single_shot_video_empty_labels(self):
-        video = make_video("v", [0.0, 2.0], scenes=[make_scene(0.0, 2.0, {1})])
+        video = make_video("v", [0.0, 2.0], scenes=[(0.0, 2.0, {1})])
         assert boundary_labels(video).shape == (0,)
 
     @given(shift=st.integers(min_value=-1000, max_value=1000).map(lambda n: n * 0.25))
@@ -428,11 +449,11 @@ class TestBoundaryLabels:
         # quarter-second grid keeps every shifted timestamp exactly representable
         base = [0.0, 1.0, 2.25, 4.0, 7.5]
         scenes = [(0.0, 2.25, {1}), (2.25, 7.5, {2})]
-        video_a = make_video("a", base, scenes=[make_scene(s, e, t) for s, e, t in scenes])
+        video_a = make_video("a", base, scenes=scenes)
         video_b = make_video(
             "b",
             [t + shift for t in base],
-            scenes=[make_scene(s + shift, e + shift, t) for s, e, t in scenes],
+            scenes=[(s + shift, e + shift, t) for s, e, t in scenes],
         )
         assert np.array_equal(boundary_labels(video_a), boundary_labels(video_b))
 
@@ -458,7 +479,7 @@ class TestSpanConversions:
     def test_misaligned_span_rejected(self):
         video = make_video("v", [0.0, 2.0, 5.0])
         with pytest.raises(DataError, match="aligned"):
-            shot_span_indices(video, SegmentSpan(0.0, 3.0))
+            shot_span_indices(video, (0.0, 3.0))
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -470,7 +491,7 @@ class TestSpanConversions:
         video = make_video("v", bounds)
         i = data.draw(st.integers(min_value=1, max_value=n))
         j = data.draw(st.integers(min_value=i, max_value=n))
-        assert shot_span_indices(video, SegmentSpan(*range_spans(video, [(i, j)])[0])) == (i, j)
+        assert shot_span_indices(video, tuple(range_spans(video, [(i, j)])[0])) == (i, j)
 
 
 def timeline_and_span(data):
@@ -489,7 +510,7 @@ def timeline_and_span(data):
     )
     a, b = data.draw(edge), data.draw(edge)
     assume(a != b)
-    return bounds, SegmentSpan(min(a, b), max(a, b))
+    return bounds, (min(a, b), max(a, b))
 
 
 class TestSpanOracles:
@@ -498,8 +519,8 @@ class TestSpanOracles:
     def test_shots_in_span_matches_oracle(self, data):
         bounds, span = timeline_and_span(data)
         video = make_video("v", bounds)
-        rows = naive_shots_in_span(bounds[:-1], bounds[1:], span.start_s, span.end_s)
-        picked = shots_in_span(video, span)
+        rows = naive_shots_in_span(bounds[:-1], bounds[1:], *span)
+        picked = shots_in_span(video, *span)
         assert picked.starts.tolist() == [bounds[k] for k in rows]
         assert picked.ends.tolist() == [bounds[k + 1] for k in rows]
         assert np.array_equal(picked.features["vis_r50"], video.shots.features["vis_r50"][rows])
@@ -509,7 +530,7 @@ class TestSpanOracles:
     def test_shot_span_indices_matches_oracle(self, data):
         bounds, span = timeline_and_span(data)
         video = make_video("v", bounds)
-        expected = naive_shot_span_indices(bounds[:-1], bounds[1:], span.start_s, span.end_s)
+        expected = naive_shot_span_indices(bounds[:-1], bounds[1:], *span)
         if expected is None:
             with pytest.raises(DataError, match="aligned"):
                 shot_span_indices(video, span)

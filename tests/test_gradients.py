@@ -6,7 +6,6 @@ import pytest
 from scenestruct.data.labels import boundary_labels, shots_in_span
 from scenestruct.fusion import EncoderSpec, ModalityMask
 from scenestruct.models import BoundaryNet, SegmentNet, TagNet, enumerate_proposals, proposal_tag_targets, proposal_targets
-from scenestruct.models.tag import multihot
 from scenestruct.synth import GeneratorConfig, build_corpus
 
 from gradcheck import grad_check
@@ -71,7 +70,7 @@ def segment_items(corpus, head_mode):
         if head_mode == "scalar":
             targets = proposal_targets(proposals, video)
         else:
-            targets = proposal_tag_targets(proposals, video, 2)
+            targets = proposal_tag_targets(proposals, video)
         items.append((video, i_idx, j_idx, targets))
     return items
 
@@ -79,8 +78,8 @@ def segment_items(corpus, head_mode):
 def tag_items(corpus):
     items = []
     for video in corpus.videos:
-        for scene in video.scenes:
-            items.append((shots_in_span(video, scene.span), multihot(scene.tags, 2)))
+        for (start, end), row in zip(video.scenes.spans, video.scenes.tags):
+            items.append((shots_in_span(video, start, end), row.astype(np.float64)))
     return items
 
 
@@ -156,9 +155,8 @@ def test_tag_net_three_shot_scene_finite_differences():
     )
     corpus = build_corpus(cfg)
     video = corpus.videos[0]
-    scene = video.scenes[0]
-    shots = shots_in_span(video, scene.span)
+    shots = shots_in_span(video, *video.scenes.spans[0])
     assert len(shots) == 3
     model = TagNet(MASK, corpus.manifest.modality_dims, 2, **net_kwargs(0, 0.5))
-    err = check_model(model, [(shots, multihot(scene.tags, 2))])
+    err = check_model(model, [(shots, video.scenes.tags[0].astype(np.float64))])
     assert err <= 1e-4

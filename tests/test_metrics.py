@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenestruct.data.records import Corpus, CorpusManifest, SegmentSpan
+from scenestruct.data.records import Corpus, CorpusManifest
 from scenestruct.metrics import (
     TIOU_THRESHOLDS,
     average_precision,
@@ -17,9 +17,8 @@ from scenestruct.metrics import (
 )
 
 import oracles
-from conftest import ap_predictions, make_prediction, make_scene, make_video, map_inputs, tiou_of_spans
-
-span = SegmentSpan
+from conftest import (ap_predictions, make_prediction, make_video, map_inputs, tagging_inputs,
+                      tiou_of_spans)
 
 
 def span_tiou(a, b):
@@ -33,16 +32,16 @@ def ap_at(preds, gts, thresh):
 
 class TestTiou:
     def test_identical(self):
-        assert span_tiou(span(0, 4), span(0, 4)) == 1.0
+        assert span_tiou((0, 4), (0, 4)) == 1.0
 
     def test_disjoint(self):
-        assert span_tiou(span(0, 4), span(5, 6)) == 0.0
+        assert span_tiou((0, 4), (5, 6)) == 0.0
 
     def test_touching_is_zero(self):
-        assert span_tiou(span(0, 4), span(4, 8)) == 0.0
+        assert span_tiou((0, 4), (4, 8)) == 0.0
 
     def test_hand_interval_arithmetic(self):
-        assert span_tiou(span(0, 4), span(2, 6)) == pytest.approx(2.0 / 6.0, abs=1e-15)
+        assert span_tiou((0, 4), (2, 6)) == pytest.approx(2.0 / 6.0, abs=1e-15)
 
     @given(
         st.tuples(st.floats(0, 50), st.floats(0.1, 20)),
@@ -50,8 +49,8 @@ class TestTiou:
     )
     @settings(max_examples=100, deadline=None)
     def test_symmetry_and_bounds(self, a, b):
-        sa = span(a[0], a[0] + a[1])
-        sb = span(b[0], b[0] + b[1])
+        sa = (a[0], a[0] + a[1])
+        sb = (b[0], b[0] + b[1])
         assert span_tiou(sa, sb) == span_tiou(sb, sa)
         assert 0.0 <= span_tiou(sa, sb) <= 1.0
         assert span_tiou(sa, sa) == 1.0
@@ -71,34 +70,34 @@ class TestTiou:
 
 class TestAveragePrecision:
     def test_perfect_predictions(self):
-        gts = [("v", span(0, 2)), ("v", span(3, 5))]
-        preds = [("v", span(0, 2), 0.9), ("v", span(3, 5), 0.8)]
+        gts = [("v", (0, 2)), ("v", (3, 5))]
+        preds = [("v", (0, 2), 0.9), ("v", (3, 5), 0.8)]
         assert ap_at(preds, gts, 0.5) == 1.0
 
     def test_no_predictions(self):
-        assert ap_at([], [("v", span(0, 2))], 0.5) == 0.0
+        assert ap_at([], [("v", (0, 2))], 0.5) == 0.0
 
     def test_hit_miss_hit(self):
-        gts = [("v", span(0, 2)), ("v", span(10, 12))]
+        gts = [("v", (0, 2)), ("v", (10, 12))]
         preds = [
-            ("v", span(0, 2), 0.9),      # hit
-            ("v", span(5, 7), 0.8),      # miss
-            ("v", span(10, 12), 0.7),    # hit
+            ("v", (0, 2), 0.9),      # hit
+            ("v", (5, 7), 0.8),      # miss
+            ("v", (10, 12), 0.7),    # hit
         ]
         assert ap_at(preds, gts, 0.5) == pytest.approx(
             0.8333333333333333, abs=1e-12
         )
 
     def test_matching_is_per_video(self):
-        gts = [("a", span(0, 2))]
-        preds = [("b", span(0, 2), 0.9)]
+        gts = [("a", (0, 2))]
+        preds = [("b", (0, 2), 0.9)]
         assert ap_at(preds, gts, 0.5) == 0.0
 
     def test_invariant_under_monotone_score_transform(self):
         rng = np.random.default_rng(0)
-        gts = [("v", span(2 * i, 2 * i + 1.5)) for i in range(6)]
+        gts = [("v", (2 * i, 2 * i + 1.5)) for i in range(6)]
         preds = [
-            ("v", span(2 * i + rng.integers(0, 2) * 0.5, 2 * i + 1.5), round(s, 3))
+            ("v", (2 * i + rng.integers(0, 2) * 0.5, 2 * i + 1.5), round(s, 3))
             for i, s in enumerate(rng.integers(1, 64, size=6) / 64.0)
         ]
         base = average_precision(*ap_predictions(preds, gts), len(gts))
@@ -109,31 +108,31 @@ class TestAveragePrecision:
 
 class TestAvgMap:
     def test_perfect(self):
-        gts = {1: [("v", span(0, 2))]}
-        preds = {1: [("v", span(0, 2), 1.0)]}
+        gts = {1: [("v", (0, 2))]}
+        preds = {1: [("v", (0, 2), 1.0)]}
         avg, per_t, per_c = avg_map(*map_inputs(preds, gts))
         assert avg == 1.0
         assert all(v == 1.0 for v in per_t.values())
         assert per_c == {1: 1.0}
 
     def test_below_sweep_floor(self):
-        gts = {1: [("v", span(0, 10))]}
-        preds = {1: [("v", span(0, 4), 1.0)]}  # tIoU 0.4 < every threshold
+        gts = {1: [("v", (0, 10))]}
+        preds = {1: [("v", (0, 4), 1.0)]}  # tIoU 0.4 < every threshold
         avg, _per_t, _per_c = avg_map(*map_inputs(preds, gts))
         assert avg == 0.0
 
     def test_single_prediction_sweep(self):
         # tIoU 0.7 passes thresholds 0.50..0.70, fails 0.75..0.95
-        gts = {1: [("v", span(0, 10))]}
-        preds = {1: [("v", span(0, 7), 1.0)]}
+        gts = {1: [("v", (0, 10))]}
+        preds = {1: [("v", (0, 7), 1.0)]}
         avg, per_t, _per_c = avg_map(*map_inputs(preds, gts))
         assert avg == pytest.approx(0.5, abs=1e-12)
         assert per_t[0.70] == 1.0
         assert per_t[0.75] == 0.0
 
     def test_classes_without_gt_excluded(self):
-        gts = {1: [("v", span(0, 2))], 2: []}
-        preds = {1: [("v", span(0, 2), 1.0)], 2: [("v", span(0, 2), 1.0)]}
+        gts = {1: [("v", (0, 2))], 2: []}
+        preds = {1: [("v", (0, 2), 1.0)], 2: [("v", (0, 2), 1.0)]}
         avg, _t, per_c = avg_map(*map_inputs(preds, gts))
         assert avg == 1.0
         assert 2 not in per_c
@@ -141,9 +140,9 @@ class TestAvgMap:
     def test_non_increasing_in_threshold(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
-            gts = {1: [("v", span(float(s), float(s) + float(d)))
+            gts = {1: [("v", (float(s), float(s) + float(d)))
                        for s, d in zip(rng.uniform(0, 40, 4), rng.uniform(1, 6, 4))]}
-            preds = {1: [("v", span(float(s), float(s) + float(d)), float(r))
+            preds = {1: [("v", (float(s), float(s) + float(d)), float(r))
                          for s, d, r in zip(rng.uniform(0, 40, 6), rng.uniform(1, 6, 6),
                                             rng.uniform(0, 1, 6))]}
             _avg, per_t, _c = avg_map(*map_inputs(preds, gts))
@@ -200,17 +199,17 @@ class TestBoundaryF1:
 
 class TestSceneF1:
     def test_identical(self):
-        spans = [span(0, 4), span(4, 9)]
+        spans = [(0, 4), (4, 9)]
         assert scene_f1(tiou_of_spans(spans, spans)) == 1.0
 
     def test_tiou_above_threshold(self):
-        assert scene_f1(tiou_of_spans([span(0, 8)], [span(0, 10)])) == 1.0  # 0.8 > 0.75
+        assert scene_f1(tiou_of_spans([(0, 8)], [(0, 10)])) == 1.0  # 0.8 > 0.75
 
     def test_tiou_below_threshold(self):
-        assert scene_f1(tiou_of_spans([span(0, 6)], [span(0, 10)])) == 0.0  # 0.6
+        assert scene_f1(tiou_of_spans([(0, 6)], [(0, 10)])) == 0.0  # 0.6
 
     def test_threshold_is_strict(self):
-        assert scene_f1(tiou_of_spans([span(0, 3)], [span(0, 4)])) == 0.0  # exactly 0.75
+        assert scene_f1(tiou_of_spans([(0, 3)], [(0, 4)])) == 0.0  # exactly 0.75
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -225,7 +224,7 @@ class TestSceneF1:
 
         preds = data.draw(spans_strategy())
         gts = data.draw(spans_strategy())
-        ours = scene_f1(tiou_of_spans([span(*p) for p in preds], [span(*g) for g in gts]))
+        ours = scene_f1(tiou_of_spans(preds, gts))
         assert ours == pytest.approx(oracles.naive_scene_f1(preds, gts), abs=1e-12)
 
 
@@ -235,7 +234,7 @@ class TestTaggingMap:
             ({1}, {1: 1.0, 2: 0.0}),
             ({2}, {1: 0.0, 2: 1.0}),
         ]
-        assert tagging_map(entries, 2) == 1.0
+        assert tagging_map(*tagging_inputs(entries, 2)) == 1.0
 
     def test_single_positive_random_scores_vs_oracle(self):
         rng = np.random.default_rng(9)
@@ -246,17 +245,32 @@ class TestTaggingMap:
                 ({1} if i == pos else frozenset(), {1: float(rng.integers(0, 16)) / 16.0})
                 for i in range(n)
             ]
-            assert tagging_map(entries, 1) == pytest.approx(
+            assert tagging_map(*tagging_inputs(entries, 1)) == pytest.approx(
                 oracles.naive_tagging_map(entries, 1), abs=1e-12
             )
 
     def test_all_scores_equal_uses_input_order(self):
         entries = [({1}, {1: 0.5}), (frozenset(), {1: 0.5}), ({1}, {1: 0.5})]
-        assert tagging_map(entries, 1) == pytest.approx(
+        assert tagging_map(*tagging_inputs(entries, 1)) == pytest.approx(
             oracles.naive_tagging_map(entries, 1), abs=1e-12
         )
         # ranks 1 and 3 are positive: AP = (1/1 + 2/3) / 2
-        assert tagging_map(entries, 1) == pytest.approx((1.0 + 2.0 / 3.0) / 2.0, abs=1e-12)
+        assert tagging_map(*tagging_inputs(entries, 1)) == pytest.approx((1.0 + 2.0 / 3.0) / 2.0,
+                                                                        abs=1e-12)
+
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_oracle_with_unscored_tags_and_ties(self, data):
+        """Scores on an eighth grid tie often; a tag left out of a scene's
+        scores is not scored there, positive or not."""
+        num_tags = data.draw(st.integers(1, 4))
+        ids = st.integers(1, num_tags)
+        entries = data.draw(st.lists(st.tuples(
+            st.frozensets(ids),
+            st.dictionaries(ids, st.integers(0, 8).map(lambda n: n / 8.0)),
+        ), max_size=10))
+        assert tagging_map(*tagging_inputs(entries, num_tags)) == oracles.naive_tagging_map(
+            entries, num_tags)
 
 
 def _corpus_and_predictions(instances):
@@ -272,13 +286,7 @@ def _corpus_and_predictions(instances):
     for v_idx, inst in enumerate(instances):
         vid = f"v{v_idx}"
         bounds = sorted({0.0, inst["duration"]} | {p for s, e, _ in inst["gt"] for p in (s, e)})
-        videos.append(
-            make_video(
-                vid,
-                bounds,
-                scenes=[make_scene(s, e, tags) for s, e, tags in inst["gt"]],
-            )
-        )
+        videos.append(make_video(vid, bounds, scenes=inst["gt"], num_tags=num_tags))
         preds.append(make_prediction(vid, inst["pred"], num_tags))
     manifest = CorpusManifest(modality_dims={"vis_r50": 2}, num_tags=num_tags)
     return Corpus(manifest=manifest, videos=videos), preds
@@ -311,8 +319,8 @@ class TestEvaluate:
     def test_ground_truth_verbatim_scores_one(self, tiny_corpus):
         preds = []
         for video in tiny_corpus.videos:
-            segments = [(s.span.start_s, s.span.end_s, {k: 1.0 for k in s.tags})
-                        for s in video.scenes]
+            segments = [(start, end, {k + 1: 1.0 for k in np.flatnonzero(row)})
+                        for (start, end), row in zip(video.scenes.spans, video.scenes.tags)]
             preds.append(make_prediction(video.video_id, segments, 3))
         report = evaluate(preds, tiny_corpus)
         assert report.avg_map == 1.0
@@ -342,6 +350,8 @@ class TestEvaluate:
 
         with pytest.raises(DataError, match="video 'v0': 4 tag score columns for 3 tags"):
             evaluate([make_prediction("v0", [(0.0, 4.0, {4: 0.5})], 4)], tiny_corpus)
+        with pytest.raises(DataError, match="video 'v0': 3 scene tag columns for 2 tags"):
+            Corpus(CorpusManifest({"vis_r50": 2}, 2), tiny_corpus.videos)
 
     def test_matches_reference_evaluator_on_random_instances(self):
         rng = np.random.default_rng(123)

@@ -16,7 +16,7 @@ from scenestruct.models import boundary, bundle, segment, tag
 from scenestruct.nn.lstm import BiLstm
 from scenestruct.nn.optim import Adam
 
-from conftest import make_prediction, make_scene, make_video
+from conftest import make_prediction, make_video
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -77,7 +77,7 @@ def test_counters_find_their_arguments():
     tracing = load_tracing()
     tracer = tracing.Tracer()
     video = make_video("v", [0.0, 1.0, 2.0, 3.0], feature_dim=3,
-                       scenes=[make_scene(0.0, 2.0, {1}), make_scene(2.0, 3.0, {2})])
+                       scenes=[(0.0, 2.0, {1}), (2.0, 3.0, {2})], num_tags=2)
     net = boundary.BoundaryNet(ModalityMask.from_names(["vis_r50"]), {"vis_r50": 3},
                                hidden_dim=2)
     corpus = Corpus(CorpusManifest({"vis_r50": 3}, 2), [video])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scenestruct.data.labels import range_spans
-from scenestruct.data.records import Corpus, CorpusManifest, SegmentSpan
+from scenestruct.data.records import Corpus, CorpusManifest
 from scenestruct.errors import CheckpointError, ConfigError, DataError
 from scenestruct.fusion import ModalityMask
 from scenestruct.metrics import evaluate, tiou
@@ -26,9 +26,7 @@ from scenestruct.pipeline import (
 )
 
 import oracles
-from conftest import make_scene, make_video
-
-span = SegmentSpan
+from conftest import make_video
 MASK = ModalityMask.from_names(["vis_r50"])
 DIMS = {"vis_r50": 4}
 
@@ -115,7 +113,7 @@ class TestNmsTemporal:
 
 def three_shot_video(seed=1):
     return make_video("v", [0.0, 1.0, 2.5, 4.0], feature_dim=4, rng=np.random.default_rng(seed),
-                      scenes=[make_scene(0.0, 2.5, {1}), make_scene(2.5, 4.0, {2})])
+                      scenes=[(0.0, 2.5, {1}), (2.5, 4.0, {2})])
 
 
 class TestRunPipeline:
@@ -137,7 +135,7 @@ class TestRunPipeline:
                            rng=np.random.default_rng(4))
         pred = run_pipeline(video, ModelBundle(boundary=boundary, tag=tag),
                             PipelineConfig(mode="a", threshold_b=0.5))
-        ranges = [oracles.shot_span_indices(video, span(*seg)) for seg in pred.segments]
+        ranges = [oracles.shot_span_indices(video, seg) for seg in pred.segments]
         assert len({j - i for i, j in ranges}) > 1  # scenes of different lengths share the call
         for row, (i, j) in enumerate(ranges):
             assert np.array_equal(pred.tag_scores[row], tag.forward_scene(video, i, j))
@@ -164,7 +162,7 @@ class TestRunPipeline:
         confidences = segment.forward_video(video, proposals)
         assert len(pred.segments)
         for row, seg in enumerate(pred.segments):
-            i, j = oracles.shot_span_indices(video, span(*seg))
+            i, j = oracles.shot_span_indices(video, seg)
             idx = proposals.tolist().index([i, j])
             expected = confidences[idx] * tag.forward_scene(video, i, j)
             assert np.array_equal(pred.tag_scores[row], expected)
@@ -211,7 +209,7 @@ class TestRunPipeline:
         pred = run_pipeline(video, bundle, cfg)
         assert len(pred.segments)
         for seg, conf, tags in zip(pred.segments, pred.scene_scores, pred.tag_scores):
-            i, j = oracles.shot_span_indices(video, span(*seg))
+            i, j = oracles.shot_span_indices(video, seg)
             t = tag.forward_scene(video, i, j)
             assert np.array_equal(tags, conf * t)
             # scaling the confidence by a power of two scales every fused

@@ -10,7 +10,7 @@ from scenestruct.models.common import TrainingHyper
 from scenestruct.synth import GeneratorConfig, build_corpus
 
 import oracles
-from conftest import make_scene, make_video
+from conftest import make_video
 
 MASK = ModalityMask.from_names(["vis_r50"])
 DIMS = {"vis_r50": 4}
@@ -49,7 +49,7 @@ class TestProposalTargets:
             "v",
             [0.0, 2.0, 4.0, 6.0, 8.0],
             feature_dim=4,
-            scenes=[make_scene(0.0, 4.0, {1}), make_scene(4.0, 8.0, {2, 3})],
+            scenes=[(0.0, 4.0, {1}), (4.0, 8.0, {2, 3})],
         )
 
     def test_exact_scene_gets_target_one(self):
@@ -59,7 +59,7 @@ class TestProposalTargets:
 
     def test_disjoint_proposal_gets_zero(self):
         video = make_video(
-            "v", [0.0, 2.0, 4.0, 6.0], feature_dim=4, scenes=[make_scene(0.0, 2.0, {1})]
+            "v", [0.0, 2.0, 4.0, 6.0], feature_dim=4, scenes=[(0.0, 2.0, {1})]
         )
         # shots 2..3 span [2, 6], disjoint from the single scene [0, 2]
         assert proposal_targets([(2, 3)], video)[0] == 0.0
@@ -67,13 +67,13 @@ class TestProposalTargets:
     def test_hand_intersection_over_union(self):
         # proposal [0, 4] vs scene [2, 6]: tIoU = 2/6
         video = make_video(
-            "v", [0.0, 2.0, 4.0, 6.0], feature_dim=4, scenes=[make_scene(2.0, 6.0, {1})]
+            "v", [0.0, 2.0, 4.0, 6.0], feature_dim=4, scenes=[(2.0, 6.0, {1})]
         )
         assert proposal_targets([(1, 2)], video)[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
     def test_per_tag_targets_scale_indicators(self):
         video = self.video()
-        targets = proposal_tag_targets([(1, 2), (3, 4), (1, 4)], video, 3)
+        targets = proposal_tag_targets([(1, 2), (3, 4), (1, 4)], video)
         assert np.array_equal(targets[0], [1.0, 0.0, 0.0])
         assert np.array_equal(targets[1], [0.0, 1.0, 1.0])
         assert targets[2] == pytest.approx([0.5, 0.0, 0.0])  # first scene wins the tie
@@ -96,7 +96,7 @@ class TestProposalTargets:
         ) if n_scenes > 1 else []
         scene_edges = [0, *cut_positions, n]
         scenes = [
-            make_scene(bounds[a], bounds[b], {1})
+            (bounds[a], bounds[b], {1})
             for a, b in zip(scene_edges, scene_edges[1:])
             if bounds[b] > bounds[a]
         ]
@@ -106,8 +106,8 @@ class TestProposalTargets:
         for idx, (i, j) in enumerate(proposals):
             start, end = video.shots.starts[i - 1], video.shots.ends[j - 1]
             expected = max(
-                (oracles.naive_tiou(start, end, s.span.start_s, s.span.end_s)
-                 for s in scenes),
+                (oracles.naive_tiou(start, end, s_start, s_end)
+                 for s_start, s_end, _tags in scenes),
                 default=0.0,
             )
             assert ours[idx] == pytest.approx(expected, abs=1e-12)
@@ -129,10 +129,10 @@ class TestProposalTargets:
             if data.draw(st.booleans())
         ]
         video = make_video("v", bounds, feature_dim=4,
-                           scenes=[make_scene(s, e, tags) for s, e, tags in scenes])
+                           scenes=scenes)
         proposals = enumerate_proposals(n)
         expected = oracles.naive_proposal_tag_targets(bounds, proposals.tolist(), scenes, 3)
-        assert np.array_equal(proposal_tag_targets(proposals, video, 3), np.array(expected))
+        assert np.array_equal(proposal_tag_targets(proposals, video), np.array(expected))
 
 
 class TestForward:

@@ -25,9 +25,9 @@ def small_cfg(**kwargs):
     return GeneratorConfig(**defaults)
 
 
-def first_shot_features(video, scene, modality):
-    """The modality's features of the shot that opens the scene."""
-    row = np.flatnonzero(video.shots.starts == scene.span.start_s)[0]
+def first_shot_features(video, start_s, modality):
+    """The modality's features of the shot that opens at start_s."""
+    row = np.flatnonzero(video.shots.starts == start_s)[0]
     return video.shots.features[modality][row]
 
 
@@ -68,31 +68,31 @@ class TestStructure:
     def test_scenes_tile_video_and_shots_tile_scenes(self):
         corpus = build_corpus(small_cfg())
         for video in corpus.videos:
-            assert video.scenes[0].span.start_s == 0.0
-            assert video.scenes[-1].span.end_s == video.duration_s
-            for a, b in zip(video.scenes, video.scenes[1:]):
-                assert a.span.end_s == b.span.start_s
+            spans = video.scenes.spans
+            assert spans[0, 0] == 0.0
+            assert spans[-1, 1] == video.duration_s
+            assert np.array_equal(spans[:-1, 1], spans[1:, 0])
             shots = video.shots
-            for scene in video.scenes:
-                inside = ((shots.starts >= scene.span.start_s - 1e-12)
-                          & (shots.ends <= scene.span.end_s + 1e-12))
+            for start, end in spans:
+                inside = (shots.starts >= start - 1e-12) & (shots.ends <= end + 1e-12)
                 starts, ends = shots.starts[inside], shots.ends[inside]
-                assert starts[0] == scene.span.start_s
-                assert ends[-1] == scene.span.end_s
+                assert starts[0] == start
+                assert ends[-1] == end
                 assert np.array_equal(ends[:-1], starts[1:])
 
     def test_scene_joins_are_shot_boundaries(self):
         corpus = build_corpus(small_cfg())
         for video in corpus.videos:
             shot_edges = set(video.shots.ends.tolist())
-            for scene in video.scenes[:-1]:
-                assert scene.span.end_s in shot_edges
+            for end in video.scenes.spans[:-1, 1].tolist():
+                assert end in shot_edges
 
     def test_consecutive_scene_prototype_distance_guaranteed(self):
         cfg = small_cfg(noise_std=0.0)
         corpus = build_corpus(cfg)
         for video in corpus.videos:
-            for a, b in zip(video.scenes, video.scenes[1:]):
+            starts = video.scenes.spans[:, 0]
+            for a, b in zip(starts, starts[1:]):
                 dist = np.linalg.norm(first_shot_features(video, a, "vis_r50")
                                       - first_shot_features(video, b, "vis_r50"))
                 assert dist >= cfg.min_scene_prototype_distance
@@ -111,10 +111,10 @@ class TestSignals:
         }
         checked = 0
         for video in corpus.videos:
-            for scene in video.scenes:
-                feat = first_shot_features(video, scene, "audio")
+            for (start, _end), row in zip(video.scenes.spans, video.scenes.tags):
+                feat = first_shot_features(video, start, "audio")
                 best = min(candidates, key=lambda tags: np.linalg.norm(candidates[tags] - feat))
-                assert frozenset(best) == scene.tags
+                assert list(best) == (np.flatnonzero(row) + 1).tolist()
                 checked += 1
         assert checked > 20
 
@@ -123,9 +123,9 @@ class TestSignals:
         corpus = build_corpus(cfg)
         values = {1: [], 2: []}
         for video in corpus.videos:
-            for scene in video.scenes:
-                tag = next(iter(scene.tags))
-                values[tag].append(first_shot_features(video, scene, "text"))
+            for (start, _end), row in zip(video.scenes.spans, video.scenes.tags):
+                tag = int(np.flatnonzero(row)[0]) + 1
+                values[tag].append(first_shot_features(video, start, "text"))
         gap = np.abs(np.mean(values[1], axis=0) - np.mean(values[2], axis=0))
         assert np.max(gap) < 0.3
 
@@ -165,7 +165,7 @@ class TestStats:
         stats = corpus_stats(corpus)
         for k in range(1, 6):
             expected = sum(
-                1 for v in corpus.videos for s in v.scenes if k in s.tags
+                1 for v in corpus.videos for row in v.scenes.tags.tolist() if row[k - 1]
             )
             assert stats["tag_counts"][str(k)] == expected
 

@@ -6,11 +6,11 @@ from scenestruct.errors import ConfigError, DataError
 from scenestruct.fusion import ModalityMask
 from scenestruct.models import TagNet, train_tag
 from scenestruct.models.common import TrainingHyper
-from scenestruct.models.tag import multihot
+from scenestruct.models.tag import _scene_items
 from scenestruct.synth import GeneratorConfig, build_corpus
 from scenestruct.experiment import tagging_map_on_gt_scenes
 
-from conftest import make_scene, make_video
+from conftest import make_video
 
 MASK = ModalityMask.from_names(["audio"])
 DIMS = {"audio": 4}
@@ -90,19 +90,24 @@ class TestForward:
                     assert np.array_equal(probs_joint[row], net.forward_scene(video, i, j)), (i, j)
 
 
-class TestMultihot:
-    def test_encoding(self):
-        assert np.array_equal(multihot({1, 3}, 4), np.array([1.0, 0.0, 1.0, 0.0]))
+class TestSceneItems:
+    def test_targets_are_multihot_tag_rows(self):
+        video = make_video("v", [0.0, 1.0, 2.0, 3.0], scenes=[(1.0, 3.0, {1, 3}), (0.0, 1.0, {4})],
+                           num_tags=4)
+        items = _scene_items([video])
+        assert [shots.starts.tolist() for shots, _target in items] == [[0.0], [1.0, 2.0]]
+        assert [target.tolist() for _shots, target in items] == [[0.0, 0.0, 0.0, 1.0],
+                                                                 [1.0, 0.0, 1.0, 0.0]]
 
 
 class TestTraining:
     def test_initial_loss_is_ln2_per_class(self):
         video = make_video(
             "v", [0.0, 1.0, 2.0], feature_dim=4, modalities=("audio",),
-            scenes=[make_scene(0.0, 2.0, {1})],
+            scenes=[(0.0, 2.0, {1})],
         )
         net = small_net()
-        items = [(video.shots, multihot({1}, 3))]
+        items = [(video.shots, np.array([1.0, 0.0, 0.0]))]
         loss, count = net.batch_loss_and_grads(items, None, train=False)
         assert loss == pytest.approx(np.log(2.0), abs=1e-12)
         assert count == 3
@@ -110,7 +115,7 @@ class TestTraining:
     def test_overfits_single_scene(self):
         video = make_video(
             "v", [0.0, 1.0, 2.0], feature_dim=4, modalities=("audio",),
-            scenes=[make_scene(0.0, 2.0, {1})],
+            scenes=[(0.0, 2.0, {1})], num_tags=2,
         )
         hyper = TrainingHyper(epochs=200, batch_size=4, dropout=0.0, hidden_dim=4, seed=0, patience=200)
         model, _ = train_tag([video], [], MASK, DIMS, 2, hyper)
@@ -144,10 +149,10 @@ class TestTraining:
         with_tag = {k: [] for k in range(1, 5)}
         without_tag = {k: [] for k in range(1, 5)}
         for video in val:
-            for scene in video.scenes:
-                probs = model.forward_scenes([shots_in_span(video, scene.span)])[0]
+            for (start, end), row in zip(video.scenes.spans, video.scenes.tags):
+                probs = model.forward_scenes([shots_in_span(video, start, end)])[0]
                 for k in range(1, 5):
-                    (with_tag if k in scene.tags else without_tag)[k].append(probs[k - 1])
+                    (with_tag if row[k - 1] else without_tag)[k].append(probs[k - 1])
         gaps = [np.mean(with_tag[k]) - np.mean(without_tag[k]) for k in range(1, 5) if with_tag[k]]
         assert min(gaps) >= 0.3
         assert tagging_map_on_gt_scenes(model, val) >= 0.8
