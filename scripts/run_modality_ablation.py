@@ -7,7 +7,8 @@ Usage:
 Trains the chosen net once per mask listed in the config's ablate section
 and writes a CSV sorted by the per-net validation metric (tagging mAP for
 the tag net, boundary F1 for the boundary net, scene F1 for the segment
-net).
+net). A config, data or checkpoint error exits 2, 3 or 4 with the
+scenestruct CLI's message.
 """
 
 import argparse
@@ -16,6 +17,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from scenestruct.cli import run_with_exit_codes
 from scenestruct.config import load_experiment_config
 from scenestruct.experiment import ABLATION_METRIC_NAMES, run_ablate, run_generate
 
@@ -25,19 +27,21 @@ def main() -> int:
     parser.add_argument("--config", default="configs/reference.json")
     parser.add_argument("--net", default=None, choices=["tag", "boundary", "segment"])
     args = parser.parse_args()
+    return run_with_exit_codes(lambda: run_ablation(args.config, args.net))
 
-    cfg = load_experiment_config(args.config)
+
+def run_ablation(config_path, net) -> None:
+    cfg = load_experiment_config(config_path)
     if not cfg.paths.manifest.exists():
         print("corpus not found; generating it first")
         run_generate(cfg)
-    csv_path, rows = run_ablate(cfg, args.net)
-    net = args.net or cfg.ablate_net
+    csv_path, rows = run_ablate(cfg, net)
+    net = net or cfg.ablate_net
     print(f"\n{ABLATION_METRIC_NAMES[net]} by modality mask (descending):")
     for mask, value in rows:
         name = "+".join(mask.modalities) or "length-only"
         print(f"  {name:<30} {value:.4f}")
     print(f"\nwrote {csv_path}")
-    return 0
 
 
 if __name__ == "__main__":

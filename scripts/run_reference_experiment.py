@@ -6,7 +6,8 @@ Usage:
 
 Segmentation nets (boundary, segment) train under the vis_r50+image mask;
 the tag net trains under vis_i3+audio, mirroring the per-task modality
-choice. Everything lands under the config's paths.
+choice. Everything lands under the config's paths. A config, data or
+checkpoint error exits 2, 3 or 4 with the scenestruct CLI's message.
 """
 
 import argparse
@@ -17,6 +18,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from scenestruct.cli import run_with_exit_codes
 from scenestruct.config import load_experiment_config
 from scenestruct.data.corpus_io import load_corpus
 from scenestruct.experiment import run_evaluate, run_generate, run_predict, run_train, split_corpus
@@ -26,13 +28,9 @@ SEGMENTATION_MASK = ["vis_r50", "image"]
 TAGGING_MASK = ["vis_i3", "audio"]
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--config", default="configs/reference.json")
-    args = parser.parse_args()
-
+def run_experiment(config_path) -> None:
     t0 = time.time()
-    cfg = load_experiment_config(args.config)
+    cfg = load_experiment_config(config_path)
     print(f"generating corpus ({cfg.generator.num_videos} videos, seed {cfg.generator.seed})")
     run_generate(cfg)
 
@@ -71,7 +69,13 @@ def main() -> int:
         print(f"  {mode}    {report.avg_map:.4f}   {report.b_f1:.4f}   "
               f"{report.s_f1:.4f}   {report.final:.4f}")
     print(f"\ntotal wall time: {time.time() - t0:.0f}s")
-    return 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--config", default="configs/reference.json")
+    args = parser.parse_args()
+    return run_with_exit_codes(lambda: run_experiment(args.config))
 
 
 if __name__ == "__main__":

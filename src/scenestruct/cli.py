@@ -73,22 +73,12 @@ def _apply_overrides(cfg, args) -> None:
         )
 
 
-def main(argv=None) -> int:
-    logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(message)s")
-    args = build_parser().parse_args(argv)
+def run_with_exit_codes(action) -> int:
+    """Calls action(); returns EXIT_OK, or the exit code of the config, data
+    or checkpoint error it raised, after printing the error to standard error.
+    The CLI and the scripts under scripts/ share it."""
     try:
-        cfg = load_experiment_config(args.config)
-        _apply_overrides(cfg, args)
-        if args.command == "generate":
-            run_generate(cfg)
-        elif args.command == "train":
-            run_train(cfg, args.net)
-        elif args.command == "predict":
-            run_predict(cfg, args.mode)
-        elif args.command == "evaluate":
-            run_evaluate(cfg, args.predictions)
-        elif args.command == "ablate":
-            run_ablate(cfg, args.net)
+        action()
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -99,6 +89,27 @@ def main(argv=None) -> int:
         print(f"checkpoint error: {exc}", file=sys.stderr)
         return EXIT_CHECKPOINT
     return EXIT_OK
+
+
+def _run_command(args) -> None:
+    cfg = load_experiment_config(args.config)
+    _apply_overrides(cfg, args)
+    if args.command == "generate":
+        run_generate(cfg)
+    elif args.command == "train":
+        run_train(cfg, args.net)
+    elif args.command == "predict":
+        run_predict(cfg, args.mode)
+    elif args.command == "evaluate":
+        run_evaluate(cfg, args.predictions)
+    elif args.command == "ablate":
+        run_ablate(cfg, args.net)
+
+
+def main(argv=None) -> int:
+    logging.basicConfig(level=logging.INFO, stream=sys.stderr, format="%(message)s")
+    args = build_parser().parse_args(argv)
+    return run_with_exit_codes(lambda: _run_command(args))
 
 
 def run() -> None:

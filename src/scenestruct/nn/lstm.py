@@ -5,6 +5,14 @@ zero-initialized; the forget-gate bias starts at 1.0 and all weights are
 uniform in +-1/sqrt(hidden_dim). Padded timesteps are excluded from the
 recurrence by selection (np.where), not multiplication, so outputs and
 gradients are exactly independent of padded values.
+
+Both directions of a layer run in one step loop (_recurrence) on a (2, B, .)
+stack: step k advances fwd at t = k and bwd at t = T-1-k. The input
+projections x Wx of all steps are taken before the loop, leaving only h Wh
+inside it (Appleyard et al., arXiv:1604.01946); gates sum as
+(x Wx + h Wh) + b. forward and infer share the loop and differ only in their
+products. backward runs one reverse step loop over both directions for the
+gate gradients, then forms the weight and input gradients step by step.
 """
 
 from __future__ import annotations
@@ -15,6 +23,27 @@ from .batching import SequenceBatch
 from .layers import assert_finite, rowwise_matmul, sigmoid
 
 DIRECTIONS = ("fwd", "bwd")
+
+
+def _step_order(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
+    """Two (B, T, .) arrays, one per direction, as one (2, T, B, .) stack in
+    step order: step k is t = k for fwd and t = T-1-k for bwd."""
+    return np.stack([fwd.swapaxes(0, 1), bwd[:, ::-1].swapaxes(0, 1)])
+
+
+def _time_order(steps: np.ndarray) -> np.ndarray:
+    """A (2, T, B, H) stack in step order as one (B, T, 2H) array [fwd | bwd]."""
+    return np.concatenate([steps[0].swapaxes(0, 1), steps[1, ::-1].swapaxes(0, 1)], axis=2)
+
+
+def _previous(steps: np.ndarray) -> np.ndarray:
+    """Each step's predecessor in a (2, T, B, .) stack, zeros before the first."""
+    return np.concatenate([np.zeros_like(steps[:, :1]), steps[:, :-1]], axis=1)
+
+
+def _stepwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """x @ w as one GEMM per step: (B, T, K) by (K, N) to (B, T, N)."""
+    return np.stack([x[:, t] @ w for t in range(x.shape[1])], axis=1)
 
 
 class BiLstm:
@@ -64,152 +93,127 @@ class BiLstm:
             )
         return np.where(batch.mask[:, :, None], batch.data, 0).astype(self.dtype, copy=False)
 
+    def _weights(self, layer: int):
+        """Wx, Wh and b of one layer, each a [fwd, bwd] list."""
+        return ([self.params[f"lstm.l{layer}_{direction}_{name}"] for direction in DIRECTIONS]
+                for name in ("Wx", "Wh", "b"))
+
     def forward(self, batch: SequenceBatch):
         """Training forward: returns (output, cache); cache is consumed by
         backward()."""
-        x = self._input(batch)
-        valid = batch.mask
-        layer_caches = []
-        layer_in = x
-        for layer in range(self.num_layers):
-            h_fwd, cache_fwd = self._run_direction(layer_in, valid, layer, "fwd")
-            h_bwd, cache_bwd = self._run_direction(layer_in, valid, layer, "bwd")
-            out = np.concatenate([h_fwd, h_bwd], axis=2)
-            assert_finite(f"lstm layer {layer} output", out)
-            layer_caches.append((cache_fwd, cache_bwd, layer_in))
-            layer_in = out
-        cache = (layer_caches, valid)
-        return layer_in, cache
+        return self._layers(batch, rowwise=False)
 
     def infer(self, batch: SequenceBatch) -> np.ndarray:
-        """Inference forward: forward()'s output, with no cache kept.
+        """Inference forward: forward()'s output, with the cache dropped.
 
         Each row has the bits of forward() on that row alone, whatever else
-        shares the batch: every product runs one row at a time
-        (rowwise_matmul), each layer projects all steps' inputs before its
-        recurrence, and step k advances the fwd direction at t = k and the
-        bwd direction at t = T-1-k together, with gates summed in forward()'s
-        order, (x Wx + h Wh) + b.
+        shares the batch: it runs forward()'s recurrence with every product
+        taken one row at a time (rowwise_matmul), which for one row are the
+        products forward() takes.
         """
+        return self._layers(batch, rowwise=True)[0]
+
+    def _layers(self, batch: SequenceBatch, *, rowwise: bool):
+        """Both layers over the batch: returns (output, cache). Products are
+        one per row (rowwise) or one GEMM per step."""
         x = self._input(batch)
-        b_sz, t_max, _ = x.shape
-        hd = self.hidden_dim
-        valid = batch.mask[:, :, None]
-        step_valid = np.stack([valid, valid[:, ::-1]])  # (2, B, T, 1), in step order
+        step_valid = _step_order(batch.mask[:, :, None], batch.mask[:, :, None])  # (2, T, B, 1)
+        layer_caches = []
         for layer in range(self.num_layers):
-            wx, wh, bias = ([self.params[f"lstm.l{layer}_{direction}_{name}"]
-                             for direction in DIRECTIONS] for name in ("Wx", "Wh", "b"))
-            # (2, B, T, 4H): each direction's input projection, in step order
-            xw = np.stack([rowwise_matmul(x, wx[0]), rowwise_matmul(x, wx[1])[:, ::-1]])
-            wh = np.stack(wh)[:, None]  # (2, 1, H, 4H)
-            bias = np.stack(bias)[:, None]  # (2, 1, 4H)
-            h = np.zeros((2, b_sz, hd), dtype=self.dtype)
-            c = np.zeros((2, b_sz, hd), dtype=self.dtype)
-            out = np.empty((2, b_sz, t_max, hd), dtype=self.dtype)
-            for k in range(t_max):
-                z = xw[:, :, k] + rowwise_matmul(h, wh) + bias
-                gates = sigmoid(z)  # i, f and o are read from it; g takes tanh
-                c_new = (gates[..., hd : 2 * hd] * c
-                         + gates[..., :hd] * np.tanh(z[..., 2 * hd : 3 * hd]))
-                h_new = gates[..., 3 * hd :] * np.tanh(c_new)
-                m = step_valid[:, :, k]
-                h = np.where(m, h_new, 0)
-                c = np.where(m, c_new, 0)
-                out[:, :, k] = h
-            x = np.concatenate([out[0], out[1, :, ::-1]], axis=2)
+            wx, wh, bias = self._weights(layer)
+            wh, bias = np.stack(wh), np.stack(bias)[:, None]  # (2, H, 4H), (2, 1, 4H)
+            if rowwise:
+                xw = _step_order(*(rowwise_matmul(x, w) for w in wx))
+                steps = self._recurrence(xw, step_valid, wh[:, None], bias, rowwise_matmul)
+            else:
+                xw = _step_order(*(_stepwise_matmul(x, w) for w in wx))
+                steps = self._recurrence(xw, step_valid, wh, bias, np.matmul)
+            layer_caches.append((x, *steps))
+            x = _time_order(steps[0])
             assert_finite(f"lstm layer {layer} output", x)
-        return x
+        return x, (layer_caches, step_valid)
+
+    def _recurrence(self, xw, step_valid, wh, bias, matmul):
+        """Both directions of one layer in one step loop.
+
+        xw (2, T, B, 4H) holds each step's input projection and step_valid
+        (2, T, B, 1) its mask, in step order; matmul(h, wh) is the recurrent
+        product of the (2, B, H) state. Returns the hidden states, the gate
+        activations (sigmoid for i, f and o; tanh for g) and the cell states
+        before masking, each (2, T, B, .) in step order.
+        """
+        _, t_max, b_sz, _ = xw.shape
+        hd = self.hidden_dim
+        h = np.zeros((2, b_sz, hd), dtype=self.dtype)
+        c = np.zeros_like(h)
+        out = np.empty((2, t_max, b_sz, hd), dtype=self.dtype)
+        acts = np.empty((2, t_max, b_sz, 4 * hd), dtype=self.dtype)
+        cells = np.empty_like(out)
+        for k in range(t_max):
+            z = xw[:, k] + matmul(h, wh) + bias
+            act = acts[:, k]
+            act[...] = sigmoid(z)
+            act[..., 2 * hd : 3 * hd] = np.tanh(z[..., 2 * hd : 3 * hd])
+            c_new = cells[:, k] = (act[..., hd : 2 * hd] * c
+                                   + act[..., :hd] * act[..., 2 * hd : 3 * hd])
+            m = step_valid[:, k]
+            h = out[:, k] = np.where(m, act[..., 3 * hd :] * np.tanh(c_new), 0)
+            c = np.where(m, c_new, 0)
+        return out, acts, cells
 
     def backward(self, cache, grad_out: np.ndarray, grads: dict) -> np.ndarray:
         """Adds the parameter gradients into grads; returns the gradient
         w.r.t. the input."""
-        layer_caches, valid = cache
+        layer_caches, step_valid = cache
         hd = self.hidden_dim
-        d = np.where(valid[:, :, None], grad_out, 0).astype(self.dtype, copy=False)
+        d = np.where(step_valid[0].swapaxes(0, 1), grad_out, 0).astype(self.dtype, copy=False)
         for layer in reversed(range(self.num_layers)):
-            cache_fwd, cache_bwd, layer_in = layer_caches[layer]
-            dx_fwd = self._direction_backward(cache_fwd, layer_in, valid, layer, "fwd",
-                                              d[:, :, :hd], grads)
-            dx_bwd = self._direction_backward(cache_bwd, layer_in, valid, layer, "bwd",
-                                              d[:, :, hd:], grads)
-            d = dx_fwd + dx_bwd
+            x, out, acts, cells = layer_caches[layer]
+            wx, wh, _bias = self._weights(layer)
+            dz = self._recurrence_backward(_step_order(d[..., :hd], d[..., hd:]), step_valid,
+                                           acts, cells, np.stack(wh).swapaxes(1, 2))
+            h_prev = _previous(out)
+            t_max = x.shape[1]
+            dx = []
+            for n, direction in enumerate(DIRECTIONS):
+                prefix = f"lstm.l{layer}_{direction}_"
+                g_wx, g_wh, g_b = grads[prefix + "Wx"], grads[prefix + "Wh"], grads[prefix + "b"]
+                dx_dir = np.zeros_like(x)
+                for k in reversed(range(t_max)):
+                    t, dz_k = (k if direction == "fwd" else t_max - 1 - k), dz[n, k]
+                    g_wx += x[:, t].T @ dz_k
+                    g_wh += h_prev[n, k].T @ dz_k
+                    g_b += dz_k.sum(axis=0)
+                    dx_dir[:, t] = dz_k @ wx[n].T
+                dx.append(dx_dir)
+            d = dx[0] + dx[1]
         return d
 
-    def _run_direction(self, x, valid, layer, direction):
-        b_sz, t_max, _ = x.shape
-        hd = self.hidden_dim
-        prefix = f"lstm.l{layer}_{direction}_"
-        wx = self.params[prefix + "Wx"]
-        wh = self.params[prefix + "Wh"]
-        bias = self.params[prefix + "b"]
-        order = range(t_max - 1, -1, -1) if direction == "bwd" else range(t_max)
-        h = np.zeros((b_sz, hd), dtype=self.dtype)
-        c = np.zeros((b_sz, hd), dtype=self.dtype)
-        out = np.zeros((b_sz, t_max, hd), dtype=self.dtype)
-        gates = np.zeros((t_max, b_sz, 4 * hd), dtype=self.dtype)
-        c_hat = np.zeros((t_max, b_sz, hd), dtype=self.dtype)
-        tanh_c = np.zeros((t_max, b_sz, hd), dtype=self.dtype)
-        h_prev = np.zeros((t_max, b_sz, hd), dtype=self.dtype)
-        c_prev = np.zeros((t_max, b_sz, hd), dtype=self.dtype)
-        for t in order:
-            h_prev[t] = h
-            c_prev[t] = c
-            z = x[:, t] @ wx + h @ wh + bias
-            i = sigmoid(z[:, :hd])
-            f = sigmoid(z[:, hd : 2 * hd])
-            g = np.tanh(z[:, 2 * hd : 3 * hd])
-            o = sigmoid(z[:, 3 * hd :])
-            c_new = f * c + i * g
-            tc = np.tanh(c_new)
-            h_new = o * tc
-            m = valid[:, t : t + 1]
-            h = np.where(m, h_new, 0)
-            c = np.where(m, c_new, 0)
-            out[:, t] = h
-            gates[t] = np.concatenate([i, f, g, o], axis=1)
-            c_hat[t] = c_new
-            tanh_c[t] = tc
-        return out, (gates, c_hat, tanh_c, h_prev, c_prev, order)
+    def _recurrence_backward(self, d_out, step_valid, acts, cells, wh_t):
+        """The reverse step loop of _recurrence over both directions: returns
+        the (2, T, B, 4H) gate pre-activation gradients dz in step order.
 
-    def _direction_backward(self, dir_cache, x, valid, layer, direction, d_out, grads):
-        gates, c_hat, tanh_c, h_prev, c_prev, order = dir_cache
-        b_sz, t_max, _ = x.shape
+        d_out (2, T, B, H) is the gradient of the hidden states and wh_t the
+        stacked (2, 4H, H) transposes of Wh, which carry dz to the step before.
+        """
+        _, t_max, b_sz, _ = d_out.shape
         hd = self.hidden_dim
-        prefix = f"lstm.l{layer}_{direction}_"
-        wx = self.params[prefix + "Wx"]
-        wh = self.params[prefix + "Wh"]
-        g_wx = grads[prefix + "Wx"]
-        g_wh = grads[prefix + "Wh"]
-        g_b = grads[prefix + "b"]
-        dx = np.zeros_like(x)
-        dh_carry = np.zeros((b_sz, hd), dtype=self.dtype)
-        dc_carry = np.zeros((b_sz, hd), dtype=self.dtype)
-        for t in reversed(order):
-            m = valid[:, t : t + 1]
-            i = gates[t][:, :hd]
-            f = gates[t][:, hd : 2 * hd]
-            g = gates[t][:, 2 * hd : 3 * hd]
-            o = gates[t][:, 3 * hd :]
-            tc = tanh_c[t]
-            dh_new = np.where(m, d_out[:, t] + dh_carry, 0)
+        tanh_c = np.tanh(cells)
+        c_prev = _previous(np.where(step_valid, cells, 0))
+        dz = np.empty_like(acts)
+        dh_carry = np.zeros((2, b_sz, hd), dtype=self.dtype)
+        dc_carry = np.zeros_like(dh_carry)
+        for k in reversed(range(t_max)):
+            m = step_valid[:, k]
+            i, f, g, o = (acts[:, k, :, n * hd : (n + 1) * hd] for n in range(4))
+            tc = tanh_c[:, k]
+            dh_new = np.where(m, d_out[:, k] + dh_carry, 0)
             dc_new = np.where(m, dc_carry, 0) + dh_new * o * (1.0 - tc * tc)
-            do = dh_new * tc
-            df = dc_new * c_prev[t]
-            di = dc_new * g
-            dg = dc_new * i
             dc_carry = dc_new * f
-            dz = np.concatenate(
-                [
-                    di * i * (1.0 - i),
-                    df * f * (1.0 - f),
-                    dg * (1.0 - g * g),
-                    do * o * (1.0 - o),
-                ],
-                axis=1,
-            )
-            g_wx += x[:, t].T @ dz
-            g_wh += h_prev[t].T @ dz
-            g_b += dz.sum(axis=0)
-            dx[:, t] = dz @ wx.T
-            dh_carry = dz @ wh.T
-        return dx
+            dz_k = dz[:, k]
+            dz_k[..., :hd] = dc_new * g * i * (1.0 - i)
+            dz_k[..., hd : 2 * hd] = dc_new * c_prev[:, k] * f * (1.0 - f)
+            dz_k[..., 2 * hd : 3 * hd] = dc_new * i * (1.0 - g * g)
+            dz_k[..., 3 * hd :] = dh_new * tc * o * (1.0 - o)
+            dh_carry = np.matmul(dz_k, wh_t)
+        return dz

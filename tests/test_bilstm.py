@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -74,8 +76,12 @@ class TestInfer:
     def test_each_row_equals_forward_on_that_row_alone(self, dim, hidden, dtype):
         rng = np.random.default_rng(dim)
         lstm = make_lstm(dim, hidden, rng, dtype=dtype)
-        for b_sz in (1, 7, 64):
-            lengths = rng.integers(1, 7, size=b_sz)
+        # short rows at batch sizes up to 64 (drawn as the loop reaches them),
+        # then rows up to 30 steps long
+        short = (rng.integers(1, 7, size=b_sz) for b_sz in (1, 7, 64))
+        for lengths in itertools.chain(short, ([30], [30, 1, 12, 29, 7])):
+            lengths = np.asarray(lengths)
+            b_sz = len(lengths)
             batch = random_batch(rng, dim, lengths, dtype=dtype)
             batch.data[~batch.mask] = rng.normal(size=batch.data.shape)[~batch.mask] * 1e6
             out = lstm.infer(batch)
@@ -111,37 +117,46 @@ class TestReversalSymmetry:
         assert out_rev[0] == pytest.approx(expected, abs=1e-12)
 
 
+# the lengths of the padding tests: short rows, then rows up to 30 steps long
+PADDED_LENGTHS = ([5, 2, 3], [30, 1, 17])
+
+
+def forward_backward(lstm, batch, d_out):
+    """The input gradient and parameter gradients of one training pass."""
+    grads = zeros_like_params(lstm.params)
+    _out, cache = lstm.forward(batch)
+    return lstm.backward(cache, d_out, grads), grads
+
+
 class TestPaddingInvariance:
     @pytest.mark.parametrize("seed", range(5))
     def test_outputs_bitwise_invariant_to_padded_values(self, seed):
         rng = np.random.default_rng(seed)
-        lstm = make_lstm(3, 4, rng, dtype=np.float64)
-        batch = random_batch(rng, 3, [5, 2, 3])
-        out_a, _ = lstm.forward(batch)
-        noisy = SequenceBatch(batch.data.copy(), batch.lengths.copy())
-        noisy.data[~noisy.mask] = rng.normal(size=noisy.data.shape)[~noisy.mask] * 1e6
-        out_b, _ = lstm.forward(noisy)
-        assert np.array_equal(out_a, out_b)
+        for dim, hidden, dtype in INFER_SHAPES:
+            lstm = make_lstm(dim, hidden, rng, dtype=dtype)
+            for lengths in PADDED_LENGTHS:
+                batch = random_batch(rng, dim, lengths, dtype=dtype)
+                out_a, _ = lstm.forward(batch)
+                noisy = SequenceBatch(batch.data.copy(), batch.lengths.copy())
+                noisy.data[~noisy.mask] = rng.normal(size=noisy.data.shape)[~noisy.mask] * 1e6
+                out_b, _ = lstm.forward(noisy)
+                assert np.array_equal(out_a, out_b), (dim, lengths)
 
     def test_gradients_bitwise_invariant_to_padded_values(self):
         rng = np.random.default_rng(11)
-        lstm = make_lstm(3, 4, rng, dtype=np.float64)
-        batch = random_batch(rng, 3, [5, 2, 3])
-        d_out = rng.normal(size=(3, 5, 8)) * batch.mask[:, :, None]
-
-        def grads_for(b):
-            grads = zeros_like_params(lstm.params)
-            _out, cache = lstm.forward(b)
-            dx = lstm.backward(cache, d_out, grads)
-            return dx, grads
-
-        dx_a, grads_a = grads_for(batch)
-        noisy = SequenceBatch(batch.data.copy(), batch.lengths.copy())
-        noisy.data[~noisy.mask] = 777.0
-        dx_b, grads_b = grads_for(noisy)
-        assert np.array_equal(dx_a, dx_b)
-        for name in grads_a:
-            assert np.array_equal(grads_a[name], grads_b[name]), name
+        for dim, hidden, dtype in INFER_SHAPES:
+            lstm = make_lstm(dim, hidden, rng, dtype=dtype)
+            for lengths in PADDED_LENGTHS:
+                batch = random_batch(rng, dim, lengths, dtype=dtype)
+                d_out = (rng.normal(size=(len(lengths), max(lengths), 2 * hidden))
+                         * batch.mask[:, :, None])
+                dx_a, grads_a = forward_backward(lstm, batch, d_out)
+                noisy = SequenceBatch(batch.data.copy(), batch.lengths.copy())
+                noisy.data[~noisy.mask] = 777.0
+                dx_b, grads_b = forward_backward(lstm, noisy, d_out)
+                assert np.array_equal(dx_a, dx_b), (dim, lengths)
+                for name in grads_a:
+                    assert np.array_equal(grads_a[name], grads_b[name]), (dim, lengths, name)
 
 
 class TestGradients:

@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +16,8 @@ from scenestruct.experiment import ablation_metric, split_corpus
 from scenestruct.nn import load_checkpoint, save_checkpoint
 
 from conftest import make_video
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def prediction_line(**segment):
@@ -70,6 +75,22 @@ class TestExitCodes:
         assert 0.0 <= report["final"] <= 1.0
         assert (tmp_path / "out" / "report.csv").exists()
         assert (tmp_path / "out" / "resolved_config.json").exists()
+
+    def test_reference_script_on_tiny_config_exits_2(self, tmp_path):
+        # tiny's generator has no "image" modality, which the script's fixed
+        # segmentation mask enables
+        doc = json.loads((ROOT / "configs" / "tiny.json").read_text())
+        doc["paths"] = {"corpus": "corpus", "checkpoints": "ckpts", "out": "out"}
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "run_reference_experiment.py"),
+             "--config", str(cfg)],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "config error: mask enables modalities absent from the manifest: ['image']" in proc.stderr
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "nope.json")]) == 2

@@ -160,3 +160,94 @@ def test_tag_net_three_shot_scene_finite_differences():
     model = TagNet(MASK, corpus.manifest.modality_dims, 2, **net_kwargs(0, 0.5))
     err = check_model(model, [(shots, video.scenes.tags[0].astype(np.float64))])
     assert err <= 1e-4
+
+
+# Directional check at the widths the nets run, on two generated videos of 30
+# to 36 shots: the shipped width (fused 33 = vis_r50 16 + a trainable 16-wide
+# image encoder + length, H=16, 8 tags) and the paper's (fused 2049 = vis_r50
+# through a trainable 2048-wide encoder + length, H=128, 82 tags).
+WIDTHS = {
+    "shipped": ({"vis_r50": 16, "image": 16}, "image", 16, 8),
+    "paper": ({"vis_r50": 2048}, "vis_r50", 128, 82),
+}
+# Worst error seen over all blocks of the eight cases: 1.3e-10 (paper-width
+# scalar segment net, head.W). Scaling any one block's gradient by 1.001 moves
+# its g.v by at least 3.7e-9 (paper-width tag net, lstm.l0_bwd_Wh), so the
+# check fails on it.
+DIRECTIONAL_TOL = 1e-9
+
+
+def long_video_corpus(dims, num_tags):
+    cfg = GeneratorConfig(
+        num_videos=2, seed=3, modalities=dims, signal={m: "scene" for m in dims},
+        num_tags=num_tags, scenes_per_video=(6, 6), shots_per_scene=(5, 6),
+        tags_per_scene=(1, 3), duration_mean_s=60.0, duration_std_s=5.0,
+    )
+    return build_corpus(cfg)
+
+
+def directional_error(analytic, numeric):
+    """grad_check's error of a pair: |a - n| / max(1, |a|, |n|)."""
+    return abs(analytic - numeric) / max(1.0, abs(analytic), abs(numeric))
+
+
+def directional_pairs(model, items, *, rng_seed=1234, eps=1e-6, direction_seed=0):
+    """Per parameter block: (g.v, the central difference of the loss along
+    v) for one random unit direction v, with the dropout mask frozen."""
+
+    def loss_fn():
+        rng = np.random.default_rng(rng_seed)
+        loss, _n = model.batch_loss_and_grads(items, rng, train=True, backward=False)
+        return loss
+
+    model.zero_grads()
+    model.batch_loss_and_grads(items, np.random.default_rng(rng_seed), train=True)
+    rng = np.random.default_rng(direction_seed)
+    pairs = {}
+    for name, theta in model.params.items():
+        v = rng.normal(size=theta.shape)
+        v /= np.linalg.norm(v)
+        analytic = float(np.sum(model.grads[name] * v))
+        orig = theta.copy()
+        theta += eps * v
+        f_plus = loss_fn()
+        theta[...] = orig - eps * v
+        f_minus = loss_fn()
+        theta[...] = orig
+        numeric = (f_plus - f_minus) / (2.0 * eps)
+        pairs[name] = (analytic, numeric)
+    return pairs
+
+
+def width_case_pairs(width, net):
+    """directional_pairs of one net at one of WIDTHS, with a drawn head (the
+    nets start with a zero head, which leaves every gradient below it zero)."""
+    dims, trainable, hidden_dim, num_tags = WIDTHS[width]
+    corpus = long_video_corpus(dims, num_tags)
+    assert max(v.num_shots for v in corpus.videos) >= 30
+    mask = ModalityMask.from_names(list(dims))
+    kwargs = dict(hidden_dim=hidden_dim, dropout_rate=0.5, dtype=np.float64, seed=3,
+                  encoders={trainable: EncoderSpec(trainable=True, dim=dims[trainable])})
+    model_dims = corpus.manifest.modality_dims
+    if net == "boundary":
+        model, items = BoundaryNet(mask, model_dims, **kwargs), boundary_items(corpus)
+    elif net == "tag":
+        model, items = TagNet(mask, model_dims, num_tags, **kwargs), tag_items(corpus)
+    else:
+        head_mode = net.removeprefix("segment_")
+        model = SegmentNet(mask, model_dims, num_tags=num_tags, head_mode=head_mode, **kwargs)
+        items = segment_items(corpus, head_mode)
+    assert model.lstm.input_dim == {"shipped": 33, "paper": 2049}[width]
+    head_rng = np.random.default_rng(7)
+    scale = 1.0 / np.sqrt(model.params["head.W"].shape[0])
+    for name in ("head.W", "head.b"):
+        model.params[name][...] = head_rng.uniform(-scale, scale, size=model.params[name].shape)
+    return directional_pairs(model, items)
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("net", ["boundary", "segment_scalar", "segment_per_tag", "tag"])
+def test_directional_gradients_at_run_widths(width, net):
+    errors = {name: directional_error(*pair) for name, pair in width_case_pairs(width, net).items()}
+    worst = max(errors, key=errors.get)
+    assert errors[worst] <= DIRECTIONAL_TOL, (worst, errors[worst])
