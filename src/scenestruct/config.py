@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .data.corpus_io import RECORDS_FILE
+from .data.records import CANONICAL_MODALITIES
 from .errors import ConfigError
 from .fusion import EncoderSpec, ModalityMask
 from .models.common import TrainingHyper, check_setting
@@ -25,6 +26,11 @@ class PathsConfig:
     corpus: str = "corpus"
     checkpoints: str = "checkpoints"
     out: str = "out"
+
+    def __post_init__(self):
+        for key in ("corpus", "checkpoints", "out"):
+            if not isinstance(getattr(self, key), str):
+                raise ConfigError(f"paths.{key} must be a string, got {getattr(self, key)!r}")
 
     def resolve(self, base: Path) -> "PathsConfig":
         return PathsConfig(
@@ -89,23 +95,36 @@ class ExperimentConfig:
 
 
 def _check_keys(doc: dict, allowed, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {doc!r}")
     unknown = sorted(set(doc) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
-def _parse_mask(doc) -> ModalityMask:
-    _check_keys(doc, {"modalities", "include_length"}, "mask")
-    return ModalityMask.from_names(
-        doc.get("modalities", []), include_length=doc.get("include_length", True)
-    )
+def _check_flag(value, key: str) -> None:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{key} must be true or false, got {value!r}")
+
+
+def _parse_mask(doc, where: str) -> ModalityMask:
+    _check_keys(doc, {"modalities", "include_length"}, where)
+    names, include_length = doc.get("modalities", []), doc.get("include_length", True)
+    if not isinstance(names, list):
+        raise ConfigError(f"{where}.modalities must be a list of modality names, got {names!r}")
+    _check_flag(include_length, f"{where}.include_length")
+    return ModalityMask.from_names(names, include_length=include_length)
 
 
 def _parse_encoders(doc) -> dict:
+    _check_keys(doc, CANONICAL_MODALITIES, "encoders")
     out = {}
     for mod, spec in doc.items():
         _check_keys(spec, {"trainable", "dim"}, f"encoders.{mod}")
-        out[mod] = EncoderSpec(trainable=spec.get("trainable", False), dim=spec.get("dim", 32))
+        trainable, dim = spec.get("trainable", False), spec.get("dim", 32)
+        _check_flag(trainable, f"encoders.{mod}.trainable")
+        check_setting(dim, f"encoders.{mod}.dim", 1, integer=True)
+        out[mod] = EncoderSpec(trainable=trainable, dim=dim)
     return out
 
 
@@ -140,7 +159,7 @@ def load_experiment_config(path) -> ExperimentConfig:
         cfg.paths = _build(PathsConfig, doc["paths"], "paths")
     cfg.paths = cfg.paths.resolve(path.parent)
     if "mask" in doc:
-        cfg.mask = _parse_mask(doc["mask"])
+        cfg.mask = _parse_mask(doc["mask"], "mask")
     if "encoders" in doc:
         cfg.encoders = _parse_encoders(doc["encoders"])
     if "pipeline" in doc:
@@ -154,7 +173,10 @@ def load_experiment_config(path) -> ExperimentConfig:
     if "ablate" in doc:
         _check_keys(doc["ablate"], {"net", "masks"}, "ablate")
         cfg.ablate_net = doc["ablate"].get("net", "tag")
-        cfg.ablate_masks = [_parse_mask(m) for m in doc["ablate"].get("masks", [])]
+        masks = doc["ablate"].get("masks", [])
+        if not isinstance(masks, list):
+            raise ConfigError(f"ablate.masks must be a list of masks, got {masks!r}")
+        cfg.ablate_masks = [_parse_mask(m, f"ablate.masks[{k}]") for k, m in enumerate(masks)]
     return cfg
 
 

@@ -13,7 +13,6 @@ import numpy as np
 from ..errors import CheckpointError, ConfigError
 from ..fusion import EncoderSpec, ModalityMask, ShotFuser
 from ..nn.batching import SequenceBatch
-from ..nn.layers import dense_backward
 from ..nn.lstm import BiLstm
 from ..nn.optim import Adam
 
@@ -123,14 +122,6 @@ class SequenceNet:
         batch = SequenceBatch.from_sequences(
             [self.fuser.forward_shots(shots)[0] for shots in shot_lists])
         return self.lstm.infer(batch), batch.lengths
-
-    def _head_backward(self, x, d_logits):
-        """Add the head's gradients for inputs x; returns the gradient
-        w.r.t. x."""
-        d_x, g_w, g_b = dense_backward(x, self.params["head.W"], d_logits)
-        self.grads["head.W"] += g_w
-        self.grads["head.b"] += g_b
-        return d_x
 
     def _backprop(self, cache, d_hidden) -> None:
         lengths, fuse_caches, lstm_cache = cache

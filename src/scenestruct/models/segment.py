@@ -5,6 +5,12 @@ candidate segment (inclusive shot range) is summarized by the hidden states
 at its two ends plus the mean hidden state over the range, then scored by a
 dense head and a sigmoid. The head emits a scalar confidence or a per-tag
 vector depending on head_mode.
+
+The head is linear, so no summary row is built: each of its three weight
+blocks multiplies every shot's hidden state once, and a proposal's logit
+adds up per-shot products (the mean through a prefix sum over shots). A
+video of M shots costs three M-row products for all M(M+1)/2 proposals,
+in training and inference alike.
 """
 
 from __future__ import annotations
@@ -79,37 +85,45 @@ class SegmentNet(SequenceNet):
         self.head_mode = head_mode
         self.num_tags = num_tags
 
-    @staticmethod
-    def _summaries(hidden_1video, i_idx, j_idx):
-        """Per-proposal summary rows: [h_i, h_j, mean(h_i..h_j)]."""
-        prefix = np.concatenate(
-            [np.zeros((1, hidden_1video.shape[1]), dtype=hidden_1video.dtype),
-             np.cumsum(hidden_1video, axis=0, dtype=hidden_1video.dtype)],
-            axis=0,
-        )
-        lengths = (j_idx - i_idx + 1).astype(hidden_1video.dtype)
-        mean = (prefix[j_idx] - prefix[i_idx - 1]) / lengths[:, None]
-        return np.concatenate([hidden_1video[i_idx - 1], hidden_1video[j_idx - 1], mean], axis=1)
+    def _head_logits(self, hidden, rows, i_idx, j_idx):
+        """Logits of proposals over hidden states (B, T, 2H): proposal n
+        spans shots i_idx[n]..j_idx[n] (1-based) of batch row rows[n].
 
-    def _head_forward(self, summaries):
-        # per-row reduction keeps each row's value independent of how many
-        # proposals are scored together
-        weights = self.params["head.W"]
-        logits = (summaries[:, :, None] * weights[None, :, :]).sum(axis=1) + self.params["head.b"]
-        return sigmoid(logits)
+        P_i, P_j and P_mean are every shot's products with head.W's three
+        (2H, outputs) blocks, for h_i, h_j and the mean; a proposal adds
+        P_i[i], P_j[j] and the mean of P_mean over its range, from a prefix
+        sum with a zero row in front. Nothing is summed across proposals,
+        so a logit does not depend on which other proposals are scored
+        with it.
+        """
+        p_i, p_j, p_mean = hidden @ self.params["head.W"].reshape(3, hidden.shape[2], -1)[:, None]
+        prefix = np.zeros((p_mean.shape[0], p_mean.shape[1] + 1, p_mean.shape[2]), p_mean.dtype)
+        np.cumsum(p_mean, axis=1, out=prefix[:, 1:])
+        lengths = (j_idx - i_idx + 1).astype(hidden.dtype)[:, None]
+        return (p_i[rows, i_idx - 1] + p_j[rows, j_idx - 1]
+                + (prefix[rows, j_idx] - prefix[rows, i_idx - 1]) / lengths
+                + self.params["head.b"])
 
-    def _scatter_summary_grads(self, d_summary, hidden_1video, i_idx, j_idx):
-        hd2 = 2 * self.hidden_dim
-        d_hidden = np.zeros_like(hidden_1video)
-        np.add.at(d_hidden, i_idx - 1, d_summary[:, :hd2])
-        np.add.at(d_hidden, j_idx - 1, d_summary[:, hd2 : 2 * hd2])
-        lengths = (j_idx - i_idx + 1).astype(hidden_1video.dtype)
-        weights = d_summary[:, 2 * hd2 :] / lengths[:, None]
-        diff = np.zeros((hidden_1video.shape[0] + 1, hd2), dtype=hidden_1video.dtype)
-        np.add.at(diff, i_idx - 1, weights)
-        np.add.at(diff, j_idx, -weights)
-        d_hidden += np.cumsum(diff[:-1], axis=0)
-        return d_hidden
+    def _head_backward(self, hidden, rows, i_idx, j_idx, d_logits):
+        """Add the head's gradients for _head_logits; returns the gradient
+        w.r.t. hidden. d_logits goes to dP_i at i and dP_j at j; the mean's
+        share d_logits / length reaches every shot of the range through a
+        difference array (+ at i, - after j) and its cumsum."""
+        b_sz, t_max, width = hidden.shape
+        n_out = d_logits.shape[1]
+        d_p = np.zeros((3, b_sz, t_max + 1, n_out), dtype=hidden.dtype)  # + 1: a step after j
+        np.add.at(d_p[0], (rows, i_idx - 1), d_logits)
+        np.add.at(d_p[1], (rows, j_idx - 1), d_logits)
+        share = d_logits / (j_idx - i_idx + 1).astype(hidden.dtype)[:, None]
+        np.add.at(d_p[2], (rows, i_idx - 1), share)
+        np.add.at(d_p[2], (rows, j_idx), -share)
+        np.cumsum(d_p[2], axis=1, out=d_p[2])
+        d_p = d_p[:, :, :-1]
+        g_w = hidden.reshape(-1, width).T @ d_p.reshape(3, -1, n_out)
+        self.grads["head.W"] += g_w.reshape(-1, n_out)
+        self.grads["head.b"] += d_logits.sum(axis=0)
+        w_t = self.params["head.W"].reshape(3, width, n_out).swapaxes(1, 2)
+        return (d_p @ w_t[:, None]).sum(axis=0)
 
     def forward_video(self, video, proposals):
         """Scores for an (N, 2) array of (i, j) proposals: (N,) or (N, num_tags)."""
@@ -122,11 +136,8 @@ class SegmentNet(SequenceNet):
                 f"proposal ({i}, {j}) out of range for video {video.video_id!r} "
                 f"with {video.num_shots} shots"
             )
-        if not len(proposals):
-            shape = (0,) if self.head_mode == "scalar" else (0, self.num_tags)
-            return np.zeros(shape, dtype=self.lstm.dtype)
         hidden, _lengths = self._infer([video.shots])
-        scores = self._head_forward(self._summaries(hidden[0], i_idx, j_idx))
+        scores = sigmoid(self._head_logits(hidden, 0, i_idx, j_idx))
         return scores[:, 0] if self.head_mode == "scalar" else scores
 
     def batch_loss_and_grads(self, items, rng, *, train=True, backward=None):
@@ -137,30 +148,18 @@ class SegmentNet(SequenceNet):
         """
         if backward is None:
             backward = train
-        hidden, _lengths, cache = self._encode([video.shots for video, *_rest in items],
+        videos, i_lists, j_lists, target_lists = zip(*items)
+        hidden, _lengths, cache = self._encode([video.shots for video in videos],
                                                train=train, rng=rng)
-        summaries = [self._summaries(hidden[row, : video.num_shots], i_idx, j_idx)
-                     for row, (video, i_idx, j_idx, _targets) in enumerate(items)]
-        counts = [s.shape[0] for s in summaries]
-        if sum(counts) == 0:
+        i_idx, j_idx = np.concatenate(i_lists), np.concatenate(j_lists)
+        if not len(i_idx):
             return None
-        stacked = np.concatenate(summaries, axis=0)
-        probs = self._head_forward(stacked)
-        targets = np.concatenate([t for *_rest, t in items]).astype(self.lstm.dtype)
-        targets = targets.reshape(probs.shape)
+        rows = np.repeat(np.arange(len(items)), [len(i) for i in i_lists])
+        probs = sigmoid(self._head_logits(hidden, rows, i_idx, j_idx))
+        targets = np.concatenate(target_lists).astype(self.lstm.dtype).reshape(probs.shape)
         loss, d_logits = bce_loss(probs, targets)
         if backward:
-            d_summary = self._head_backward(stacked, d_logits)
-            d_hidden = np.zeros_like(hidden)
-            offset = 0
-            for row, (video, i_idx, j_idx, _t) in enumerate(items):
-                n = counts[row]
-                m = video.num_shots
-                d_hidden[row, :m] = self._scatter_summary_grads(
-                    d_summary[offset : offset + n], hidden[row, :m], i_idx, j_idx
-                )
-                offset += n
-            self._backprop(cache, d_hidden)
+            self._backprop(cache, self._head_backward(hidden, rows, i_idx, j_idx, d_logits))
         return loss, int(targets.size)
 
 

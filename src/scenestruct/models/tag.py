@@ -12,7 +12,7 @@ import numpy as np
 
 from ..data.labels import shots_in_span
 from ..errors import ConfigError, DataError
-from ..nn.layers import assert_finite, dense_forward, rowwise_matmul, sigmoid
+from ..nn.layers import assert_finite, dense_backward, dense_forward, rowwise_matmul, sigmoid
 from ..nn.losses import bce_loss
 from .common import SequenceNet, TrainingHyper, fit
 
@@ -72,7 +72,9 @@ class TagNet(SequenceNet):
         loss, d_logits = bce_loss(probs, targets)
         if backward:
             hd = self.hidden_dim
-            d_summary = self._head_backward(summary, d_logits)
+            d_summary, g_w, g_b = dense_backward(summary, self.params["head.W"], d_logits)
+            self.grads["head.W"] += g_w
+            self.grads["head.b"] += g_b
             d_hidden = np.zeros_like(hidden)
             d_hidden[np.arange(hidden.shape[0]), lengths - 1, :hd] += d_summary[:, :hd]
             d_hidden[:, 0, hd:] += d_summary[:, hd:]

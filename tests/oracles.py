@@ -301,3 +301,14 @@ def naive_shot_span_indices(starts, ends, span_start, span_end, tol=1e-6):
     if i is None or j is None or i > j:
         return None
     return i, j
+
+
+def naive_segment_logits(hidden, W, b, proposals):
+    """A linear segment head applied row by row: each inclusive 1-based
+    proposal (i, j) over one video's hidden states (M, 2H) becomes the
+    summary row [h_i, h_j, mean(h_i..h_j)], and the logits are rows @ W + b."""
+    import numpy as np
+
+    rows = [np.concatenate([hidden[i - 1], hidden[j - 1], hidden[i - 1 : j].mean(axis=0)])
+            for i, j in proposals]
+    return np.array(rows).reshape(len(rows), W.shape[0]) @ W + b

@@ -89,6 +89,11 @@ class TestLoading:
             ("generator", "noise_std", "a finite number >= 0", (-0.1, "x", math.nan, True)),
             ("pipeline", "threshold_b", "a finite number in (0, 1)", (0, 1, math.nan, "x", True)),
             ("pipeline", "nms_tiou", "a finite number in [0, 1)", (-0.1, 1, math.inf, "x", True)),
+            ("paths", "corpus", "a string", (5, None)),
+            ("paths", "out", "a string", (["out"],)),
+            ("mask", "include_length", "true or false", ("no", 1)),
+            ("mask", "modalities", "a list of modality names", ("vis_r50",)),
+            ("ablate", "masks", "a list of masks", (5,)),
         ]
         for value in values
     ])
@@ -101,31 +106,45 @@ class TestLoading:
                 f"{section}.{key} must be {rule}, got {value!r}")):
             load_experiment_config(path)
 
-    @pytest.mark.parametrize("values, message", [
-        ({"noise_std": {"audio": -1}}, "generator.noise_std.audio must be a finite number >= 0, "
-                                       "got -1"),
-        ({"modalities": {"audio": 0}}, "generator.modalities.audio must be an integer >= 1, got 0"),
-        ({"scenes_per_video": [0, 2]}, "generator.scenes_per_video[0] must be an integer >= 1, "
-                                       "got 0"),
-        ({"shots_per_scene": [3, 2]}, "generator.shots_per_scene[1] must be an integer >= 3, "
-                                      "got 2"),
-        ({"tags_per_scene": [1, 2, 3]}, "generator.tags_per_scene must be a [low, high] pair, "
-                                        "got [1, 2, 3]"),
-        ({"scenes_per_video": 5}, "generator.scenes_per_video must be a [low, high] pair, got 5"),
-        ({"signal": "x"}, "generator.signal must be a JSON object, got 'x'"),
-        ({"modalities": "x"}, "generator.modalities must be a JSON object, got 'x'"),
-        ({"modalities": {"vis_r50": 16, "smell": 4}},
+    @pytest.mark.parametrize("section, values, message", [
+        ("generator", {"noise_std": {"audio": -1}},
+         "generator.noise_std.audio must be a finite number >= 0, got -1"),
+        ("generator", {"modalities": {"audio": 0}},
+         "generator.modalities.audio must be an integer >= 1, got 0"),
+        ("generator", {"scenes_per_video": [0, 2]},
+         "generator.scenes_per_video[0] must be an integer >= 1, got 0"),
+        ("generator", {"shots_per_scene": [3, 2]},
+         "generator.shots_per_scene[1] must be an integer >= 3, got 2"),
+        ("generator", {"tags_per_scene": [1, 2, 3]},
+         "generator.tags_per_scene must be a [low, high] pair, got [1, 2, 3]"),
+        ("generator", {"scenes_per_video": 5},
+         "generator.scenes_per_video must be a [low, high] pair, got 5"),
+        ("generator", {"signal": "x"}, "generator.signal must be a JSON object, got 'x'"),
+        ("generator", {"modalities": "x"}, "generator.modalities must be a JSON object, got 'x'"),
+        ("generator", {"modalities": {"vis_r50": 16, "smell": 4}},
          "generator.modalities.smell: unknown modality, expected one of ('vis_r50', "),
-        ({"modalities": {"vis_r50": 4}, "signal": {"vis_r5": "scene"}},
+        ("generator", {"modalities": {"vis_r50": 4}, "signal": {"vis_r5": "scene"}},
          "generator.signal.vis_r5: unknown modality, expected one of ('vis_r50', "),
-        ({"noise_std": {"smell": 0.1}},
+        ("generator", {"noise_std": {"smell": 0.1}},
          "generator.noise_std.smell: unknown modality, expected one of ('vis_r50', "),
+        ("encoders", [], "encoders must be a JSON object, got []"),
+        ("encoders", {"audio": {"trainable": True, "dim": "x"}},
+         "encoders.audio.dim must be an integer >= 1, got 'x'"),
+        ("encoders", {"audio": {"trainable": "yes"}},
+         "encoders.audio.trainable must be true or false, got 'yes'"),
+        ("encoders", {"smell": {"trainable": True}}, "unknown key(s) ['smell'] in encoders"),
+        ("paths", 5, "paths must be a JSON object, got 5"),
+        ("ablate", {"masks": [["vis_r50"]]}, "ablate.masks[0] must be a JSON object, "
+                                              "got ['vis_r50']"),
     ], ids=["noise-dict", "modality-dim", "range-low", "range-order", "range-length",
             "range-int", "signal-text", "modalities-text", "unknown-modality", "unknown-signal",
-            "unknown-noise"])
-    def test_bad_generator_entry_names_key(self, tmp_path, values, message):
+            "unknown-noise", "encoders-list", "encoder-dim", "encoder-trainable",
+            "unknown-encoder", "paths-number", "ablate-mask-list"])
+    def test_bad_generator_entry_names_key(self, tmp_path, section, values, message):
+        """A malformed entry of a structured section (generator, encoders,
+        paths, ablate) is a ConfigError naming the key."""
         path = tmp_path / "c.json"
-        path.write_text(json.dumps({"generator": values}))
+        path.write_text(json.dumps({section: values}))
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_experiment_config(path)
 

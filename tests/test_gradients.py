@@ -42,8 +42,19 @@ def net_kwargs(seed, dropout):
     )
 
 
+def draw_head(model):
+    """Fill the head with fixed draws in +-1/sqrt(fan-in): a fresh net's head
+    is zero, which leaves every gradient below it zero."""
+    head_rng = np.random.default_rng(7)
+    scale = 1.0 / np.sqrt(model.params["head.W"].shape[0])
+    for name in ("head.W", "head.b"):
+        model.params[name][...] = head_rng.uniform(-scale, scale, size=model.params[name].shape)
+
+
 def check_model(model, items, *, rng_seed=1234, eps=1e-6):
-    """Max relative error of analytic vs numeric grads, dropout mask frozen."""
+    """Max relative error of analytic vs numeric grads, dropout mask frozen,
+    with a drawn head so that the fuser and LSTM gradients are not zero."""
+    draw_head(model)
 
     def loss_fn():
         rng = np.random.default_rng(rng_seed)
@@ -61,17 +72,15 @@ def boundary_items(corpus):
     return [(v, boundary_labels(v)) for v in corpus.videos]
 
 
-def segment_items(corpus, head_mode):
+def segment_items(corpus, head_mode, max_duration_shots=3):
     items = []
     for video in corpus.videos:
-        proposals = enumerate_proposals(video.num_shots, 3)
-        i_idx = np.array([i for i, _ in proposals])
-        j_idx = np.array([j for _, j in proposals])
+        proposals = enumerate_proposals(video.num_shots, max_duration_shots)
         if head_mode == "scalar":
             targets = proposal_targets(proposals, video)
         else:
             targets = proposal_tag_targets(proposals, video)
-        items.append((video, i_idx, j_idx, targets))
+        items.append((video, proposals[:, 0], proposals[:, 1], targets))
     return items
 
 
@@ -171,9 +180,9 @@ WIDTHS = {
     "paper": ({"vis_r50": 2048}, "vis_r50", 128, 82),
 }
 # Worst error seen over all blocks of the eight cases: 1.3e-10 (paper-width
-# scalar segment net, head.W). Scaling any one block's gradient by 1.001 moves
-# its g.v by at least 3.7e-9 (paper-width tag net, lstm.l0_bwd_Wh), so the
-# check fails on it.
+# boundary net, lstm.l0_fwd_b). Scaling any one block's gradient by 1.001
+# gives an error of at least 1.9e-9 (shipped scalar segment net,
+# lstm.l0_bwd_Wh), so the check fails on it.
 DIRECTIONAL_TOL = 1e-9
 
 
@@ -220,8 +229,8 @@ def directional_pairs(model, items, *, rng_seed=1234, eps=1e-6, direction_seed=0
 
 
 def width_case_pairs(width, net):
-    """directional_pairs of one net at one of WIDTHS, with a drawn head (the
-    nets start with a zero head, which leaves every gradient below it zero)."""
+    """directional_pairs of one net at one of WIDTHS, with a drawn head; the
+    segment nets score every proposal of each video."""
     dims, trainable, hidden_dim, num_tags = WIDTHS[width]
     corpus = long_video_corpus(dims, num_tags)
     assert max(v.num_shots for v in corpus.videos) >= 30
@@ -236,12 +245,9 @@ def width_case_pairs(width, net):
     else:
         head_mode = net.removeprefix("segment_")
         model = SegmentNet(mask, model_dims, num_tags=num_tags, head_mode=head_mode, **kwargs)
-        items = segment_items(corpus, head_mode)
+        items = segment_items(corpus, head_mode, None)  # ranges up to a whole video
     assert model.lstm.input_dim == {"shipped": 33, "paper": 2049}[width]
-    head_rng = np.random.default_rng(7)
-    scale = 1.0 / np.sqrt(model.params["head.W"].shape[0])
-    for name in ("head.W", "head.b"):
-        model.params[name][...] = head_rng.uniform(-scale, scale, size=model.params[name].shape)
+    draw_head(model)
     return directional_pairs(model, items)
 
 

@@ -1,10 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import scenestruct
 from scenestruct.errors import ConfigError, DataError
 from scenestruct.fusion import ModalityMask
+from scenestruct.nn.layers import sigmoid
 from scenestruct.models import SegmentNet, enumerate_proposals, proposal_tag_targets, proposal_targets, train_segment
 from scenestruct.models.common import TrainingHyper
 from scenestruct.synth import GeneratorConfig, build_corpus
@@ -141,12 +148,14 @@ class TestForward:
         video = make_video("v", [0.0, 1.0, 2.0, 3.0], feature_dim=4)
         scores = net.forward_video(video, enumerate_proposals(3))
         assert np.array_equal(scores, np.full(6, 0.5))
+        assert net.forward_video(video, []).shape == (0,)
 
     def test_per_tag_shape(self):
         net = small_net(head_mode="per_tag")
         video = make_video("v", [0.0, 1.0, 2.0], feature_dim=4)
         scores = net.forward_video(video, enumerate_proposals(2))
         assert scores.shape == (3, 3)
+        assert net.forward_video(video, []).shape == (0, 3)
 
     def test_proposal_order_equivariance(self):
         net = small_net(seed=5)
@@ -178,6 +187,88 @@ class TestForward:
             fused, _ = net.fuser.forward_shots(video.shots)
             net._hidden = net.lstm.forward(SequenceBatch.from_sequences([fused]))[0]
         assert np.array_equal(scalar._hidden, per_tag._hidden)
+
+
+class TestHeadAlgebra:
+    """The factorised head against the summary-row oracle."""
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_logits_match_summary_rows(self, data):
+        head_mode = data.draw(st.sampled_from(["scalar", "per_tag"]))
+        net = small_net(head_mode=head_mode, seed=data.draw(st.integers(0, 3)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        for p in net.params.values():
+            p[...] = rng.normal(size=p.shape) * 0.5
+        shot_counts = data.draw(st.lists(st.integers(1, 12), min_size=1, max_size=4))
+        cap = data.draw(st.one_of(st.none(), st.integers(1, 13)))
+        videos = [make_video(f"v{k}", np.arange(m + 1.0), feature_dim=4, rng=rng)
+                  for k, m in enumerate(shot_counts)]
+        proposals = [enumerate_proposals(m, cap) for m in shot_counts]
+        weights, bias = net.params["head.W"], net.params["head.b"]
+        # each video alone, as forward_video scores it
+        for video, props in zip(videos, proposals):
+            hidden, _lengths = net._infer([video.shots])
+            logits = net._head_logits(hidden, 0, *props.T)
+            expected = oracles.naive_segment_logits(hidden[0], weights, bias, props)
+            assert np.max(np.abs(logits - expected)) <= 1e-12
+            scores = net.forward_video(video, props)
+            assert np.array_equal(scores, sigmoid(logits)[:, 0] if head_mode == "scalar"
+                                  else sigmoid(logits))
+        # the videos as one padded training batch
+        hidden, _lengths, _cache = net._encode([v.shots for v in videos], train=False, rng=None)
+        rows = np.repeat(np.arange(len(videos)), [len(p) for p in proposals])
+        logits = net._head_logits(hidden, rows, *np.concatenate(proposals).T)
+        expected = np.concatenate([
+            oracles.naive_segment_logits(hidden[row, :m], weights, bias, props)
+            for row, (m, props) in enumerate(zip(shot_counts, proposals))])
+        assert np.max(np.abs(logits - expected)) <= 1e-12
+
+
+# One per-tag gradient at the shipped shape (fused 33 = vis_r50 16 + image 16
+# + length, H=16, 8 tags) on 32 generated videos with uncapped proposals,
+# printed as one sha256 per parameter block. The corpus seed gives 1,918
+# proposals, above the ~1,650 rows from which a plain GEMM reducing over
+# proposal rows changed its bits with the thread count.
+THREAD_PROBE = """
+import hashlib
+import numpy as np
+from scenestruct.fusion import ModalityMask
+from scenestruct.models import SegmentNet
+from scenestruct.models.segment import _prepare_items
+from scenestruct.synth import GeneratorConfig, build_corpus
+
+dims = {"vis_r50": 16, "image": 16}
+corpus = build_corpus(GeneratorConfig(
+    num_videos=32, seed=10, modalities=dims, signal={"vis_r50": "scene", "image": "scene"},
+    num_tags=8, scenes_per_video=(2, 5), shots_per_scene=(1, 4), tags_per_scene=(1, 3),
+    duration_mean_s=42.74, duration_std_s=14.16, noise_std=0.05))
+net = SegmentNet(ModalityMask.from_names(list(dims)), corpus.manifest.modality_dims,
+                 num_tags=8, head_mode="per_tag", hidden_dim=16, seed=7)
+rng = np.random.default_rng(7)
+for name in ("head.W", "head.b"):
+    net.params[name][...] = rng.uniform(-0.25, 0.25, size=net.params[name].shape)
+net.zero_grads()
+net.batch_loss_and_grads(_prepare_items(corpus.videos, "per_tag", None),
+                         np.random.default_rng(0), train=True)
+for name, grad in net.grads.items():
+    print(name, hashlib.sha256(grad.tobytes()).hexdigest())
+"""
+
+
+def test_per_tag_gradients_do_not_depend_on_blas_threads():
+    """No gradient block of the per-tag segment net changes its bits between
+    one and two OpenBLAS threads."""
+    src = str(Path(scenestruct.__file__).parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        outputs.append(proc.stdout.splitlines())
+    assert len(outputs[0]) == 14
+    assert outputs[0] == outputs[1]
 
 
 class TestTraining:
