@@ -1,8 +1,13 @@
 """Operator command line.
 
-    scenestruct <generate|train|predict|evaluate|ablate> --config PATH
+    scenestruct <generate|train|predict|evaluate|ablate|run> --config PATH
                 [--seed N] [--mask vis_r50,audio,...]
                 [--net boundary|segment|tag] [--mode a|b|c|d] [--out DIR]
+
+run is the reference experiment: generate, train the boundary, scalar
+segment, per-tag segment and tag nets (each under its net_masks entry, else
+mask), predict and evaluate modes a-d on the held-out split, and print the
+four-mode table.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 incompatible or
 missing checkpoint. Diagnostics go to standard error.
@@ -17,7 +22,8 @@ import sys
 
 from .config import load_experiment_config
 from .errors import CheckpointError, ConfigError, DataError
-from .experiment import NETS, run_ablate, run_evaluate, run_generate, run_predict, run_train
+from .experiment import (NETS, run_ablate, run_evaluate, run_experiment, run_generate,
+                         run_predict, run_train)
 from .fusion import ModalityMask
 from .pipeline import MODES
 
@@ -55,6 +61,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_abl = sub.add_parser("ablate", help="sweep modality masks for one net")
     common(p_abl)
     p_abl.add_argument("--net", default=None, choices=NETS)
+
+    common(sub.add_parser("run", help="the reference experiment: every net, modes a-d"))
     return parser
 
 
@@ -67,16 +75,16 @@ def _apply_overrides(cfg, args) -> None:
         from pathlib import Path
 
         cfg.paths.out = str(Path(args.out).resolve())
-    if getattr(args, "mask", None):
-        cfg.mask = ModalityMask.from_names(
-            [m for m in args.mask.split(",") if m], include_length=cfg.mask.include_length
+    if getattr(args, "mask", None):  # the trained net's mask
+        base = cfg.net_masks.get(args.net, cfg.mask)
+        cfg.net_masks[args.net] = ModalityMask.from_names(
+            [m for m in args.mask.split(",") if m], include_length=base.include_length
         )
 
 
 def run_with_exit_codes(action) -> int:
     """Calls action(); returns EXIT_OK, or the exit code of the config, data
-    or checkpoint error it raised, after printing the error to standard error.
-    The CLI and the scripts under scripts/ share it."""
+    or checkpoint error it raised, after printing the error to standard error."""
     try:
         action()
     except ConfigError as exc:
@@ -104,6 +112,13 @@ def _run_command(args) -> None:
         run_evaluate(cfg, args.predictions)
     elif args.command == "ablate":
         run_ablate(cfg, args.net)
+    elif args.command == "run":
+        val_ids, reports = run_experiment(cfg)
+        print(f"\nheld-out validation split ({len(val_ids)} videos):")
+        print("mode   avg_mAP   B-f1     S-f1     final (avg_mAP x B-f1)")
+        for mode, report in reports.items():
+            print(f"  {mode}    {report.avg_map:.4f}   {report.b_f1:.4f}   "
+                  f"{report.s_f1:.4f}   {report.final:.4f}")
 
 
 def main(argv=None) -> int:

@@ -16,6 +16,7 @@ from .data.corpus_io import RECORDS_FILE
 from .data.records import CANONICAL_MODALITIES
 from .errors import ConfigError
 from .fusion import EncoderSpec, ModalityMask
+from .models.bundle import NETS_BY_KIND
 from .models.common import TrainingHyper, check_setting
 from .pipeline import PipelineConfig
 from .synth import GeneratorConfig
@@ -66,6 +67,7 @@ class SplitConfig:
 class ExperimentConfig:
     paths: PathsConfig = field(default_factory=PathsConfig)
     mask: ModalityMask = field(default_factory=lambda: ModalityMask.from_names(["vis_r50", "vis_i3"]))
+    net_masks: dict = field(default_factory=dict)  # net -> its own mask; other nets use mask
     encoders: dict = field(default_factory=dict)
     pipeline: PipelineConfig = field(default_factory=PipelineConfig)
     training: TrainingHyper = field(default_factory=TrainingHyper)
@@ -82,6 +84,7 @@ class ExperimentConfig:
                 "out": self.paths.out,
             },
             "mask": self.mask.as_dict(),
+            "net_masks": {net: mask.as_dict() for net, mask in self.net_masks.items()},
             "encoders": {
                 mod: {"trainable": spec.trainable, "dim": spec.dim}
                 for mod, spec in self.encoders.items()
@@ -113,6 +116,10 @@ def _parse_mask(doc, where: str) -> ModalityMask:
     if not isinstance(names, list):
         raise ConfigError(f"{where}.modalities must be a list of modality names, got {names!r}")
     _check_flag(include_length, f"{where}.include_length")
+    unknown = [m for m in names if m not in CANONICAL_MODALITIES]
+    if unknown:
+        raise ConfigError(f"{where}.modalities: unknown modality {unknown[0]!r}, "
+                          f"expected one of {CANONICAL_MODALITIES}")
     return ModalityMask.from_names(names, include_length=include_length)
 
 
@@ -151,7 +158,8 @@ def load_experiment_config(path) -> ExperimentConfig:
         raise ConfigError(f"config {path} must be a JSON object")
     _check_keys(
         doc,
-        {"paths", "mask", "encoders", "pipeline", "training", "split", "generator", "ablate"},
+        {"paths", "mask", "net_masks", "encoders", "pipeline", "training", "split", "generator",
+         "ablate"},
         "config",
     )
     cfg = ExperimentConfig()
@@ -160,6 +168,10 @@ def load_experiment_config(path) -> ExperimentConfig:
     cfg.paths = cfg.paths.resolve(path.parent)
     if "mask" in doc:
         cfg.mask = _parse_mask(doc["mask"], "mask")
+    if "net_masks" in doc:
+        _check_keys(doc["net_masks"], NETS_BY_KIND, "net_masks")
+        cfg.net_masks = {net: _parse_mask(mask, f"net_masks.{net}")
+                         for net, mask in doc["net_masks"].items()}
     if "encoders" in doc:
         cfg.encoders = _parse_encoders(doc["encoders"])
     if "pipeline" in doc:

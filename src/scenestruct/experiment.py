@@ -1,8 +1,10 @@
-"""End-to-end experiment steps shared by the CLI, scripts and tests.
+"""End-to-end experiment steps shared by the CLI and tests.
 
 Running a step through the CLI or calling it here produces the same
 numbers: the ablation sweep reuses these functions, so a single-mask
-ablation equals a manual train + evaluate with the same seed.
+ablation equals a manual train + evaluate with the same seed, and
+run_experiment trains the four nets with the function the acceptance
+tests call on an in-memory corpus.
 """
 
 from __future__ import annotations
@@ -15,18 +17,21 @@ import numpy as np
 
 from .config import ExperimentConfig, write_resolved_config
 from .data.corpus_io import load_corpus
-from .data.labels import interior_boundaries, range_spans, shots_in_span
-from .data.records import Corpus
+from .data.labels import range_spans, shots_in_span
+from .data.records import Corpus, StructuredPrediction
 from .errors import ConfigError, DataError
-from .metrics import evaluate, f1_from_counts, match_boundaries, match_scenes, tagging_map, tiou
+from .metrics import evaluate, tagging_map
 from .models import boundaries_to_scenes, save_model, train_boundary, train_segment, train_tag
-from .models.bundle import checkpoint_filename, load_bundle
-from .pipeline import predict_corpus, read_predictions, segment_proposals
+from .models.bundle import CHECKPOINT_FILES, checkpoint_filename, load_bundle
+from .pipeline import MODES, predict_corpus, read_predictions, segment_proposals
 from .synth import generate_corpus
 
 log = logging.getLogger(__name__)
 
 NETS = ("boundary", "segment", "tag")
+# the four trainings of an experiment, as (net, segment head): boundary,
+# scalar segment, per-tag segment and tag, each with its own checkpoint
+TRAININGS = tuple(CHECKPOINT_FILES)
 
 
 def split_corpus(corpus: Corpus, val_fraction: float, seed: int):
@@ -58,9 +63,20 @@ def _split_videos(corpus: Corpus, cfg: ExperimentConfig):
     return [corpus.video(v) for v in train_ids], [corpus.video(v) for v in val_ids]
 
 
-def _train_net(corpus, cfg: ExperimentConfig, net: str, mask=None):
+def net_mask(cfg: ExperimentConfig, net: str, manifest):
+    """The mask net trains under: its net_masks entry, else mask. A mask
+    that enables a modality the corpus lacks is a ConfigError naming its
+    key."""
+    mask = cfg.net_masks.get(net, cfg.mask)
+    missing = [m for m in mask.modalities if m not in manifest.modality_dims]
+    if missing:
+        key = f"net_masks.{net}" if net in cfg.net_masks else "mask"
+        raise ConfigError(f"{key} enables modalities absent from the manifest: {missing}")
+    return mask
+
+
+def _train_net(corpus, cfg: ExperimentConfig, net: str, mask):
     train_videos, val_videos = _split_videos(corpus, cfg)
-    mask = mask if mask is not None else cfg.mask
     dims = corpus.manifest.modality_dims
     encoders = {m: s for m, s in cfg.encoders.items() if m in mask.modalities}
     if net == "boundary":
@@ -75,20 +91,39 @@ def _train_net(corpus, cfg: ExperimentConfig, net: str, mask=None):
     raise ConfigError(f"net must be one of {NETS}, got {net!r}")
 
 
-def run_train(cfg: ExperimentConfig, net: str):
-    corpus = load_corpus(cfg.paths.manifest, cfg.paths.records)
-    model, trace = _train_net(corpus, cfg, net)
+def train_nets(corpus, cfg: ExperimentConfig) -> dict:
+    """Train the nets of TRAININGS on an in-memory corpus, each under
+    net_mask; returns {(net, head): (model, trace)}. Every mask is checked
+    against the corpus before the first net trains."""
+    masks = {net: net_mask(cfg, net, corpus.manifest) for net, _head in TRAININGS}
+    nets = {}
+    for net, head in TRAININGS:
+        net_cfg = cfg if head is None else dataclasses.replace(
+            cfg, training=dataclasses.replace(cfg.training, segment_head=head))
+        nets[net, head] = _train_net(corpus, net_cfg, net, masks[net])
+    return nets
+
+
+def _save_net(cfg: ExperimentConfig, net: str, head, model, trace) -> Path:
+    """Write a trained net's checkpoint and its loss_*.csv."""
     ckpt_dir = Path(cfg.paths.checkpoints)
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    head = cfg.training.segment_head if net == "segment" else None
     ckpt_path = ckpt_dir / checkpoint_filename(net, head)
     save_model(model, ckpt_path)
     out_dir = Path(cfg.paths.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     suffix = f"{net}_{head}" if head else net
     trace.write_csv(out_dir / f"loss_{suffix}.csv")
-    write_resolved_config(cfg, out_dir)
     log.info("saved %s checkpoint to %s", net, ckpt_path)
+    return ckpt_path
+
+
+def run_train(cfg: ExperimentConfig, net: str):
+    corpus = load_corpus(cfg.paths.manifest, cfg.paths.records)
+    model, trace = _train_net(corpus, cfg, net, net_mask(cfg, net, corpus.manifest))
+    head = cfg.training.segment_head if net == "segment" else None
+    ckpt_path = _save_net(cfg, net, head, model, trace)
+    write_resolved_config(cfg, cfg.paths.out)
     return ckpt_path, trace
 
 
@@ -129,6 +164,28 @@ def run_evaluate(cfg: ExperimentConfig, predictions_path=None, video_ids=None):
     return report
 
 
+def run_experiment(cfg: ExperimentConfig):
+    """The reference experiment: generate the corpus, train the four nets
+    of TRAININGS, then predict and evaluate modes a-d on the held-out split
+    into out/mode_<m>/. Returns (held-out video ids, {mode: report})."""
+    run_generate(cfg)
+    corpus = load_corpus(cfg.paths.manifest, cfg.paths.records)
+    for (net, head), (model, trace) in train_nets(corpus, cfg).items():
+        _save_net(cfg, net, head, model, trace)
+    write_resolved_config(cfg, cfg.paths.out)
+    _train_ids, val_ids = split_corpus(corpus, cfg.split.val_fraction, cfg.split.seed)
+    reports = {}
+    for mode in MODES:
+        mode_cfg = dataclasses.replace(
+            cfg,
+            paths=dataclasses.replace(cfg.paths, out=str(Path(cfg.paths.out) / f"mode_{mode}")),
+            pipeline=dataclasses.replace(cfg.pipeline, mode=mode),
+        )
+        run_predict(mode_cfg, mode, video_ids=val_ids)
+        reports[mode] = run_evaluate(mode_cfg, video_ids=val_ids)
+    return val_ids, reports
+
+
 def tagging_map_on_gt_scenes(model, videos) -> float:
     """Segment-free tagging mAP of a TagNet over ground-truth scenes that
     hold shots.
@@ -149,45 +206,29 @@ def tagging_map_on_gt_scenes(model, videos) -> float:
     return tagging_map(np.concatenate(scores), np.concatenate(tags))
 
 
-def boundary_f1_on_videos(model, videos, threshold_b) -> float:
-    """Pooled boundary F1 of thresholded boundary scores over videos."""
-    tp = n_pred = n_gt = 0
-    for video in videos:
-        if video.scenes is None:
-            continue
-        scores = model.forward_video(video)
-        scene_ranges = boundaries_to_scenes(scores, threshold_b)
-        pred_bounds = [video.shots.ends[j - 1] for _i, j in scene_ranges[:-1]]
-        gt_bounds = interior_boundaries(video.scenes.spans, video.duration_s)
-        tp += match_boundaries(pred_bounds, gt_bounds)
-        n_pred += len(pred_bounds)
-        n_gt += len(gt_bounds)
-    return f1_from_counts(tp, n_pred, n_gt).f1
-
-
-def scene_f1_on_videos(model, videos, nms_tiou, max_duration_shots=None) -> float:
-    """Pooled scene F1 of the pipeline's NMS-kept proposals over videos."""
-    tp = n_pred = n_gt = 0
-    for video in videos:
-        if video.scenes is None:
-            continue
-        ranges, _scores = segment_proposals(video, model, nms_tiou, max_duration_shots)
-        tp += match_scenes(tiou(*range_spans(video, ranges).T, *video.scenes.spans.T))
-        n_pred += len(ranges)
-        n_gt += len(video.scenes)
-    return f1_from_counts(tp, n_pred, n_gt).f1
-
-
 def ablation_metric(corpus, cfg: ExperimentConfig, net: str, mask) -> float:
-    """Train one net under one modality mask and score it on the val split."""
-    model, _trace = _train_net(corpus, cfg, net, mask=mask)
+    """Train one net under one modality mask and score it on the val split:
+    tagging mAP on ground-truth scenes (tag), else evaluate's b_f1 of the
+    thresholded boundary scenes (boundary) or s_f1 of the NMS-kept
+    proposals (segment)."""
+    model, _trace = _train_net(corpus, cfg, net, mask)
     _train_videos, val_videos = _split_videos(corpus, cfg)
     if net == "tag":
         return tagging_map_on_gt_scenes(model, val_videos)
-    if net == "boundary":
-        return boundary_f1_on_videos(model, val_videos, cfg.pipeline.threshold_b)
-    return scene_f1_on_videos(model, val_videos, cfg.pipeline.nms_tiou,
-                              cfg.pipeline.max_duration_shots)
+    labeled = [v for v in val_videos if v.scenes is not None]
+    predictions = []
+    for video in labeled:
+        if net == "boundary":
+            ranges = boundaries_to_scenes(model.forward_video(video), cfg.pipeline.threshold_b)
+        else:
+            ranges, _scores = segment_proposals(video, model, cfg.pipeline.nms_tiou,
+                                                cfg.pipeline.max_duration_shots)
+        spans = range_spans(video, ranges)
+        predictions.append(StructuredPrediction(
+            video.video_id, spans, np.full(len(spans), np.nan),
+            np.full((len(spans), corpus.manifest.num_tags), np.nan)))
+    report = evaluate(predictions, Corpus(manifest=corpus.manifest, videos=labeled))
+    return report.b_f1 if net == "boundary" else report.s_f1
 
 
 ABLATION_METRIC_NAMES = {"tag": "tagging_map", "boundary": "b_f1", "segment": "s_f1"}

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .data.corpus_io import SHOT_CONTIGUITY_TOL_S
 from .data.labels import interior_boundaries
 from .data.records import Corpus, StructuredPrediction
 from .errors import DataError
@@ -286,8 +287,11 @@ def evaluate(predictions, corpus: Corpus) -> MetricReport:
         spans.append(pred.segments)
         tag_scores.append(pred.tag_scores)
         offset += len(pred.segments)
-        pred_bounds = interior_boundaries(pred.segments, video.duration_s)
-        gt_bounds = interior_boundaries(scenes.spans, video.duration_s)
+        # a cut across a shot gap that the corpus accepts is one boundary, not two
+        pred_bounds = interior_boundaries(pred.segments, video.duration_s,
+                                          merge_tol=SHOT_CONTIGUITY_TOL_S)
+        gt_bounds = interior_boundaries(scenes.spans, video.duration_s,
+                                        merge_tol=SHOT_CONTIGUITY_TOL_S)
         b_tp += match_boundaries(pred_bounds, gt_bounds)
         b_pred += len(pred_bounds)
         b_gt += len(gt_bounds)

@@ -2,6 +2,17 @@
 
 from __future__ import annotations
 
+import numpy as np
+
+
+def draw_head(model):
+    """Fill the head with fixed draws in +-1/sqrt(fan-in): a fresh net's head
+    is zero, which leaves every gradient below it zero."""
+    head_rng = np.random.default_rng(7)
+    scale = 1.0 / np.sqrt(model.params["head.W"].shape[0])
+    for name in ("head.W", "head.b"):
+        model.params[name][...] = head_rng.uniform(-scale, scale, size=model.params[name].shape)
+
 
 def grad_check(loss_fn, params, analytic_grads, eps=1e-5):
     """Compare analytic gradients against central differences.

@@ -5,16 +5,19 @@ Criteria 5 and 6 share trained models through a session-scoped cache, so
 the end-to-end budget is paid once per seed.
 """
 
+import dataclasses
 import json
 import time
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from scenestruct.config import load_experiment_config
 from scenestruct.data.labels import boundary_labels, shots_in_span
 from scenestruct.data.records import Corpus
-from scenestruct.experiment import split_corpus, tagging_map_on_gt_scenes
+from scenestruct.experiment import split_corpus, tagging_map_on_gt_scenes, train_nets
 from scenestruct.fusion import EncoderSpec, ModalityMask
 from scenestruct.metrics import (
     average_precision,
@@ -32,18 +35,15 @@ from scenestruct.models import (
     enumerate_proposals,
     proposal_tag_targets,
     proposal_targets,
-    train_boundary,
-    train_segment,
-    train_tag,
 )
-from scenestruct.models.common import TrainingHyper
+from scenestruct.models.bundle import MODE_REQUIREMENTS
 from scenestruct.nn import SequenceBatch, bce_loss
-from scenestruct.pipeline import PipelineConfig, nms_temporal, predict_corpus
+from scenestruct.pipeline import nms_temporal, predict_corpus
 from scenestruct.synth import GeneratorConfig, build_corpus
 
 import oracles
 from conftest import ap_predictions, make_lstm, make_prediction, map_inputs, zeros_like_params
-from gradcheck import grad_check
+from gradcheck import draw_head, grad_check
 
 
 def report(criterion, ok, detail=""):
@@ -76,6 +76,8 @@ def _grad_corpus(seed):
 
 
 def _max_grad_error(model, items, rng_seed):
+    draw_head(model)  # a zero head would leave every gradient below it zero
+
     def loss_fn():
         rng = np.random.default_rng(rng_seed)
         loss, _ = model.batch_loss_and_grads(items, rng, train=True, backward=False)
@@ -260,59 +262,34 @@ def test_criterion_4_hand_worked_fixtures():
 
 # ------------------------------------------------------- criteria 5 and 6
 
-SEG_MASK = ModalityMask.from_names(["vis_r50", "image"])
-TAG_MASK = ModalityMask.from_names(["vis_i3", "audio"])
+REFERENCE_CONFIG = Path(__file__).resolve().parent.parent / "configs" / "reference.json"
 REFERENCE_SEED = 7
 
 
-def reference_hyper(seed):
-    return TrainingHyper(
-        lr=0.01, batch_size=32, dropout=0.5, epochs=120, patience=15,
-        hidden_dim=16, seed=seed,
-    )
-
-
 def run_reference(seed):
-    """Generate the planted corpus and train all four submodels."""
+    """Train the four nets of configs/reference.json, with its seed set the
+    way --seed sets it, on the planted corpus built in memory; predict and
+    evaluate modes a-d on the held-out split."""
     t0 = time.monotonic()
-    corpus = build_corpus(GeneratorConfig(num_videos=250, seed=seed))
-    train_ids, val_ids = split_corpus(corpus, 0.2, 0)
-    train_v = [corpus.video(v) for v in train_ids]
-    val_v = [corpus.video(v) for v in val_ids]
-    dims = corpus.manifest.modality_dims
-    num_tags = corpus.manifest.num_tags
-
-    boundary, _ = train_boundary(train_v, val_v, SEG_MASK, dims, reference_hyper(seed))
-    seg_scalar, _ = train_segment(train_v, val_v, SEG_MASK, dims, reference_hyper(seed),
-                                  num_tags=num_tags)
-    per_tag_hyper = reference_hyper(seed)
-    per_tag_hyper.segment_head = "per_tag"
-    seg_per_tag, _ = train_segment(train_v, val_v, SEG_MASK, dims, per_tag_hyper,
-                                   num_tags=num_tags)
-    tag, _ = train_tag(train_v, val_v, TAG_MASK, dims, num_tags, reference_hyper(seed))
-
-    val_corpus = Corpus(manifest=corpus.manifest, videos=list(val_v))
-    bundles = {
-        "a": ModelBundle(boundary=boundary, tag=tag),
-        "b": ModelBundle(segment=seg_scalar, tag=tag),
-        "c": ModelBundle(segment=seg_per_tag),
-        "d": ModelBundle(boundary=boundary, segment=seg_scalar, tag=tag),
-    }
+    cfg = load_experiment_config(REFERENCE_CONFIG)
+    cfg.training = dataclasses.replace(cfg.training, seed=seed)
+    cfg.generator.seed = seed
+    corpus = build_corpus(cfg.generator)
+    nets = {key: model for key, (model, _trace) in train_nets(corpus, cfg).items()}
+    _train_ids, val_ids = split_corpus(corpus, cfg.split.val_fraction, cfg.split.seed)
+    val_corpus = Corpus(manifest=corpus.manifest, videos=[corpus.video(v) for v in val_ids])
+    bundles = {mode: ModelBundle(**{net: nets[net, head] for net, head in needs.items()})
+               for mode, needs in MODE_REQUIREMENTS.items()}
     predictions = {}
     reports = {}
     for mode, bundle in bundles.items():
-        preds = predict_corpus(val_corpus, bundle, PipelineConfig(mode=mode))
+        preds = predict_corpus(val_corpus, bundle, dataclasses.replace(cfg.pipeline, mode=mode))
         predictions[mode] = preds
         reports[mode] = evaluate(preds, val_corpus)
-    tagging = tagging_map_on_gt_scenes(tag, val_v)
     return SimpleNamespace(
-        corpus=corpus,
-        val_corpus=val_corpus,
-        val_videos=val_v,
-        bundles=bundles,
         predictions=predictions,
         reports=reports,
-        tagging_map=tagging,
+        tagging_map=tagging_map_on_gt_scenes(nets["tag", None], val_corpus.videos),
         elapsed=time.monotonic() - t0,
     )
 

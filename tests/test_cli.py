@@ -1,7 +1,6 @@
+import dataclasses
 import json
 import math
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +11,7 @@ from scenestruct.config import load_experiment_config
 from scenestruct.data.corpus_io import load_corpus
 from scenestruct.data.records import Corpus, CorpusManifest
 from scenestruct.errors import DataError
-from scenestruct.experiment import ablation_metric, split_corpus
+from scenestruct.experiment import ablation_metric, run_evaluate, split_corpus
 from scenestruct.nn import load_checkpoint, save_checkpoint
 
 from conftest import make_video
@@ -59,6 +58,15 @@ def base_config(tmp_path, **overrides):
     return path
 
 
+def tiny_config(tmp_path, **overrides):
+    """A copy of configs/tiny.json whose paths point into tmp_path."""
+    doc = json.loads((ROOT / "configs" / "tiny.json").read_text())
+    doc.update(paths={"corpus": "corpus", "checkpoints": "ckpts", "out": "out"}, **overrides)
+    path = tmp_path / "tiny.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestExitCodes:
     def test_generate_then_full_loop(self, tmp_path):
         cfg = base_config(tmp_path)
@@ -76,21 +84,15 @@ class TestExitCodes:
         assert (tmp_path / "out" / "report.csv").exists()
         assert (tmp_path / "out" / "resolved_config.json").exists()
 
-    def test_reference_script_on_tiny_config_exits_2(self, tmp_path):
-        # tiny's generator has no "image" modality, which the script's fixed
-        # segmentation mask enables
-        doc = json.loads((ROOT / "configs" / "tiny.json").read_text())
-        doc["paths"] = {"corpus": "corpus", "checkpoints": "ckpts", "out": "out"}
-        cfg = tmp_path / "tiny.json"
-        cfg.write_text(json.dumps(doc))
-        proc = subprocess.run(
-            [sys.executable, str(ROOT / "scripts" / "run_reference_experiment.py"),
-             "--config", str(cfg)],
-            capture_output=True, text=True, timeout=300,
-        )
-        assert proc.returncode == 2, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert "config error: mask enables modalities absent from the manifest: ['image']" in proc.stderr
+    def test_run_with_absent_net_mask_modality_exits_2(self, tmp_path, capsys):
+        # tiny's generator has no "image" modality
+        cfg = tiny_config(tmp_path, net_masks={"boundary": {"modalities": ["vis_r50", "image"]}})
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert ("config error: net_masks.boundary enables modalities absent from the "
+                "manifest: ['image']") in err
 
     def test_missing_config_is_config_error(self, tmp_path):
         assert main(["generate", "--config", str(tmp_path / "nope.json")]) == 2
@@ -259,6 +261,31 @@ class TestExitCodes:
         assert main(["evaluate", "--config", str(cfg)]) == 0
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["final"] == 1.0
+
+
+class TestRun:
+    def test_run_writes_every_net_and_mode(self, tmp_path, capsys):
+        cfg_path = tiny_config(tmp_path)
+        capsys.readouterr()
+        assert main(["run", "--config", str(cfg_path)]) == 0
+        table = capsys.readouterr().out.splitlines()
+        assert table[-5] == "mode   avg_mAP   B-f1     S-f1     final (avg_mAP x B-f1)"
+        for name in ("boundary", "segment_scalar", "segment_per_tag", "tag"):
+            assert (tmp_path / "ckpts" / f"{name}.ckpt").exists()
+            assert (tmp_path / "out" / f"loss_{name}.csv").exists()
+        cfg = load_experiment_config(cfg_path)
+        corpus = load_corpus(cfg.paths.manifest, cfg.paths.records)
+        _train_ids, val_ids = split_corpus(corpus, cfg.split.val_fraction, cfg.split.seed)
+        for row, mode in zip(table[-4:], "abcd"):
+            out = tmp_path / "out" / f"mode_{mode}"
+            for name in ("predictions.jsonl", "report.json", "report.csv"):
+                assert (out / name).exists()
+            rescore = dataclasses.replace(cfg, paths=dataclasses.replace(
+                cfg.paths, out=str(tmp_path / "rescore" / mode)))
+            report = run_evaluate(rescore, out / "predictions.jsonl", video_ids=val_ids)
+            assert json.loads((out / "report.json").read_text()) == report.as_dict()
+            assert row.split() == [mode] + [f"{getattr(report, key):.4f}"
+                                            for key in ("avg_map", "b_f1", "s_f1", "final")]
 
 
 class TestDeterminism:

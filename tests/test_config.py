@@ -94,6 +94,7 @@ class TestLoading:
             ("mask", "include_length", "true or false", ("no", 1)),
             ("mask", "modalities", "a list of modality names", ("vis_r50",)),
             ("ablate", "masks", "a list of masks", (5,)),
+            ("net_masks", "tag", "a JSON object", (5,)),
         ]
         for value in values
     ])
@@ -136,10 +137,18 @@ class TestLoading:
         ("paths", 5, "paths must be a JSON object, got 5"),
         ("ablate", {"masks": [["vis_r50"]]}, "ablate.masks[0] must be a JSON object, "
                                               "got ['vis_r50']"),
+        ("mask", {"modalities": ["smell"]},
+         "mask.modalities: unknown modality 'smell', expected one of ('vis_r50', "),
+        ("ablate", {"masks": [{"modalities": ["audio"]}, {"modalities": ["vis_r50", "smell"]}]},
+         "ablate.masks[1].modalities: unknown modality 'smell', expected one of ('vis_r50', "),
+        ("net_masks", {"tag": {"modalities": ["smell"]}},
+         "net_masks.tag.modalities: unknown modality 'smell', expected one of ('vis_r50', "),
+        ("net_masks", {"shot": {"modalities": ["audio"]}}, "unknown key(s) ['shot'] in net_masks"),
     ], ids=["noise-dict", "modality-dim", "range-low", "range-order", "range-length",
             "range-int", "signal-text", "modalities-text", "unknown-modality", "unknown-signal",
             "unknown-noise", "encoders-list", "encoder-dim", "encoder-trainable",
-            "unknown-encoder", "paths-number", "ablate-mask-list"])
+            "unknown-encoder", "paths-number", "ablate-mask-list", "mask-unknown-modality",
+            "ablate-mask-unknown-modality", "net-mask-unknown-modality", "unknown-net"])
     def test_bad_generator_entry_names_key(self, tmp_path, section, values, message):
         """A malformed entry of a structured section (generator, encoders,
         paths, ablate) is a ConfigError naming the key."""
@@ -168,6 +177,21 @@ class TestMaskOverride:
         assert main(["train", "--config", str(cfg), "--net", "tag", "--mask", "audio"]) == 0
         _, config, _ = load_checkpoint(tmp_path / "ckpts" / "tag.ckpt")
         assert config["mask"]["modalities"] == ["audio"]
+
+    def test_net_masks_pick_the_trained_nets_mask(self, tmp_path):
+        """A net listed in net_masks trains under its entry, any other net
+        under mask, and train --mask overrides the entry."""
+        from test_cli import base_config
+        from scenestruct.cli import main
+        from scenestruct.nn import load_checkpoint
+
+        cfg = base_config(tmp_path, net_masks={"tag": {"modalities": ["audio"]}})
+        assert main(["generate", "--config", str(cfg)]) == 0
+        for net, flags, expected in [("boundary", [], ["vis_r50"]), ("tag", [], ["audio"]),
+                                     ("tag", ["--mask", "vis_r50,audio"], ["vis_r50", "audio"])]:
+            assert main(["train", "--config", str(cfg), "--net", net, *flags]) == 0
+            _, config, _ = load_checkpoint(tmp_path / "ckpts" / f"{net}.ckpt")
+            assert config["mask"]["modalities"] == expected
 
 
 class TestEvaluateErrors:

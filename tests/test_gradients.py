@@ -8,7 +8,7 @@ from scenestruct.fusion import EncoderSpec, ModalityMask
 from scenestruct.models import BoundaryNet, SegmentNet, TagNet, enumerate_proposals, proposal_tag_targets, proposal_targets
 from scenestruct.synth import GeneratorConfig, build_corpus
 
-from gradcheck import grad_check
+from gradcheck import draw_head, grad_check
 
 MASK = ModalityMask.from_names(["vis_r50", "audio"])
 ENCODERS = {"audio": EncoderSpec(trainable=True, dim=3)}
@@ -40,15 +40,6 @@ def net_kwargs(seed, dropout):
         dtype=np.float64,
         seed=seed,
     )
-
-
-def draw_head(model):
-    """Fill the head with fixed draws in +-1/sqrt(fan-in): a fresh net's head
-    is zero, which leaves every gradient below it zero."""
-    head_rng = np.random.default_rng(7)
-    scale = 1.0 / np.sqrt(model.params["head.W"].shape[0])
-    for name in ("head.W", "head.b"):
-        model.params[name][...] = head_rng.uniform(-scale, scale, size=model.params[name].shape)
 
 
 def check_model(model, items, *, rng_seed=1234, eps=1e-6):

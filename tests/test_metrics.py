@@ -353,6 +353,24 @@ class TestEvaluate:
         with pytest.raises(DataError, match="video 'v0': 3 scene tag columns for 2 tags"):
             Corpus(CorpusManifest({"vis_r50": 2}, 2), tiny_corpus.videos)
 
+    def test_cut_across_an_accepted_shot_gap_counts_once(self):
+        """Shots [0, 5] and [5.0005, 10] load (the gap is within
+        SHOT_CONTIGUITY_TOL_S); a prediction of exactly those shots is
+        perfect against scenes [0, 5] and [5, 10], one boundary on each side."""
+        from scenestruct.data.corpus_io import validate_video
+        from scenestruct.data.labels import range_spans
+        from scenestruct.data.records import ShotTable, StructuredPrediction, VideoRecord
+        from conftest import scene_table
+
+        shots = ShotTable([0.0, 5.0005], [5.0, 10.0], {"vis_r50": np.zeros((2, 2))})
+        video = VideoRecord("v0", 10.0, shots, scene_table([(0.0, 5.0, {1}), (5.0, 10.0, {2})], 3))
+        corpus = Corpus(CorpusManifest({"vis_r50": 2}, 3), [video])
+        validate_video(video, corpus.manifest)
+        spans = range_spans(video, [(1, 1), (2, 2)])
+        scores = np.array([[1.0, np.nan, np.nan], [np.nan, 1.0, np.nan]])
+        report = evaluate([StructuredPrediction("v0", spans, np.full(2, np.nan), scores)], corpus)
+        assert (report.boundary_precision, report.boundary_recall, report.b_f1) == (1.0, 1.0, 1.0)
+
     def test_matches_reference_evaluator_on_random_instances(self):
         rng = np.random.default_rng(123)
         for _trial in range(60):
