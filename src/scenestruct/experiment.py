@@ -128,9 +128,13 @@ def run_train(cfg: ExperimentConfig, net: str):
 
 
 def run_predict(cfg: ExperimentConfig, mode=None, video_ids=None):
+    return _predict(load_corpus(cfg.paths.manifest, cfg.paths.records), cfg, mode, video_ids)
+
+
+def _predict(corpus, cfg: ExperimentConfig, mode=None, video_ids=None):
+    """run_predict on an already-loaded corpus."""
     mode = mode or cfg.pipeline.mode
     pipeline_cfg = dataclasses.replace(cfg.pipeline, mode=mode)
-    corpus = load_corpus(cfg.paths.manifest, cfg.paths.records)
     bundle = load_bundle(cfg.paths.checkpoints, mode)
     out_dir = Path(cfg.paths.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -143,7 +147,12 @@ def run_predict(cfg: ExperimentConfig, mode=None, video_ids=None):
 
 
 def run_evaluate(cfg: ExperimentConfig, predictions_path=None, video_ids=None):
-    corpus = load_corpus(cfg.paths.manifest, cfg.paths.records)
+    return _evaluate(load_corpus(cfg.paths.manifest, cfg.paths.records), cfg, predictions_path,
+                     video_ids)
+
+
+def _evaluate(corpus, cfg: ExperimentConfig, predictions_path=None, video_ids=None):
+    """run_evaluate on an already-loaded corpus."""
     if video_ids is not None:
         corpus = Corpus(manifest=corpus.manifest, videos=[corpus.video(v) for v in video_ids])
     predictions_path = Path(predictions_path or cfg.paths.predictions)
@@ -167,7 +176,8 @@ def run_evaluate(cfg: ExperimentConfig, predictions_path=None, video_ids=None):
 def run_experiment(cfg: ExperimentConfig):
     """The reference experiment: generate the corpus, train the four nets
     of TRAININGS, then predict and evaluate modes a-d on the held-out split
-    into out/mode_<m>/. Returns (held-out video ids, {mode: report})."""
+    into out/mode_<m>/, loading the corpus once. Returns (held-out video ids,
+    {mode: report})."""
     run_generate(cfg)
     corpus = load_corpus(cfg.paths.manifest, cfg.paths.records)
     for (net, head), (model, trace) in train_nets(corpus, cfg).items():
@@ -181,8 +191,8 @@ def run_experiment(cfg: ExperimentConfig):
             paths=dataclasses.replace(cfg.paths, out=str(Path(cfg.paths.out) / f"mode_{mode}")),
             pipeline=dataclasses.replace(cfg.pipeline, mode=mode),
         )
-        run_predict(mode_cfg, mode, video_ids=val_ids)
-        reports[mode] = run_evaluate(mode_cfg, video_ids=val_ids)
+        _predict(corpus, mode_cfg, mode, video_ids=val_ids)
+        reports[mode] = _evaluate(corpus, mode_cfg, video_ids=val_ids)
     return val_ids, reports
 
 

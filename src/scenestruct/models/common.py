@@ -124,7 +124,13 @@ class SequenceNet:
         return self.lstm.infer(batch), batch.lengths
 
     def _backprop(self, cache, d_hidden) -> None:
+        """Add the BiLSTM's and the fuser's gradients into grads. With every
+        encoder frozen the fuser has no parameters, so nothing reads the
+        input gradient: it is neither formed nor passed to the fuser."""
         lengths, fuse_caches, lstm_cache = cache
+        if not self.fuser.param_shapes():
+            self.lstm.backward(lstm_cache, d_hidden, self.grads, input_grad=False)
+            return
         d_input = self.lstm.backward(lstm_cache, d_hidden, self.grads)
         for row, fuse_cache in enumerate(fuse_caches):
             self.fuser.backward(fuse_cache, d_input[row, : lengths[row]], self.grads)

@@ -12,7 +12,9 @@ projections x Wx of all steps are taken before the loop, leaving only h Wh
 inside it (Appleyard et al., arXiv:1604.01946); gates sum as
 (x Wx + h Wh) + b. forward and infer share the loop and differ only in their
 products. backward runs one reverse step loop over both directions for the
-gate gradients, then forms the weight and input gradients step by step.
+gate gradients, then forms the weight and input gradients step by step; a
+caller that has no use for the input gradient (every encoder frozen) skips
+layer 0's, a (B, 4H) by (4H, input_dim) product per step and direction.
 """
 
 from __future__ import annotations
@@ -161,9 +163,12 @@ class BiLstm:
             c = np.where(m, c_new, 0)
         return out, acts, cells
 
-    def backward(self, cache, grad_out: np.ndarray, grads: dict) -> np.ndarray:
+    def backward(self, cache, grad_out: np.ndarray, grads: dict, *,
+                 input_grad: bool = True) -> np.ndarray | None:
         """Adds the parameter gradients into grads; returns the gradient
-        w.r.t. the input."""
+        w.r.t. the input, or None without input_grad, in which case layer 0's
+        input gradient is never formed. The parameter gradients are the same
+        either way."""
         layer_caches, step_valid = cache
         hd = self.hidden_dim
         d = np.where(step_valid[0].swapaxes(0, 1), grad_out, 0).astype(self.dtype, copy=False)
@@ -174,19 +179,21 @@ class BiLstm:
                                            acts, cells, np.stack(wh).swapaxes(1, 2))
             h_prev = _previous(out)
             t_max = x.shape[1]
+            form_dx = layer > 0 or input_grad
             dx = []
             for n, direction in enumerate(DIRECTIONS):
                 prefix = f"lstm.l{layer}_{direction}_"
                 g_wx, g_wh, g_b = grads[prefix + "Wx"], grads[prefix + "Wh"], grads[prefix + "b"]
-                dx_dir = np.zeros_like(x)
+                dx_dir = np.zeros_like(x) if form_dx else None
                 for k in reversed(range(t_max)):
                     t, dz_k = (k if direction == "fwd" else t_max - 1 - k), dz[n, k]
                     g_wx += x[:, t].T @ dz_k
                     g_wh += h_prev[n, k].T @ dz_k
                     g_b += dz_k.sum(axis=0)
-                    dx_dir[:, t] = dz_k @ wx[n].T
+                    if form_dx:
+                        dx_dir[:, t] = dz_k @ wx[n].T
                 dx.append(dx_dir)
-            d = dx[0] + dx[1]
+            d = dx[0] + dx[1] if form_dx else None
         return d
 
     def _recurrence_backward(self, d_out, step_valid, acts, cells, wh_t):

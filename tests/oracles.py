@@ -312,3 +312,23 @@ def naive_segment_logits(hidden, W, b, proposals):
     rows = [np.concatenate([hidden[i - 1], hidden[j - 1], hidden[i - 1 : j].mean(axis=0)])
             for i, j in proposals]
     return np.array(rows).reshape(len(rows), W.shape[0]) @ W + b
+
+
+def naive_adam(params, grad_steps, *, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Adam as whole-array expressions, one parameter block at a time, run
+    over a list of gradient dicts from zero moments. Returns copies of the
+    parameters and the first and second moments after the last step."""
+    import numpy as np
+
+    params = {name: p.copy() for name, p in params.items()}
+    m = {name: np.zeros_like(p) for name, p in params.items()}
+    v = {name: np.zeros_like(p) for name, p in params.items()}
+    for t, grads in enumerate(grad_steps, start=1):
+        bc1 = 1.0 - beta1**t
+        bc2 = 1.0 - beta2**t
+        for name, p in params.items():
+            g = grads[name]
+            m[name] += (1.0 - beta1) * (g - m[name])
+            v[name] += (1.0 - beta2) * (g * g - v[name])
+            p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
+    return params, m, v

@@ -159,6 +159,26 @@ class TestPaddingInvariance:
                     assert np.array_equal(grads_a[name], grads_b[name]), (dim, lengths, name)
 
 
+class TestInputGradientSkip:
+    # the shipped shape at B=32 and the paper's (vis_r50 + length) shape,
+    # each with a batch of one row
+    @pytest.mark.parametrize("dim, hidden, batch_sizes", [(33, 16, (32, 1)), (2049, 128, (3, 1))])
+    def test_parameter_gradients_equal_the_full_backward(self, dim, hidden, batch_sizes):
+        rng = np.random.default_rng(dim)
+        lstm = make_lstm(dim, hidden, rng)
+        for b_sz in batch_sizes:
+            lengths = rng.integers(1, 12, size=b_sz)
+            batch = random_batch(rng, dim, lengths, dtype=np.float32)
+            d_out = rng.normal(size=(b_sz, lengths.max(), 2 * hidden)).astype(np.float32)
+            dx, grads = forward_backward(lstm, batch, d_out)
+            assert dx.shape == batch.data.shape
+            skipped = zeros_like_params(lstm.params)
+            _out, cache = lstm.forward(batch)
+            assert lstm.backward(cache, d_out, skipped, input_grad=False) is None
+            for name in grads:
+                assert grads[name].tobytes() == skipped[name].tobytes(), (b_sz, name)
+
+
 class TestGradients:
     @pytest.mark.parametrize("seed", range(6))
     def test_backprop_matches_finite_differences(self, seed):

@@ -11,6 +11,7 @@ from scenestruct.config import load_experiment_config
 from scenestruct.data.corpus_io import load_corpus
 from scenestruct.data.records import Corpus, CorpusManifest
 from scenestruct.errors import DataError
+from scenestruct import experiment
 from scenestruct.experiment import ablation_metric, run_evaluate, split_corpus
 from scenestruct.nn import load_checkpoint, save_checkpoint
 
@@ -286,6 +287,19 @@ class TestRun:
             assert json.loads((out / "report.json").read_text()) == report.as_dict()
             assert row.split() == [mode] + [f"{getattr(report, key):.4f}"
                                             for key in ("avg_map", "b_f1", "s_f1", "final")]
+
+
+    def test_run_experiment_loads_the_corpus_once(self, tmp_path, monkeypatch):
+        cfg = load_experiment_config(tiny_config(tmp_path))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return load_corpus(*args)
+
+        monkeypatch.setattr(experiment, "load_corpus", counted)
+        experiment.run_experiment(cfg)
+        assert len(calls) == 1
 
 
 class TestDeterminism:

@@ -219,15 +219,14 @@ def directional_pairs(model, items, *, rng_seed=1234, eps=1e-6, direction_seed=0
     return pairs
 
 
-def width_case_pairs(width, net):
-    """directional_pairs of one net at one of WIDTHS, with a drawn head; the
-    segment nets score every proposal of each video."""
-    dims, trainable, hidden_dim, num_tags = WIDTHS[width]
+def width_case(width, net, **kwargs):
+    """One net at one of WIDTHS with a drawn head, and its training items on
+    two long videos; the segment nets score every proposal of each video."""
+    dims, _trainable, hidden_dim, num_tags = WIDTHS[width]
     corpus = long_video_corpus(dims, num_tags)
     assert max(v.num_shots for v in corpus.videos) >= 30
     mask = ModalityMask.from_names(list(dims))
-    kwargs = dict(hidden_dim=hidden_dim, dropout_rate=0.5, dtype=np.float64, seed=3,
-                  encoders={trainable: EncoderSpec(trainable=True, dim=dims[trainable])})
+    kwargs = dict(hidden_dim=hidden_dim, dropout_rate=0.5, seed=3, **kwargs)
     model_dims = corpus.manifest.modality_dims
     if net == "boundary":
         model, items = BoundaryNet(mask, model_dims, **kwargs), boundary_items(corpus)
@@ -239,7 +238,15 @@ def width_case_pairs(width, net):
         items = segment_items(corpus, head_mode, None)  # ranges up to a whole video
     assert model.lstm.input_dim == {"shipped": 33, "paper": 2049}[width]
     draw_head(model)
-    return directional_pairs(model, items)
+    return model, items
+
+
+def width_case_pairs(width, net):
+    """directional_pairs of one net at one of WIDTHS, in float64 with its
+    trainable encoder."""
+    dims, trainable, _hidden_dim, _num_tags = WIDTHS[width]
+    encoders = {trainable: EncoderSpec(trainable=True, dim=dims[trainable])}
+    return directional_pairs(*width_case(width, net, dtype=np.float64, encoders=encoders))
 
 
 @pytest.mark.parametrize("width", WIDTHS)
@@ -248,3 +255,29 @@ def test_directional_gradients_at_run_widths(width, net):
     errors = {name: directional_error(*pair) for name, pair in width_case_pairs(width, net).items()}
     worst = max(errors, key=errors.get)
     assert errors[worst] <= DIRECTIONAL_TOL, (worst, errors[worst])
+
+
+@pytest.mark.parametrize("net", ["boundary", "segment_scalar", "segment_per_tag", "tag"])
+def test_frozen_encoder_gradients_equal_the_full_backward(net, monkeypatch):
+    """With every encoder frozen the net skips the input gradient and the
+    fuser's backward; its gradients keep the bytes of the full backward
+    (shipped width: fused 33 = vis_r50 16 + image 16 + length, H=16)."""
+    model, items = width_case("shipped", net)  # float32, frozen encoders
+    assert not model.fuser.param_shapes()
+
+    def grads_bytes():
+        model.zero_grads()
+        model.batch_loss_and_grads(items, np.random.default_rng(1234), train=True)
+        return {name: g.tobytes() for name, g in model.grads.items()}
+
+    fuser_calls = []
+    monkeypatch.setattr(model.fuser, "backward", lambda *args: fuser_calls.append(args))
+    skipped = grads_bytes()
+    assert not fuser_calls
+    monkeypatch.undo()
+    # a fuser that reports parameters takes the full backward: the input
+    # gradient, then the fuser's backward row by row
+    monkeypatch.setattr(model.fuser, "param_shapes", lambda: {"fuser.forced": (1,)})
+    full = grads_bytes()
+    assert model.grads["lstm.l0_fwd_Wx"].any()
+    assert skipped == full

@@ -6,8 +6,10 @@ import pytest
 
 from scenestruct.errors import ConfigError
 from scenestruct.nn import Adam, bce_loss, dense_backward, dense_forward, dropout, sigmoid
+from scenestruct.nn.optim import CHUNK
 
 from gradcheck import grad_check
+from oracles import naive_adam
 
 
 class TestDenseForward:
@@ -143,6 +145,57 @@ class TestAdam:
         adam = Adam(params)
         with pytest.raises(FloatingPointError, match="head.W"):
             adam.step(params, {"head.W": np.array([1.0, np.nan])})
+
+    def test_non_finite_gradient_in_a_later_block_changes_nothing(self):
+        params = {"a": np.array([0.5, -1.0]), "b": np.array([2.0])}
+        before = {name: p.tobytes() for name, p in params.items()}
+        adam = Adam(params, lr=0.01)
+        with pytest.raises(FloatingPointError, match="gradient in parameter block 'b'"):
+            adam.step(params, {"a": np.array([1.0, 0.0]), "b": np.array([np.nan])})
+        for name, p in params.items():
+            assert p.tobytes() == before[name], name
+            assert not adam.m[name].any() and not adam.v[name].any(), name
+        assert adam.t == 0
+
+    def test_non_finite_step_in_a_later_block_changes_no_parameter(self):
+        # lr 1e300 gives block 'a' (float64) a finite step and overflows in
+        # block 'b' (float32)
+        params = {"a": np.array([0.5, -1.0]), "b": np.array([2.0], dtype=np.float32)}
+        before = {name: p.tobytes() for name, p in params.items()}
+        adam = Adam(params, lr=1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError, match="step of parameter block 'b'"):
+                adam.step(params, {"a": np.array([1.0, 1.0]),
+                                   "b": np.array([1.0], dtype=np.float32)})
+        for name, p in params.items():
+            assert p.tobytes() == before[name], name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_chunked_steps_equal_the_whole_array_formula(self, dtype):
+        # a block longer than CHUNK and not a multiple of it, and two shorter ones
+        shapes = {"lstm.Wx": (3, CHUNK + 1001), "lstm.b": (CHUNK // 2 + 7,), "head.b": (5,)}
+        rng = np.random.default_rng(3)
+        params = {name: rng.uniform(-0.1, 0.1, size=shape).astype(dtype)
+                  for name, shape in shapes.items()}
+        grad_steps = [{name: (rng.normal(size=shape) * 10.0 ** rng.integers(-4, 2)).astype(dtype)
+                       for name, shape in shapes.items()} for _ in range(4)]
+        expected, m, v = naive_adam(params, grad_steps, lr=0.05)
+        adam = Adam(params, lr=0.05)
+        for grads in grad_steps:
+            adam.step(params, grads)
+        for name in shapes:
+            assert params[name].tobytes() == expected[name].tobytes(), name
+            assert adam.m[name].tobytes() == m[name].tobytes(), name
+            assert adam.v[name].tobytes() == v[name].tobytes(), name
+
+    def test_step_writes_through_a_non_contiguous_parameter(self):
+        base = np.arange(12.0).reshape(3, 4)
+        params = {"w": base.T}  # a Fortran-ordered view of base
+        grads = {"w": np.linspace(-1.0, 1.0, 12).reshape(4, 3)}
+        expected, _m, _v = naive_adam({"w": base.T.copy()}, [grads])
+        Adam(params).step(params, grads)
+        assert base.T.tobytes() == expected["w"].tobytes()
 
 
 class TestDropout:

@@ -11,7 +11,7 @@ import numpy as np
 from scenestruct import experiment, pipeline
 from scenestruct.data.labels import boundary_labels
 from scenestruct.data.records import Corpus, CorpusManifest
-from scenestruct.fusion import ModalityMask, ShotFuser
+from scenestruct.fusion import EncoderSpec, ModalityMask, ShotFuser
 from scenestruct.models import boundary, bundle, segment, tag
 from scenestruct.nn.lstm import BiLstm
 from scenestruct.nn.optim import Adam
@@ -78,8 +78,11 @@ def test_counters_find_their_arguments():
     tracer = tracing.Tracer()
     video = make_video("v", [0.0, 1.0, 2.0, 3.0], feature_dim=3,
                        scenes=[(0.0, 2.0, {1}), (2.0, 3.0, {2})], num_tags=2)
+    # a trainable encoder gives the fuser parameters, so training runs
+    # ShotFuser.backward (a frozen-encoder net skips it)
     net = boundary.BoundaryNet(ModalityMask.from_names(["vis_r50"]), {"vis_r50": 3},
-                               hidden_dim=2)
+                               hidden_dim=2,
+                               encoders={"vis_r50": EncoderSpec(trainable=True, dim=2)})
     corpus = Corpus(CorpusManifest({"vis_r50": 3}, 2), [video])
     spans = np.array([[0.0, 2.0], [1.0, 3.0], [2.0, 3.0]])
     undo = tracing.instrument(tracer)
