@@ -21,9 +21,6 @@ from .models import (
     load_bundle,
     load_model,
     save_model,
-    train_boundary,
-    train_segment,
-    train_tag,
 )
 from .pipeline import PipelineConfig, StructuredPrediction, predict_corpus, run_pipeline
 from .synth import GeneratorConfig, build_corpus, corpus_stats, generate_corpus
@@ -57,7 +54,4 @@ __all__ = [
     "save_corpus",
     "save_model",
     "split_corpus",
-    "train_boundary",
-    "train_segment",
-    "train_tag",
 ]

@@ -20,11 +20,10 @@ import dataclasses
 import logging
 import sys
 
-from .config import load_experiment_config
+from .config import load_experiment_config, mask_from_names
 from .errors import CheckpointError, ConfigError, DataError
 from .experiment import (NETS, run_ablate, run_evaluate, run_experiment, run_generate,
                          run_predict, run_train)
-from .fusion import ModalityMask
 from .pipeline import MODES
 
 EXIT_OK = 0
@@ -77,9 +76,8 @@ def _apply_overrides(cfg, args) -> None:
         cfg.paths.out = str(Path(args.out).resolve())
     if getattr(args, "mask", None):  # the trained net's mask
         base = cfg.net_masks.get(args.net, cfg.mask)
-        cfg.net_masks[args.net] = ModalityMask.from_names(
-            [m for m in args.mask.split(",") if m], include_length=base.include_length
-        )
+        cfg.net_masks[args.net] = mask_from_names([m for m in args.mask.split(",") if m],
+                                                  base.include_length, "--mask")
 
 
 def run_with_exit_codes(action) -> int:

@@ -116,9 +116,14 @@ def _parse_mask(doc, where: str) -> ModalityMask:
     if not isinstance(names, list):
         raise ConfigError(f"{where}.modalities must be a list of modality names, got {names!r}")
     _check_flag(include_length, f"{where}.include_length")
+    return mask_from_names(names, include_length, f"{where}.modalities")
+
+
+def mask_from_names(names, include_length: bool, where: str) -> ModalityMask:
+    """The mask of names; an unknown name is a ConfigError naming where."""
     unknown = [m for m in names if m not in CANONICAL_MODALITIES]
     if unknown:
-        raise ConfigError(f"{where}.modalities: unknown modality {unknown[0]!r}, "
+        raise ConfigError(f"{where}: unknown modality {unknown[0]!r}, "
                           f"expected one of {CANONICAL_MODALITIES}")
     return ModalityMask.from_names(names, include_length=include_length)
 
@@ -185,6 +190,9 @@ def load_experiment_config(path) -> ExperimentConfig:
     if "ablate" in doc:
         _check_keys(doc["ablate"], {"net", "masks"}, "ablate")
         cfg.ablate_net = doc["ablate"].get("net", "tag")
+        if cfg.ablate_net not in NETS_BY_KIND:
+            raise ConfigError(f"ablate.net must be one of {tuple(NETS_BY_KIND)}, "
+                              f"got {cfg.ablate_net!r}")
         masks = doc["ablate"].get("masks", [])
         if not isinstance(masks, list):
             raise ConfigError(f"ablate.masks must be a list of masks, got {masks!r}")

@@ -17,18 +17,18 @@ import numpy as np
 
 from .config import ExperimentConfig, write_resolved_config
 from .data.corpus_io import load_corpus
-from .data.labels import range_spans, shots_in_span
+from .data.labels import range_spans
 from .data.records import Corpus, StructuredPrediction
 from .errors import ConfigError, DataError
 from .metrics import evaluate, tagging_map
-from .models import boundaries_to_scenes, save_model, train_boundary, train_segment, train_tag
-from .models.bundle import CHECKPOINT_FILES, checkpoint_filename, load_bundle
+from .models import TagNet, boundaries_to_scenes, save_model
+from .models.bundle import CHECKPOINT_FILES, NETS_BY_KIND, checkpoint_filename, load_bundle
 from .pipeline import MODES, predict_corpus, read_predictions, segment_proposals
 from .synth import generate_corpus
 
 log = logging.getLogger(__name__)
 
-NETS = ("boundary", "segment", "tag")
+NETS = tuple(NETS_BY_KIND)
 # the four trainings of an experiment, as (net, segment head): boundary,
 # scalar segment, per-tag segment and tag, each with its own checkpoint
 TRAININGS = tuple(CHECKPOINT_FILES)
@@ -76,19 +76,12 @@ def net_mask(cfg: ExperimentConfig, net: str, manifest):
 
 
 def _train_net(corpus, cfg: ExperimentConfig, net: str, mask):
-    train_videos, val_videos = _split_videos(corpus, cfg)
-    dims = corpus.manifest.modality_dims
+    if net not in NETS_BY_KIND:
+        raise ConfigError(f"net must be one of {NETS}, got {net!r}")
     encoders = {m: s for m, s in cfg.encoders.items() if m in mask.modalities}
-    if net == "boundary":
-        return train_boundary(train_videos, val_videos, mask, dims, cfg.training,
-                              encoders=encoders)
-    if net == "segment":
-        return train_segment(train_videos, val_videos, mask, dims, cfg.training,
-                             num_tags=corpus.manifest.num_tags, encoders=encoders)
-    if net == "tag":
-        return train_tag(train_videos, val_videos, mask, dims,
-                         corpus.manifest.num_tags, cfg.training, encoders=encoders)
-    raise ConfigError(f"net must be one of {NETS}, got {net!r}")
+    return NETS_BY_KIND[net].train(*_split_videos(corpus, cfg), mask,
+                                   corpus.manifest.modality_dims, cfg.training,
+                                   num_tags=corpus.manifest.num_tags, encoders=encoders)
 
 
 def train_nets(corpus, cfg: ExperimentConfig) -> dict:
@@ -197,23 +190,18 @@ def run_experiment(cfg: ExperimentConfig):
 
 
 def tagging_map_on_gt_scenes(model, videos) -> float:
-    """Segment-free tagging mAP of a TagNet over ground-truth scenes that
-    hold shots.
+    """Segment-free tagging mAP of a TagNet over its training items: the
+    ground-truth scenes that hold shots.
 
-    Each video's scenes are scored in one forward_scenes call; a scene's
-    scores have the bits of that scene scored alone, so the ranking does
-    not depend on which scenes share the call.
+    All scenes are scored in one forward_scenes call; a scene's scores have
+    the bits of that scene scored alone, so the ranking does not depend on
+    which scenes share the call.
     """
-    scores, tags = [np.empty((0, model.num_tags))], [np.empty((0, model.num_tags), dtype=bool)]
-    for video in videos:
-        if video.scenes is None:
-            continue
-        shot_lists = [shots_in_span(video, *span) for span in video.scenes.spans.tolist()]
-        kept = [row for row, shots in enumerate(shot_lists) if shots]
-        if kept:
-            scores.append(model.forward_scenes([shot_lists[row] for row in kept]))
-            tags.append(video.scenes.tags[kept])
-    return tagging_map(np.concatenate(scores), np.concatenate(tags))
+    items = TagNet.training_items(videos, None)
+    if not items:
+        return tagging_map(np.empty((0, model.num_tags)), np.empty((0, model.num_tags)))
+    shot_lists, targets = zip(*items)
+    return tagging_map(model.forward_scenes(list(shot_lists)), np.stack(targets))
 
 
 def ablation_metric(corpus, cfg: ExperimentConfig, net: str, mask) -> float:
@@ -247,8 +235,6 @@ ABLATION_METRIC_NAMES = {"tag": "tagging_map", "boundary": "b_f1", "segment": "s
 def run_ablate(cfg: ExperimentConfig, net=None):
     """Sweep modality masks for one net; returns rows sorted by metric."""
     net = net or cfg.ablate_net
-    if net not in NETS:
-        raise ConfigError(f"ablate net must be one of {NETS}, got {net!r}")
     if not cfg.ablate_masks:
         raise ConfigError("ablate requires a non-empty 'ablate.masks' list in the config")
     corpus = load_corpus(cfg.paths.manifest, cfg.paths.records)

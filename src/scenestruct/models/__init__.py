@@ -1,10 +1,10 @@
 """Trainable submodels: boundary classifier, segment scorer, scene tagger."""
 
-from .boundary import BoundaryNet, boundaries_to_scenes, train_boundary
+from .boundary import BoundaryNet, boundaries_to_scenes
 from .bundle import ModelBundle, load_bundle, load_model, save_model
 from .common import TrainingHyper
-from .segment import SegmentNet, enumerate_proposals, proposal_tag_targets, proposal_targets, train_segment
-from .tag import TagNet, train_tag
+from .segment import SegmentNet, enumerate_proposals, proposal_tag_targets, proposal_targets
+from .tag import TagNet
 
 __all__ = [
     "BoundaryNet",
@@ -19,7 +19,4 @@ __all__ = [
     "proposal_tag_targets",
     "proposal_targets",
     "save_model",
-    "train_boundary",
-    "train_segment",
-    "train_tag",
 ]

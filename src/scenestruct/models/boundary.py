@@ -13,7 +13,7 @@ from ..data.labels import boundary_labels
 from ..errors import ConfigError
 from ..nn.layers import sigmoid
 from ..nn.losses import bce_loss
-from .common import SequenceNet, TrainingHyper, fit
+from .common import SequenceNet
 
 
 class BoundaryNet(SequenceNet):
@@ -24,6 +24,11 @@ class BoundaryNet(SequenceNet):
     def __init__(self, mask, dims, *, positive_weight=1.0, **kwargs):
         super().__init__(mask, dims, num_outputs=1, **kwargs)
         self.positive_weight = positive_weight
+
+    @staticmethod
+    def training_items(videos, _hyper):
+        """(video, boundary labels) of each video with scene annotations."""
+        return [(v, boundary_labels(v)) for v in videos if v.scenes is not None]
 
     def _head_forward(self, hidden):
         pair = np.concatenate([hidden[:, :-1], hidden[:, 1:]], axis=2)
@@ -96,17 +101,3 @@ def boundaries_to_scenes(scores, threshold_b) -> list[tuple[int, int]]:
             start = idx + 1
     scenes.append((start, m))
     return scenes
-
-
-def train_boundary(train_videos, val_videos, mask, dims, hyper: TrainingHyper,
-                   *, encoders=None):
-    """Fit a BoundaryNet against boundary labels derived from ground truth."""
-    labeled = [v for v in train_videos if v.scenes is not None]
-    if not labeled:
-        raise ConfigError("boundary training requires videos with scene annotations")
-    items = [(v, boundary_labels(v)) for v in labeled]
-    model = BoundaryNet(mask, dims, hidden_dim=hyper.hidden_dim, encoders=encoders,
-                        dropout_rate=hyper.dropout, seed=hyper.seed,
-                        positive_weight=hyper.positive_weight)
-    val_items = [(v, boundary_labels(v)) for v in val_videos if v.scenes is not None]
-    return model, fit(model, items, hyper=hyper, val_items=val_items)

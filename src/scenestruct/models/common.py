@@ -18,6 +18,8 @@ from ..nn.optim import Adam
 
 log = logging.getLogger(__name__)
 
+HEAD_MODES = ("scalar", "per_tag")  # a segment net's head: one confidence, or one per tag
+
 
 class SequenceNet:
     """Fused shot features -> two-layer BiLSTM -> a net-specific head.
@@ -31,7 +33,8 @@ class SequenceNet:
     and copies each array once, after checking it against the shape and
     dtype its config implies. grads, with params' names, is allocated by
     the first zero_grads(). A subclass names the constructor arguments its
-    config_dict records in config_keys.
+    config_dict records in config_keys, and builds its supervised items in
+    training_items(videos, hyper).
     """
 
     config_keys: tuple[str, ...] = ()
@@ -102,6 +105,22 @@ class SequenceNet:
                    dropout_rate=config["dropout_rate"], dtype=np.dtype(config["dtype"]),
                    params=params, **{key: config[key] for key in cls.config_keys})
 
+    @classmethod
+    def train(cls, train_videos, val_videos, mask, dims, hyper: TrainingHyper, *, num_tags=None,
+              encoders=None):
+        """Fit a fresh net on training_items(train_videos), stopping early
+        on training_items(val_videos); returns (model, trace). The net's
+        config_keys take their values from hyper and num_tags."""
+        items = cls.training_items(train_videos, hyper)
+        if not items:
+            raise ConfigError(f"{cls.kind} training requires videos with scene annotations")
+        settings = {"positive_weight": hyper.positive_weight, "head_mode": hyper.segment_head,
+                    "num_tags": num_tags}
+        model = cls(mask, dims, hidden_dim=hyper.hidden_dim, encoders=encoders,
+                    dropout_rate=hyper.dropout, seed=hyper.seed,
+                    **{key: settings[key] for key in cls.config_keys})
+        return model, fit(model, items, hyper=hyper, val_items=cls.training_items(val_videos, hyper))
+
     def _encode(self, shot_lists, *, train, rng):
         """Training encode: fuse each shot list and run them through
         BiLstm.forward as one padded batch. Returns (hidden, lengths, cache)
@@ -161,6 +180,9 @@ class TrainingHyper:
         check_setting(self.dropout, "training.dropout", 0, 1)
         check_setting(self.max_duration_shots, "training.max_duration_shots", 1, integer=True,
                       nullable=True)
+        if self.segment_head not in HEAD_MODES:
+            raise ConfigError(f"training.segment_head must be one of {HEAD_MODES}, "
+                              f"got {self.segment_head!r}")
 
     def as_dict(self) -> dict:
         return asdict(self)

@@ -24,11 +24,9 @@ from ..errors import ConfigError, DataError
 from ..metrics import tiou
 from ..nn.layers import sigmoid
 from ..nn.losses import bce_loss
-from .common import SequenceNet, TrainingHyper, fit
+from .common import HEAD_MODES, SequenceNet
 
 log = logging.getLogger(__name__)
-
-HEAD_MODES = ("scalar", "per_tag")
 
 
 def enumerate_proposals(num_shots, max_duration_shots=None) -> np.ndarray:
@@ -84,6 +82,23 @@ class SegmentNet(SequenceNet):
                          **kwargs)
         self.head_mode = head_mode
         self.num_tags = num_tags
+
+    @staticmethod
+    def training_items(videos, hyper):
+        """(video, i_idx, j_idx, targets) of every proposal of at most
+        hyper.max_duration_shots shots in each annotated video, with
+        hyper.segment_head's targets; a video without scenes is skipped
+        with a warning."""
+        items = []
+        for video in videos:
+            if video.scenes is None:
+                log.warning("skipping video %s: no scenes for segment supervision", video.video_id)
+                continue
+            proposals = enumerate_proposals(video.num_shots, hyper.max_duration_shots)
+            targets = (proposal_targets if hyper.segment_head == "scalar"
+                       else proposal_tag_targets)(proposals, video)
+            items.append((video, proposals[:, 0], proposals[:, 1], targets))
+        return items
 
     def _head_logits(self, hidden, rows, i_idx, j_idx):
         """Logits of proposals over hidden states (B, T, 2H): proposal n
@@ -161,32 +176,3 @@ class SegmentNet(SequenceNet):
         if backward:
             self._backprop(cache, self._head_backward(hidden, rows, i_idx, j_idx, d_logits))
         return loss, int(targets.size)
-
-
-def _prepare_items(videos, head_mode, max_duration_shots):
-    items = []
-    for video in videos:
-        if video.scenes is None:
-            log.warning("skipping video %s: no scenes for segment supervision", video.video_id)
-            continue
-        proposals = enumerate_proposals(video.num_shots, max_duration_shots)
-        if head_mode == "scalar":
-            targets = proposal_targets(proposals, video)
-        else:
-            targets = proposal_tag_targets(proposals, video)
-        items.append((video, proposals[:, 0], proposals[:, 1], targets))
-    return items
-
-
-def train_segment(train_videos, val_videos, mask, dims, hyper: TrainingHyper,
-                  *, num_tags=None, encoders=None):
-    """Fit a SegmentNet against soft tIoU targets over enumerated proposals."""
-    head_mode = hyper.segment_head
-    items = _prepare_items(train_videos, head_mode, hyper.max_duration_shots)
-    if not items:
-        raise ConfigError("segment training requires videos with scene annotations")
-    model = SegmentNet(mask, dims, hidden_dim=hyper.hidden_dim, num_tags=num_tags,
-                       head_mode=head_mode, encoders=encoders, dropout_rate=hyper.dropout,
-                       seed=hyper.seed)
-    val_items = _prepare_items(val_videos, head_mode, hyper.max_duration_shots)
-    return model, fit(model, items, hyper=hyper, val_items=val_items)

@@ -14,7 +14,7 @@ from ..data.labels import shots_in_span
 from ..errors import ConfigError, DataError
 from ..nn.layers import assert_finite, dense_backward, dense_forward, rowwise_matmul, sigmoid
 from ..nn.losses import bce_loss
-from .common import SequenceNet, TrainingHyper, fit
+from .common import SequenceNet
 
 
 def scene_shots(video, i, j):
@@ -35,6 +35,20 @@ class TagNet(SequenceNet):
             raise ConfigError(f"num_tags must be >= 1, got {num_tags}")
         super().__init__(mask, dims, num_outputs=num_tags, **kwargs)
         self.num_tags = num_tags
+
+    @staticmethod
+    def training_items(videos, _hyper):
+        """(shots, multi-hot target) of each ground-truth scene that holds shots."""
+        items = []
+        for video in videos:
+            if video.scenes is None:
+                continue
+            targets = video.scenes.tags.astype(np.float64)
+            for (start, end), target in zip(video.scenes.spans.tolist(), targets):
+                shots = shots_in_span(video, start, end)
+                if shots:
+                    items.append((shots, target))
+        return items
 
     def _summary(self, hidden, lengths):
         # forward direction at the last valid step; backward direction at step 0
@@ -80,28 +94,3 @@ class TagNet(SequenceNet):
             d_hidden[:, 0, hd:] += d_summary[:, hd:]
             self._backprop(cache, d_hidden)
         return loss, int(targets.size)
-
-
-def _scene_items(videos):
-    """(shots, multi-hot target) of each ground-truth scene that holds shots."""
-    items = []
-    for video in videos:
-        if video.scenes is None:
-            continue
-        targets = video.scenes.tags.astype(np.float64)
-        for (start, end), target in zip(video.scenes.spans.tolist(), targets):
-            shots = shots_in_span(video, start, end)
-            if shots:
-                items.append((shots, target))
-    return items
-
-
-def train_tag(train_videos, val_videos, mask, dims, num_tags, hyper: TrainingHyper,
-              *, encoders=None):
-    """Fit a TagNet on ground-truth scenes with multi-hot tag targets."""
-    items = _scene_items(train_videos)
-    if not items:
-        raise ConfigError("tag training requires videos with scene annotations")
-    model = TagNet(mask, dims, num_tags, hidden_dim=hyper.hidden_dim, encoders=encoders,
-                   dropout_rate=hyper.dropout, seed=hyper.seed)
-    return model, fit(model, items, hyper=hyper, val_items=_scene_items(val_videos))

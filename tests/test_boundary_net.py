@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from scenestruct.data.labels import boundary_labels
 from scenestruct.errors import ConfigError
 from scenestruct.fusion import ModalityMask
-from scenestruct.models import BoundaryNet, boundaries_to_scenes, train_boundary
+from scenestruct.models import BoundaryNet, boundaries_to_scenes
 from scenestruct.models.common import TrainingHyper
 from scenestruct.synth import GeneratorConfig, build_corpus
 
@@ -110,7 +110,7 @@ class TestTraining:
             "v", [0.0, 1.0, 2.0, 3.0], feature_dim=4, scenes=[(0.0, 3.0, {1})]
         )
         hyper = TrainingHyper(epochs=50, batch_size=4, dropout=0.0, hidden_dim=4, seed=0, patience=50)
-        model, trace = train_boundary([video], [], MASK, DIMS, hyper)
+        model, trace = BoundaryNet.train([video], [], MASK, DIMS, hyper)
         scores = model.forward_video(video)
         assert np.all(scores < 0.5)
 
@@ -130,7 +130,7 @@ class TestTraining:
     def test_no_labeled_videos_is_config_error(self):
         video = make_video("v", [0.0, 1.0, 2.0], feature_dim=4)
         with pytest.raises(ConfigError):
-            train_boundary([video], [], MASK, DIMS, TrainingHyper())
+            BoundaryNet.train([video], [], MASK, DIMS, TrainingHyper())
 
     def test_learns_planted_boundaries(self):
         corpus = planted_corpus(n_videos=60)
@@ -138,7 +138,7 @@ class TestTraining:
         train, val = videos[:50], videos[50:]
         mask = ModalityMask.from_names(["vis_r50"])
         hyper = TrainingHyper(epochs=60, batch_size=8, dropout=0.0, hidden_dim=8, seed=1, patience=60)
-        model, trace = train_boundary(train, val, mask, corpus.manifest.modality_dims, hyper)
+        model, trace = BoundaryNet.train(train, val, mask, corpus.manifest.modality_dims, hyper)
         first_epoch_loss = trace.rows[0][1]
         last_epoch_loss = trace.rows[-1][1]
         assert last_epoch_loss < first_epoch_loss
@@ -156,8 +156,8 @@ class TestTraining:
         videos = corpus.videos
         hyper = TrainingHyper(epochs=3, batch_size=4, dropout=0.5, hidden_dim=4, seed=9)
         mask = ModalityMask.from_names(["vis_r50"])
-        m1, _ = train_boundary(videos, [], mask, corpus.manifest.modality_dims, hyper)
-        m2, _ = train_boundary(videos, [], mask, corpus.manifest.modality_dims, hyper)
+        m1, _ = BoundaryNet.train(videos, [], mask, corpus.manifest.modality_dims, hyper)
+        m2, _ = BoundaryNet.train(videos, [], mask, corpus.manifest.modality_dims, hyper)
         for name, p in m1.params.items():
             assert np.array_equal(p, m2.params[name]), name
 

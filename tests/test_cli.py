@@ -157,6 +157,25 @@ class TestExitCodes:
         assert detail in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("command, overrides, detail", [
+        (["train", "--net", "segment"], {"training": {"segment_head": "foo"}},
+         "training.segment_head must be one of ('scalar', 'per_tag'), got 'foo'"),
+        (["ablate"], {"ablate": {"net": "shot"}},
+         "ablate.net must be one of ('boundary', 'segment', 'tag'), got 'shot'"),
+        (["train", "--net", "tag", "--mask", "vis_r50,smell"], {},
+         "--mask: unknown modality 'smell', expected one of ('vis_r50', 'vis_i3', 'image', "
+         "'audio', 'text')"),
+    ], ids=["segment-head", "ablate-net", "mask-flag"])
+    def test_bad_name_exits_2_naming_key(self, tmp_path, capsys, command, overrides, detail):
+        """A name outside its set exits 2 naming the config key or flag,
+        before any corpus is read."""
+        cfg = base_config(tmp_path, **overrides)
+        capsys.readouterr()
+        assert main([*command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert detail in err
+        assert "Traceback" not in err
+
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         cfg = base_config(tmp_path)
         assert main(["generate", "--config", str(cfg)]) == 0

@@ -95,6 +95,8 @@ class TestLoading:
             ("mask", "modalities", "a list of modality names", ("vis_r50",)),
             ("ablate", "masks", "a list of masks", (5,)),
             ("net_masks", "tag", "a JSON object", (5,)),
+            ("training", "segment_head", "one of ('scalar', 'per_tag')", ("foo", None, 1)),
+            ("ablate", "net", "one of ('boundary', 'segment', 'tag')", ("shot", None)),
         ]
         for value in values
     ])

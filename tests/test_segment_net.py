@@ -12,7 +12,7 @@ import scenestruct
 from scenestruct.errors import ConfigError, DataError
 from scenestruct.fusion import ModalityMask
 from scenestruct.nn.layers import sigmoid
-from scenestruct.models import SegmentNet, enumerate_proposals, proposal_tag_targets, proposal_targets, train_segment
+from scenestruct.models import SegmentNet, enumerate_proposals, proposal_tag_targets, proposal_targets
 from scenestruct.models.common import TrainingHyper
 from scenestruct.synth import GeneratorConfig, build_corpus
 
@@ -234,8 +234,7 @@ THREAD_PROBE = """
 import hashlib
 import numpy as np
 from scenestruct.fusion import ModalityMask
-from scenestruct.models import SegmentNet
-from scenestruct.models.segment import _prepare_items
+from scenestruct.models import SegmentNet, TrainingHyper
 from scenestruct.synth import GeneratorConfig, build_corpus
 
 dims = {"vis_r50": 16, "image": 16}
@@ -249,8 +248,8 @@ rng = np.random.default_rng(7)
 for name in ("head.W", "head.b"):
     net.params[name][...] = rng.uniform(-0.25, 0.25, size=net.params[name].shape)
 net.zero_grads()
-net.batch_loss_and_grads(_prepare_items(corpus.videos, "per_tag", None),
-                         np.random.default_rng(0), train=True)
+items = SegmentNet.training_items(corpus.videos, TrainingHyper(segment_head="per_tag"))
+net.batch_loss_and_grads(items, np.random.default_rng(0), train=True)
 for name, grad in net.grads.items():
     print(name, hashlib.sha256(grad.tobytes()).hexdigest())
 """
@@ -289,7 +288,7 @@ class TestTraining:
         train, val = corpus.videos[:80], corpus.videos[80:]
         mask = ModalityMask.from_names(["vis_r50"])
         hyper = TrainingHyper(epochs=80, batch_size=16, dropout=0.0, hidden_dim=16, seed=2, patience=80)
-        model, trace = train_segment(train, val, mask, corpus.manifest.modality_dims, hyper, num_tags=3)
+        model, trace = SegmentNet.train(train, val, mask, corpus.manifest.modality_dims, hyper, num_tags=3)
         assert trace.rows[-1][1] < trace.rows[0][1]
         # scenes tile each video, so no proposal is fully disjoint from the
         # ground truth; low-overlap proposals stand in for disjoint ones
@@ -305,4 +304,4 @@ class TestTraining:
     def test_requires_annotated_videos(self):
         video = make_video("v", [0.0, 1.0, 2.0], feature_dim=4)
         with pytest.raises(ConfigError):
-            train_segment([video], [], MASK, DIMS, TrainingHyper(), num_tags=3)
+            SegmentNet.train([video], [], MASK, DIMS, TrainingHyper(), num_tags=3)

@@ -4,9 +4,9 @@ import pytest
 from scenestruct.data.labels import shots_in_span
 from scenestruct.errors import ConfigError, DataError
 from scenestruct.fusion import ModalityMask
-from scenestruct.models import TagNet, train_tag
+from scenestruct.metrics import tagging_map
+from scenestruct.models import TagNet
 from scenestruct.models.common import TrainingHyper
-from scenestruct.models.tag import _scene_items
 from scenestruct.synth import GeneratorConfig, build_corpus
 from scenestruct.experiment import tagging_map_on_gt_scenes
 
@@ -94,10 +94,38 @@ class TestSceneItems:
     def test_targets_are_multihot_tag_rows(self):
         video = make_video("v", [0.0, 1.0, 2.0, 3.0], scenes=[(1.0, 3.0, {1, 3}), (0.0, 1.0, {4})],
                            num_tags=4)
-        items = _scene_items([video])
+        items = TagNet.training_items([video], None)
         assert [shots.starts.tolist() for shots, _target in items] == [[0.0], [1.0, 2.0]]
         assert [target.tolist() for _shots, target in items] == [[0.0, 0.0, 0.0, 1.0],
                                                                  [1.0, 0.0, 1.0, 0.0]]
+
+
+
+class TestTaggingMapOnGtScenes:
+    def test_one_call_scores_equal_per_video_scores(self):
+        """tagging_map_on_gt_scenes scores every video's scenes in one
+        forward_scenes call; each row has the bits of its video's scenes
+        scored on their own, so the mAP is that of the per-video scores."""
+        corpus = build_corpus(GeneratorConfig(
+            num_videos=12, seed=21, modalities={"audio": 16}, signal={"audio": "tag"},
+            num_tags=4, scenes_per_video=(2, 4), shots_per_scene=(1, 5), tags_per_scene=(1, 2),
+            duration_mean_s=20.0, duration_std_s=6.0))
+        net = TagNet(MASK, corpus.manifest.modality_dims, 4, hidden_dim=16, seed=5)
+        rng = np.random.default_rng(3)
+        for name in ("head.W", "head.b"):
+            net.params[name][...] = rng.normal(size=net.params[name].shape) * 0.5
+        items = TagNet.training_items(corpus.videos, None)
+        joint = net.forward_scenes([shots for shots, _target in items])
+        per_video = np.concatenate([
+            net.forward_scenes([shots for shots, _target in TagNet.training_items([video], None)])
+            for video in corpus.videos])
+        assert np.array_equal(joint, per_video)
+        targets = np.stack([target for _shots, target in items])
+        assert tagging_map_on_gt_scenes(net, corpus.videos) == tagging_map(per_video, targets)
+
+    def test_no_annotated_scene_gives_zero(self):
+        video = make_video("v", [0.0, 1.0, 2.0], feature_dim=4, modalities=("audio",))
+        assert tagging_map_on_gt_scenes(small_net(), [video]) == 0.0
 
 
 class TestTraining:
@@ -118,7 +146,7 @@ class TestTraining:
             scenes=[(0.0, 2.0, {1})], num_tags=2,
         )
         hyper = TrainingHyper(epochs=200, batch_size=4, dropout=0.0, hidden_dim=4, seed=0, patience=200)
-        model, _ = train_tag([video], [], MASK, DIMS, 2, hyper)
+        model, _ = TagNet.train([video], [], MASK, DIMS, hyper, num_tags=2)
         scores = model.forward_scene(video, 1, 2)
         assert scores[0] > 0.9
         assert scores[1] < 0.1
@@ -126,7 +154,7 @@ class TestTraining:
     def test_no_scenes_is_config_error(self):
         video = make_video("v", [0.0, 1.0], feature_dim=4, modalities=("audio",))
         with pytest.raises(ConfigError):
-            train_tag([video], [], MASK, DIMS, 3, TrainingHyper())
+            TagNet.train([video], [], MASK, DIMS, TrainingHyper(), num_tags=3)
 
     def test_learns_planted_tags(self):
         cfg = GeneratorConfig(
@@ -145,7 +173,7 @@ class TestTraining:
         train, val = corpus.videos[:48], corpus.videos[48:]
         mask = ModalityMask.from_names(["audio"])
         hyper = TrainingHyper(epochs=60, batch_size=16, dropout=0.0, hidden_dim=8, seed=3, patience=60)
-        model, _ = train_tag(train, val, mask, corpus.manifest.modality_dims, 4, hyper)
+        model, _ = TagNet.train(train, val, mask, corpus.manifest.modality_dims, hyper, num_tags=4)
         with_tag = {k: [] for k in range(1, 5)}
         without_tag = {k: [] for k in range(1, 5)}
         for video in val:
