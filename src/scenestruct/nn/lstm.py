@@ -3,18 +3,17 @@
 Gate layout along the last axis is (input, forget, cell, output). States are
 zero-initialized; the forget-gate bias starts at 1.0 and all weights are
 uniform in +-1/sqrt(hidden_dim). Padded timesteps are excluded from the
-recurrence by selection (np.where), not multiplication, so outputs and
-gradients are exactly independent of padded values.
+recurrence by selection (np.where), and no product reads a padded cell, so
+outputs and gradients are exactly independent of padded values.
 
-Both directions of a layer run in one step loop (_recurrence) on a (2, B, .)
-stack: step k advances fwd at t = k and bwd at t = T-1-k. The input
-projections x Wx of all steps are taken before the loop, leaving only h Wh
-inside it (Appleyard et al., arXiv:1604.01946); gates sum as
-(x Wx + h Wh) + b. forward and infer share the loop and differ only in their
-products. backward runs one reverse step loop over both directions for the
-gate gradients, then forms the weight and input gradients step by step; a
-caller that has no use for the input gradient (every encoder frozen) skips
-layer 0's, a (B, 4H) by (4H, input_dim) product per step and direction.
+Each layer packs its valid (row, step) cells into one (N_valid, K) block, as
+pack_padded_sequence does, and takes their input projections x Wx before its
+step loop (Appleyard et al., arXiv:1604.01946): forward over the whole
+block, infer row by row. The loop (_recurrence) runs both directions on a
+(2, B, .) stack, step k advancing fwd at t = k and bwd at t = T-1-k, with
+gates (x Wx + h Wh) + b. backward runs one reverse step loop over both
+directions, then forms the weight gradients over the packed cells, and the
+input gradient unless the caller has no use for it (every encoder frozen).
 """
 
 from __future__ import annotations
@@ -25,6 +24,13 @@ from .batching import SequenceBatch
 from .layers import assert_finite, rowwise_matmul, sigmoid
 
 DIRECTIONS = ("fwd", "bwd")
+# Valid cells per weight-gradient product: at the shipped width a product over
+# more (about 480 at K = 33) is split across OpenBLAS threads, and its bits
+# change with their count. The blocks add up in a fixed order.
+CELL_BLOCK = 256
+# An input projection over fewer packed cells takes one vector-matrix product
+# per cell: at K >= 256, OpenBLAS's GEMM over 2 or 3 rows is slower than that.
+GEMM_MIN_ROWS = 4
 
 
 def _step_order(fwd: np.ndarray, bwd: np.ndarray) -> np.ndarray:
@@ -41,11 +47,6 @@ def _time_order(steps: np.ndarray) -> np.ndarray:
 def _previous(steps: np.ndarray) -> np.ndarray:
     """Each step's predecessor in a (2, T, B, .) stack, zeros before the first."""
     return np.concatenate([np.zeros_like(steps[:, :1]), steps[:, :-1]], axis=1)
-
-
-def _stepwise_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """x @ w as one GEMM per step: (B, T, K) by (K, N) to (B, T, N)."""
-    return np.stack([x[:, t] @ w for t in range(x.shape[1])], axis=1)
 
 
 class BiLstm:
@@ -86,15 +87,6 @@ class BiLstm:
                      else rng.uniform(-scale, scale, size=shape))
             self.params[name] = value.astype(self.dtype)
 
-    def _input(self, batch: SequenceBatch) -> np.ndarray:
-        """The batch data with padded steps zeroed, in this layer's dtype."""
-        if batch.data.shape[2] != self.input_dim:
-            raise ValueError(
-                f"batch feature dim {batch.data.shape[2]} does not match "
-                f"lstm input dim {self.input_dim}"
-            )
-        return np.where(batch.mask[:, :, None], batch.data, 0).astype(self.dtype, copy=False)
-
     def _weights(self, layer: int):
         """Wx, Wh and b of one layer, each a [fwd, bwd] list."""
         return ([self.params[f"lstm.l{layer}_{direction}_{name}"] for direction in DIRECTIONS]
@@ -103,37 +95,48 @@ class BiLstm:
     def forward(self, batch: SequenceBatch):
         """Training forward: returns (output, cache); cache is consumed by
         backward()."""
-        return self._layers(batch, rowwise=False)
+        return self._layers(batch, per_row=False)
 
     def infer(self, batch: SequenceBatch) -> np.ndarray:
         """Inference forward: forward()'s output, with the cache dropped.
 
         Each row has the bits of forward() on that row alone, whatever else
-        shares the batch: it runs forward()'s recurrence with every product
-        taken one row at a time (rowwise_matmul), which for one row are the
-        products forward() takes.
+        shares the batch: its input projection is the one forward() takes for
+        a batch of that row alone (one GEMM over the row's valid steps, or one
+        product per step below GEMM_MIN_ROWS steps), and the recurrent
+        products are taken one row at a time (rowwise_matmul).
         """
-        return self._layers(batch, rowwise=True)[0]
+        return self._layers(batch, per_row=True)[0]
 
-    def _layers(self, batch: SequenceBatch, *, rowwise: bool):
-        """Both layers over the batch: returns (output, cache). Products are
-        one per row (rowwise) or one GEMM per step."""
-        x = self._input(batch)
+    def _layers(self, batch: SequenceBatch, *, per_row: bool):
+        """Both layers over the batch: returns (output, cache). The input
+        projections are one product per row (per_row) or one over all valid
+        cells; the recurrent products one per row or one GEMM per step."""
+        b_sz, t_max, dim = batch.data.shape
+        if dim != self.input_dim:
+            raise ValueError(f"batch feature dim {dim} does not match "
+                             f"lstm input dim {self.input_dim}")
+        rows, ts = np.nonzero(batch.mask)  # the valid cells, row by row
+        at = (ts, t_max - 1 - ts)  # each cell's step in fwd and in bwd order
         step_valid = _step_order(batch.mask[:, :, None], batch.mask[:, :, None])  # (2, T, B, 1)
-        layer_caches = []
+        ends = np.cumsum(batch.lengths).tolist()
+        spans = list(zip([0, *ends], ends)) if per_row else [(0, len(rows))]
+        x, layer_caches = batch.data, []
         for layer in range(self.num_layers):
             wx, wh, bias = self._weights(layer)
+            x_valid = x[rows, ts].astype(self.dtype, copy=False)  # (N_valid, K)
+            xw = np.zeros((2, t_max, b_sz, 4 * self.hidden_dim), dtype=self.dtype)
+            for n, w in enumerate(wx):
+                xw[n, at[n], rows] = np.concatenate([
+                    x_valid[a:b] @ w if b - a >= GEMM_MIN_ROWS else rowwise_matmul(x_valid[a:b], w)
+                    for a, b in spans])
             wh, bias = np.stack(wh), np.stack(bias)[:, None]  # (2, H, 4H), (2, 1, 4H)
-            if rowwise:
-                xw = _step_order(*(rowwise_matmul(x, w) for w in wx))
-                steps = self._recurrence(xw, step_valid, wh[:, None], bias, rowwise_matmul)
-            else:
-                xw = _step_order(*(_stepwise_matmul(x, w) for w in wx))
-                steps = self._recurrence(xw, step_valid, wh, bias, np.matmul)
-            layer_caches.append((x, *steps))
+            steps = (self._recurrence(xw, step_valid, wh[:, None], bias, rowwise_matmul)
+                     if per_row else self._recurrence(xw, step_valid, wh, bias, np.matmul))
+            layer_caches.append((x_valid, *steps))
             x = _time_order(steps[0])
             assert_finite(f"lstm layer {layer} output", x)
-        return x, (layer_caches, step_valid)
+        return x, (layer_caches, step_valid, (rows, at))
 
     def _recurrence(self, xw, step_valid, wh, bias, matmul):
         """Both directions of one layer in one step loop.
@@ -169,31 +172,28 @@ class BiLstm:
         w.r.t. the input, or None without input_grad, in which case layer 0's
         input gradient is never formed. The parameter gradients are the same
         either way."""
-        layer_caches, step_valid = cache
+        layer_caches, step_valid, (rows, at) = cache
         hd = self.hidden_dim
         d = np.where(step_valid[0].swapaxes(0, 1), grad_out, 0).astype(self.dtype, copy=False)
         for layer in reversed(range(self.num_layers)):
-            x, out, acts, cells = layer_caches[layer]
+            x_valid, out, acts, cell_states = layer_caches[layer]
             wx, wh, _bias = self._weights(layer)
             dz = self._recurrence_backward(_step_order(d[..., :hd], d[..., hd:]), step_valid,
-                                           acts, cells, np.stack(wh).swapaxes(1, 2))
+                                           acts, cell_states, np.stack(wh).swapaxes(1, 2))
             h_prev = _previous(out)
-            t_max = x.shape[1]
-            form_dx = layer > 0 or input_grad
-            dx = []
+            dz_valid = [dz[n, at[n], rows] for n in range(2)]  # (N_valid, 4H) per direction
             for n, direction in enumerate(DIRECTIONS):
                 prefix = f"lstm.l{layer}_{direction}_"
-                g_wx, g_wh, g_b = grads[prefix + "Wx"], grads[prefix + "Wh"], grads[prefix + "b"]
-                dx_dir = np.zeros_like(x) if form_dx else None
-                for k in reversed(range(t_max)):
-                    t, dz_k = (k if direction == "fwd" else t_max - 1 - k), dz[n, k]
-                    g_wx += x[:, t].T @ dz_k
-                    g_wh += h_prev[n, k].T @ dz_k
-                    g_b += dz_k.sum(axis=0)
-                    if form_dx:
-                        dx_dir[:, t] = dz_k @ wx[n].T
-                dx.append(dx_dir)
-            d = dx[0] + dx[1] if form_dx else None
+                h_valid = h_prev[n, at[n], rows]
+                for start in range(0, len(rows), CELL_BLOCK):
+                    block = slice(start, start + CELL_BLOCK)
+                    grads[prefix + "Wx"] += x_valid[block].T @ dz_valid[n][block]
+                    grads[prefix + "Wh"] += h_valid[block].T @ dz_valid[n][block]
+                grads[prefix + "b"] += dz_valid[n].sum(axis=0)
+            if layer == 0 and not input_grad:
+                return None
+            d = np.zeros(d.shape[:2] + x_valid.shape[1:], dtype=self.dtype)
+            d[rows, at[0]] = dz_valid[0] @ wx[0].T + dz_valid[1] @ wx[1].T
         return d
 
     def _recurrence_backward(self, d_out, step_valid, acts, cells, wh_t):

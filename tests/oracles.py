@@ -332,3 +332,66 @@ def naive_adam(params, grad_steps, *, lr=0.01, beta1=0.9, beta2=0.999, eps=1e-8)
             v[name] += (1.0 - beta2) * (g * g - v[name])
             p -= lr * (m[name] / bc1) / (np.sqrt(v[name] / bc2) + eps)
     return params, m, v
+
+
+def padded_lstm_products(params, data, lengths, grad_out, hidden_dim, num_layers=2):
+    """A stacked bi-directional LSTM run the padded way, one direction after
+    the other: padded input cells are zeroed on entry, every input
+    projection x[:, t] @ Wx and every weight gradient x[:, t].T @ dz is
+    taken one padded step at a time, and a padded step leaves zero state.
+    params holds "lstm.l{layer}_{fwd|bwd}_{Wx|Wh|b}" with gates (i, f, g, o);
+    grad_out is the gradient of the (B, T, 2H) output. Returns (output,
+    grads, dx), grads keyed like params."""
+    import numpy as np
+
+    def sig(z):
+        return 1.0 / (1.0 + np.exp(-z))
+
+    hd = hidden_dim
+    b_sz, t_max, _ = data.shape
+    mask = (np.arange(t_max)[None, :] < np.asarray(lengths)[:, None])[:, :, None]
+    x = np.where(mask, data, 0.0)
+    layers = []
+    for layer in range(num_layers):
+        outs, saved = [], []
+        for direction in ("fwd", "bwd"):
+            wx, wh, b = (params[f"lstm.l{layer}_{direction}_{k}"] for k in ("Wx", "Wh", "b"))
+            xw = [x[:, t] @ wx for t in range(t_max)]
+            h, c = np.zeros((b_sz, hd)), np.zeros((b_sz, hd))
+            out, steps = np.zeros((b_sz, t_max, hd)), {}
+            for t in (range(t_max) if direction == "fwd" else reversed(range(t_max))):
+                z = xw[t] + h @ wh + b
+                i, f, o = sig(z[:, :hd]), sig(z[:, hd : 2 * hd]), sig(z[:, 3 * hd :])
+                g = np.tanh(z[:, 2 * hd : 3 * hd])
+                c_new = f * c + i * g
+                steps[t] = (h, c, i, f, g, o, c_new)
+                h = out[:, t] = np.where(mask[:, t], o * np.tanh(c_new), 0.0)
+                c = np.where(mask[:, t], c_new, 0.0)
+            outs.append(out)
+            saved.append(steps)
+        layers.append((x, saved))
+        x = np.concatenate(outs, axis=2)
+    output = x
+    grads = {name: np.zeros_like(p) for name, p in params.items() if name.startswith("lstm.")}
+    d = np.where(mask, grad_out, 0.0)
+    for layer in reversed(range(num_layers)):
+        x, saved = layers[layer]
+        dx = np.zeros_like(x)
+        for n, direction in enumerate(("fwd", "bwd")):
+            prefix = f"lstm.l{layer}_{direction}_"
+            wx, wh = params[prefix + "Wx"], params[prefix + "Wh"]
+            dh, dc = np.zeros((b_sz, hd)), np.zeros((b_sz, hd))
+            for t in (reversed(range(t_max)) if direction == "fwd" else range(t_max)):
+                h_prev, c_prev, i, f, g, o, c_new = saved[n][t]
+                dh_t = np.where(mask[:, t], d[:, t, n * hd : (n + 1) * hd] + dh, 0.0)
+                tc = np.tanh(c_new)
+                dc_t = np.where(mask[:, t], dc, 0.0) + dh_t * o * (1.0 - tc * tc)
+                dz = np.concatenate([dc_t * g * i * (1.0 - i), dc_t * c_prev * f * (1.0 - f),
+                                     dc_t * i * (1.0 - g * g), dh_t * tc * o * (1.0 - o)], axis=1)
+                grads[prefix + "Wx"] += x[:, t].T @ dz
+                grads[prefix + "Wh"] += h_prev.T @ dz
+                grads[prefix + "b"] += dz.sum(axis=0)
+                dx[:, t] += dz @ wx.T
+                dh, dc = dz @ wh.T, dc_t * f
+        d = dx
+    return output, grads, d

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from scenestruct.nn import BiLstm, SequenceBatch
+from scenestruct.nn.lstm import CELL_BLOCK
 
+import oracles
 from conftest import make_lstm, zeros_like_params
 from gradcheck import grad_check
 
@@ -128,7 +130,15 @@ def forward_backward(lstm, batch, d_out):
     return lstm.backward(cache, d_out, grads), grads
 
 
+def with_padding(batch, values):
+    """A copy of batch whose padded cells hold values."""
+    noisy = SequenceBatch(batch.data.copy(), batch.lengths.copy())
+    noisy.data[~noisy.mask] = values
+    return noisy
+
+
 class TestPaddingInvariance:
+    # padded cells hold large noise, a constant or NaN; no product reads them
     @pytest.mark.parametrize("seed", range(5))
     def test_outputs_bitwise_invariant_to_padded_values(self, seed):
         rng = np.random.default_rng(seed)
@@ -137,10 +147,10 @@ class TestPaddingInvariance:
             for lengths in PADDED_LENGTHS:
                 batch = random_batch(rng, dim, lengths, dtype=dtype)
                 out_a, _ = lstm.forward(batch)
-                noisy = SequenceBatch(batch.data.copy(), batch.lengths.copy())
-                noisy.data[~noisy.mask] = rng.normal(size=noisy.data.shape)[~noisy.mask] * 1e6
-                out_b, _ = lstm.forward(noisy)
-                assert np.array_equal(out_a, out_b), (dim, lengths)
+                noise = rng.normal(size=batch.data.shape)[~batch.mask] * 1e6
+                for values in (noise, np.nan):
+                    out_b, _ = lstm.forward(with_padding(batch, values))
+                    assert np.array_equal(out_a, out_b), (dim, lengths, values)
 
     def test_gradients_bitwise_invariant_to_padded_values(self):
         rng = np.random.default_rng(11)
@@ -151,12 +161,43 @@ class TestPaddingInvariance:
                 d_out = (rng.normal(size=(len(lengths), max(lengths), 2 * hidden))
                          * batch.mask[:, :, None])
                 dx_a, grads_a = forward_backward(lstm, batch, d_out)
-                noisy = SequenceBatch(batch.data.copy(), batch.lengths.copy())
-                noisy.data[~noisy.mask] = 777.0
-                dx_b, grads_b = forward_backward(lstm, noisy, d_out)
-                assert np.array_equal(dx_a, dx_b), (dim, lengths)
-                for name in grads_a:
-                    assert np.array_equal(grads_a[name], grads_b[name]), (dim, lengths, name)
+                for values in (777.0, np.nan):
+                    dx_b, grads_b = forward_backward(lstm, with_padding(batch, values), d_out)
+                    assert np.array_equal(dx_a, dx_b), (dim, lengths, values)
+                    for name in grads_a:
+                        assert np.array_equal(grads_a[name], grads_b[name]), (dim, lengths, name)
+
+
+def assert_close(got, want, what):
+    """got equals want to 1e-12 relative to want's largest magnitude."""
+    assert got.shape == want.shape, what
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), what
+
+
+class TestPackedProducts:
+    # a tiny net, the shipped width and the paper's segmentation width;
+    # batches mix rows of length 1 and of the padded length, single rows sit
+    # on both sides of GEMM_MIN_ROWS, and the last batch holds more valid
+    # cells than one weight-gradient block
+    @pytest.mark.parametrize("dim, hidden", [(3, 4), (33, 16), (2049, 128)])
+    def test_forward_and_gradients_match_the_padded_oracle(self, dim, hidden):
+        rng = np.random.default_rng(dim)
+        lstm = make_lstm(dim, hidden, rng, dtype=np.float64)
+        wide = [1, 20, *rng.integers(1, 21, size=38)]
+        assert sum(wide) > CELL_BLOCK
+        for lengths in ([7, 1, 4, 7, 2], [1], [3], [6], [1, 5, 5, 3], wide):
+            batch = with_padding(random_batch(rng, dim, lengths), np.nan)
+            d_out = rng.normal(size=(len(lengths), max(lengths), 2 * hidden))
+            out, cache = lstm.forward(batch)
+            grads = zeros_like_params(lstm.params)
+            dx = lstm.backward(cache, d_out, grads)
+            want_out, want_grads, want_dx = oracles.padded_lstm_products(
+                lstm.params, batch.data, batch.lengths, d_out, hidden)
+            assert_close(out, want_out, (lengths, "output"))
+            assert_close(dx, want_dx, (lengths, "dx"))
+            assert sorted(grads) == sorted(want_grads)
+            for name in grads:
+                assert_close(grads[name], want_grads[name], (lengths, name))
 
 
 class TestInputGradientSkip:

@@ -225,39 +225,51 @@ class TestHeadAlgebra:
         assert np.max(np.abs(logits - expected)) <= 1e-12
 
 
-# One per-tag gradient at the shipped shape (fused 33 = vis_r50 16 + image 16
-# + length, H=16, 8 tags) on 32 generated videos with uncapped proposals,
-# printed as one sha256 per parameter block. The corpus seed gives 1,918
-# proposals, above the ~1,650 rows from which a plain GEMM reducing over
-# proposal rows changed its bits with the thread count.
+# One gradient of each net at the shipped shape (fused 33 = vis_r50 16 +
+# image 16 + length, H=16, 8 tags), printed as one sha256 per corpus, net
+# and parameter block. Each net takes all of a corpus's items as one batch.
+# The "mixed" corpus gives the per-tag net 1,918 uncapped proposals, above
+# the ~1,650 rows from which a plain GEMM reducing over proposal rows changed
+# its bits with the thread count; the "long" one holds 32 videos of 20 shots
+# (two 10-shot scenes), so every net's BiLSTM reduces its weight gradients
+# over 640 valid cells, more than any batch of the reference run.
 THREAD_PROBE = """
 import hashlib
 import numpy as np
 from scenestruct.fusion import ModalityMask
-from scenestruct.models import SegmentNet, TrainingHyper
+from scenestruct.models import BoundaryNet, SegmentNet, TagNet, TrainingHyper
 from scenestruct.synth import GeneratorConfig, build_corpus
 
 dims = {"vis_r50": 16, "image": 16}
-corpus = build_corpus(GeneratorConfig(
-    num_videos=32, seed=10, modalities=dims, signal={"vis_r50": "scene", "image": "scene"},
-    num_tags=8, scenes_per_video=(2, 5), shots_per_scene=(1, 4), tags_per_scene=(1, 3),
-    duration_mean_s=42.74, duration_std_s=14.16, noise_std=0.05))
-net = SegmentNet(ModalityMask.from_names(list(dims)), corpus.manifest.modality_dims,
-                 num_tags=8, head_mode="per_tag", hidden_dim=16, seed=7)
-rng = np.random.default_rng(7)
-for name in ("head.W", "head.b"):
-    net.params[name][...] = rng.uniform(-0.25, 0.25, size=net.params[name].shape)
-net.zero_grads()
-items = SegmentNet.training_items(corpus.videos, TrainingHyper(segment_head="per_tag"))
-net.batch_loss_and_grads(items, np.random.default_rng(0), train=True)
-for name, grad in net.grads.items():
-    print(name, hashlib.sha256(grad.tobytes()).hexdigest())
+mask = ModalityMask.from_names(list(dims))
+shapes = {"mixed": dict(seed=10, scenes_per_video=(2, 5), shots_per_scene=(1, 4)),
+          "long": dict(seed=11, scenes_per_video=(2, 2), shots_per_scene=(10, 10))}
+nets = {"boundary": (BoundaryNet, {}),
+        "segment_scalar": (SegmentNet, {"num_tags": 8, "head_mode": "scalar"}),
+        "segment_per_tag": (SegmentNet, {"num_tags": 8, "head_mode": "per_tag"}),
+        "tag": (TagNet, {"num_tags": 8})}
+for shape, settings in shapes.items():
+    corpus = build_corpus(GeneratorConfig(
+        num_videos=32, modalities=dims, signal={"vis_r50": "scene", "image": "scene"},
+        num_tags=8, tags_per_scene=(1, 3), duration_mean_s=42.74, duration_std_s=14.16,
+        noise_std=0.05, **settings))
+    for kind, (cls, kwargs) in nets.items():
+        net = cls(mask, corpus.manifest.modality_dims, hidden_dim=16, seed=7, **kwargs)
+        rng = np.random.default_rng(7)
+        for name in ("head.W", "head.b"):
+            net.params[name][...] = rng.uniform(-0.25, 0.25, size=net.params[name].shape)
+        net.zero_grads()
+        hyper = TrainingHyper(segment_head=kwargs.get("head_mode", "scalar"))
+        items = cls.training_items(corpus.videos, hyper)
+        net.batch_loss_and_grads(items, np.random.default_rng(0), train=True)
+        for name, grad in net.grads.items():
+            print(shape, kind, name, hashlib.sha256(grad.tobytes()).hexdigest())
 """
 
 
-def test_per_tag_gradients_do_not_depend_on_blas_threads():
-    """No gradient block of the per-tag segment net changes its bits between
-    one and two OpenBLAS threads."""
+def test_net_gradients_do_not_depend_on_blas_threads():
+    """No gradient block of any of the four nets changes its bits between one
+    and two OpenBLAS threads."""
     src = str(Path(scenestruct.__file__).parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -266,7 +278,7 @@ def test_per_tag_gradients_do_not_depend_on_blas_threads():
         proc = subprocess.run([sys.executable, "-c", THREAD_PROBE], env=env,
                               capture_output=True, text=True, timeout=300, check=True)
         outputs.append(proc.stdout.splitlines())
-    assert len(outputs[0]) == 14
+    assert len(outputs[0]) == 2 * 4 * 14
     assert outputs[0] == outputs[1]
 
 
